@@ -113,8 +113,7 @@ func main() {
 			log.Fatal(err)
 		}
 		st.recv, err = livo.NewRecvSession(in, inPeer, livo.RecvSessionConfig{
-			Receiver:    livo.ReceiverConfig{Array: v.Array, Trace: recvTrace},
-			JitterDelay: 0.05,
+			Receiver: livo.ReceiverConfig{Array: v.Array, Trace: recvTrace},
 		})
 		if err != nil {
 			log.Fatal(err)

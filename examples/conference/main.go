@@ -43,8 +43,7 @@ func main() {
 	defer send.Close()
 
 	recv, err := livo.NewRecvSession(rConn, sConn.LocalAddr(), livo.RecvSessionConfig{
-		Receiver:    livo.ReceiverConfig{Array: video.Array},
-		JitterDelay: 0.05,
+		Receiver: livo.ReceiverConfig{Array: video.Array},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -2,7 +2,10 @@ package relaycore
 
 import (
 	"math/rand"
+	"net"
 	"testing"
+
+	"livo/internal/transport"
 )
 
 // TestREMBMinTracker cross-checks the O(1)-amortized minimum against a
@@ -196,5 +199,32 @@ func TestPLIGateRearmNearExpiry(t *testing.T) {
 	}
 	if g.ShouldForward(2 * window) {
 		t.Fatal("duplicate PLI at the same instant forwarded twice")
+	}
+}
+
+// TestRouterProbesStopAtTheRelay: a subscriber's RTT probe is echoed to that
+// subscriber alone; pongs, and probes from strangers, go nowhere. None of it
+// reaches the sender.
+func TestRouterProbesStopAtTheRelay(t *testing.T) {
+	rec := newRecWriter()
+	r := NewRouter(rec, senderAddr(), testConfig())
+	defer r.Close()
+	sub, other, stranger := udp(1), udp(2), udp(3)
+	r.Subscribe(sub)
+	r.Subscribe(other)
+
+	ping := []byte{transport.FBPing, 1, 2, 3, 4, 5, 6, 7, 8}
+	r.RouteFeedback(append([]byte(nil), ping...), sub)
+	r.RouteFeedback(append([]byte(nil), ping...), stranger)
+	r.RouteFeedback([]byte{transport.FBPong, 1, 2, 3, 4, 5, 6, 7, 8}, sub)
+
+	got := rec.payloads(sub)
+	if len(got) != 1 || got[0][0] != transport.FBPong || string(got[0][1:]) != string(ping[1:]) {
+		t.Fatalf("pinger received %x, want one pong carrying the ping's payload", got)
+	}
+	for _, a := range []net.Addr{other, stranger, senderAddr()} {
+		if n := rec.count(a); n != 0 {
+			t.Fatalf("%v received %d packets, want none", a, n)
+		}
 	}
 }

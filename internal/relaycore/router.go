@@ -812,7 +812,8 @@ func (r *Router) routeSequential(b []byte, fid frameID, frag0 bool) {
 	r.telFanout.Add(int64(len(subs)))
 }
 
-// RouteFeedback aggregates one reverse-path message from a subscriber.
+// RouteFeedback aggregates one reverse-path message from a subscriber. b is
+// the caller's to scribble on: a probe is turned into its echo in place.
 func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 	if len(b) == 0 {
 		return
@@ -941,8 +942,19 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 		r.telPLIFwd.Inc()
 		r.cfg.Events.Add(frametrace.EvPLI, 0, 0, subID(sub), 0)
 		_, _ = r.out.WriteTo(b, r.sender)
+	case transport.FBPing:
+		// An RTT probe is answered here, to the subscriber that sent it: the
+		// round trip it needs is the one its NACKs take to the retransmission
+		// cache. Forwarded, the sender's echo would come back as sender
+		// traffic and fan out to every subscriber.
+		if sub != nil {
+			b[0] = transport.FBPong
+			_, _ = r.out.WriteTo(b, from)
+		}
+	case transport.FBPong:
+		// The relay sends no probes, so there is nothing for a pong to answer.
 	default:
-		// Pings, pongs, unknown types: forward to the sender.
+		// Unknown types: forward to the sender.
 		_, _ = r.out.WriteTo(b, r.sender)
 	}
 }

@@ -25,39 +25,55 @@ type NackRequest struct {
 	FragIndex uint16
 }
 
-// JitterBuffer reassembles one stream's packets into frames and delays
-// delivery by a fixed jitter delay, releasing frames in sequence order.
-// Incomplete frames past the skip deadline are dropped (LiVo "simply skips
-// the frame", §A.1).
+// JitterBuffer reassembles one stream's packets into frames and releases
+// them in sequence order, each at the playout time its PlayoutEstimator sets:
+// a complete, in-order frame stamped ts is due at ts + path floor + measured
+// jitter target, and never later than MaxPlayoutDelay after it completed. A
+// frame with a hole blocks the frames behind it while its fragments are
+// NACK-ed; past the repair deadline it is dropped (LiVo "simply skips the
+// frame", §A.1).
 type JitterBuffer struct {
-	// Delay is the jitter-buffer delay in seconds (paper: 100 ms [81]).
-	Delay float64
-	// SkipAfter is how long past Delay an incomplete frame may block
-	// delivery before being skipped.
+	// Playout sets the playout target and carries the repair round-trip
+	// estimate. NewJitterBuffer gives the buffer its own; a session points all
+	// its buffers at one, so both streams of a frame are released against the
+	// same sender timestamp and the same target.
+	Playout *PlayoutEstimator
+	// SkipAfter is how long past MaxPlayoutDelay (measured from its first
+	// fragment) an incomplete frame may block delivery before being skipped;
+	// it is given up sooner once repairRounds requests have gone unanswered.
 	SkipAfter float64
-	// NackAfter is how long a fragment may be missing (while later
-	// fragments of the frame have arrived) before it is NACK-ed.
+	// NackAfter is how long a frame may go without a new fragment, while
+	// incomplete, before its missing fragments are NACK-ed.
 	NackAfter float64
-	// RenackAfter is how long after a NACK the still-missing fragment is
-	// requested again — a lost retransmission (or a lost NACK) would
-	// otherwise leave the frame waiting for the skip deadline. Zero or
-	// negative disables re-requests (the pre-recovery behavior).
+	// RenackAfter is the longest a NACK may stay unanswered before the
+	// still-missing fragments are requested again — a lost retransmission
+	// (or a lost NACK) would otherwise leave the frame waiting for the skip
+	// deadline. Once the repair round trip is known the re-request goes out
+	// as soon as the answer is overdue (Playout.RepairTimeout). Zero or
+	// negative disables re-requests.
 	RenackAfter float64
 
 	frames  map[uint32]*partialFrame
 	nextSeq uint32
 	hasNext bool
-	nacked  map[nackKey]float64 // fragment → time of its latest NACK
 
 	// Occupancy and recovery counters are atomics: the buffer itself is
-	// single-goroutine (the session Run loop), but session Stats() snapshots
-	// and the telemetry exporter read them from other goroutines.
+	// single-goroutine (the session loops, under their lock), but session
+	// Stats() snapshots and the telemetry exporter read them from other
+	// goroutines.
 	skipped      atomic.Int64
 	fecRecovered atomic.Int64
 	nackedTotal  atomic.Int64
 	pending      atomic.Int64
 	delivered    atomic.Int64
 }
+
+// repairRounds is how many requests (the NACK and its re-requests) a missing
+// fragment gets; once the round trip is known, the frame is given up when the
+// last has gone unanswered. A retransmission travels apart from the burst
+// that took the original, so three in a row are lost to a 2% path a few times
+// in a million, and every further round holds the frames behind it.
+const repairRounds = 3
 
 // Stats is a point-in-time snapshot of one jitter buffer's occupancy and
 // recovery counters (readable from any goroutine).
@@ -85,11 +101,6 @@ func (jb *JitterBuffer) Stats() Stats {
 	}
 }
 
-type nackKey struct {
-	seq  uint32
-	frag uint16
-}
-
 type partialFrame struct {
 	stream       uint8
 	key          bool
@@ -97,20 +108,27 @@ type partialFrame struct {
 	count        uint16
 	got          map[uint16][]byte
 	parity       map[uint16][]byte // parity payloads by group first-index
+	sendTime     float64           // sender's timestamp, seconds on the sender's clock
 	firstArrival float64
 	lastArrival  float64
 	recovered    int
+	// All of a frame's missing fragments are requested together, so NACK
+	// state is per frame: when the first and the latest round went out, and
+	// how many there have been.
+	firstNack, lastNack float64
+	nackRounds          int
 }
 
-// NewJitterBuffer creates a buffer with the paper's 100 ms delay.
+func (f *partialFrame) complete() bool { return len(f.got) == int(f.count) }
+
+// NewJitterBuffer creates a buffer with its own playout estimator.
 func NewJitterBuffer() *JitterBuffer {
 	return &JitterBuffer{
-		Delay:       0.100,
+		Playout:     &PlayoutEstimator{},
 		SkipAfter:   0.120,
 		NackAfter:   0.015,
 		RenackAfter: 0.250,
 		frames:      make(map[uint32]*partialFrame),
-		nacked:      make(map[nackKey]float64),
 	}
 }
 
@@ -129,6 +147,7 @@ func (jb *JitterBuffer) Push(p Packet, arrival float64) {
 			count:        p.FragCount,
 			got:          make(map[uint16][]byte),
 			parity:       make(map[uint16][]byte),
+			sendTime:     float64(p.SendTimeUs) / 1e6,
 			firstArrival: arrival,
 		}
 		jb.frames[p.FrameSeq] = f
@@ -140,6 +159,7 @@ func (jb *JitterBuffer) Push(p Packet, arrival float64) {
 		// NACK/FEC recover the real one.
 		return
 	}
+	wasComplete := f.complete() // only a parity packet gets past a complete frame's duplicate check
 	if p.Parity {
 		f.parity[p.FragIndex] = p.Payload
 	} else {
@@ -147,6 +167,12 @@ func (jb *JitterBuffer) Push(p Packet, arrival float64) {
 			return
 		}
 		f.got[p.FragIndex] = p.Payload
+		if f.nackRounds == 1 {
+			// The fragment was missing when the frame's one request went out,
+			// so this is its answer (after a re-request it could be either
+			// round's, and says nothing).
+			jb.Playout.ObserveRTT(arrival - f.lastNack)
+		}
 	}
 	if arrival > f.lastArrival {
 		f.lastArrival = arrival
@@ -154,13 +180,19 @@ func (jb *JitterBuffer) Push(p Packet, arrival float64) {
 	if arrival < f.firstArrival {
 		f.firstArrival = arrival
 	}
+	if wasComplete {
+		return
+	}
 	jb.tryFEC(f)
+	if f.complete() && f.nackRounds == 0 {
+		jb.Playout.Observe(f.sendTime, f.lastArrival)
+	}
 }
 
 // tryFEC repairs single losses in parity-protected fragment groups —
 // recovery happens locally, without the NACK round trip (fec.go).
 func (jb *JitterBuffer) tryFEC(f *partialFrame) {
-	if len(f.got) == int(f.count) || len(f.parity) == 0 {
+	if f.complete() || len(f.parity) == 0 {
 		return
 	}
 	for firstIdx, pp := range f.parity {
@@ -181,52 +213,177 @@ func (jb *JitterBuffer) FECRecovered() int { return int(jb.fecRecovered.Load()) 
 func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
 
 // Pop returns all frames ready for delivery at time now, in sequence
-// order. A complete frame is ready when now >= firstArrival + Delay. An
-// incomplete frame blocking the sequence is skipped (dropped) when now >
-// firstArrival + Delay + SkipAfter.
-func (jb *JitterBuffer) Pop(now float64) []AssembledFrame {
+// order: PopOrdered over this buffer alone.
+func (jb *JitterBuffer) Pop(now float64) []AssembledFrame { return PopOrdered(now, jb) }
+
+// NextDeadline returns the earliest time at or after now at which Pop or
+// Nacks will have something new to do: NextDeadline over this buffer alone.
+func (jb *JitterBuffer) NextDeadline(now float64) (float64, bool) { return NextDeadline(now, jb) }
+
+// PopOrdered releases the frames ready at time now from bufs — the buffers
+// of one stream's rungs — in frame-sequence order across all of them, as if
+// they were one buffer: around a relay rung switch the old rung's last frames
+// leave before the new rung's key frame, and a hole in one holds back the
+// other. The lowest-sequence pending frame is released once it is complete
+// and due; while it is incomplete everything behind it waits, until its
+// repair deadline passes and it is skipped.
+func PopOrdered(now float64, bufs ...*JitterBuffer) []AssembledFrame {
 	var out []AssembledFrame
 	for {
-		seq, f, ok := jb.oldest()
-		if !ok {
-			break
-		}
-		complete := len(f.got) == int(f.count)
-		switch {
-		case complete && now >= f.firstArrival+jb.Delay:
-			data := assemble(f)
-			out = append(out, AssembledFrame{
-				Stream:       f.stream,
-				FrameSeq:     seq,
-				Key:          f.key,
-				Rung:         f.rung,
-				Data:         data,
-				FirstArrival: f.firstArrival,
-				LastArrival:  f.lastArrival,
-			})
-			jb.release(seq, f)
-			jb.delivered.Add(1)
-		case !complete && now > f.firstArrival+jb.Delay+jb.SkipAfter:
-			jb.release(seq, f)
-			jb.skipped.Add(1)
-		default:
+		jb, seq, f := head(now, bufs)
+		if f == nil || !f.complete() || now < jb.due(f) {
 			return out
 		}
+		out = append(out, AssembledFrame{
+			Stream:       f.stream,
+			FrameSeq:     seq,
+			Key:          f.key,
+			Rung:         f.rung,
+			Data:         assemble(f),
+			FirstArrival: f.firstArrival,
+			LastArrival:  f.lastArrival,
+		})
+		jb.release(seq)
+		jb.delivered.Add(1)
+		for _, other := range bufs {
+			if other != jb {
+				other.passed(seq)
+			}
+		}
 	}
-	return out
 }
 
-// release retires a delivered or skipped frame: the frame entry and its
-// once-only NACK bookkeeping are dropped together, so neither map outlives
-// the frames it describes (a session-lifetime leak otherwise).
-func (jb *JitterBuffer) release(seq uint32, f *partialFrame) {
+// NextDeadline returns the earliest time at or after now at which
+// PopOrdered or Nacks over bufs will have something new to do — the head
+// frame's playout time or repair deadline, or any incomplete frame's next
+// NACK round — so a caller that has just drained at now can sleep until
+// then. ok is false when nothing is pending that time alone would change.
+func NextDeadline(now float64, bufs ...*JitterBuffer) (t float64, ok bool) {
+	earlier := func(at float64) {
+		if !ok || at < t {
+			t, ok = at, true
+		}
+	}
+	if jb, _, f := head(now, bufs); f != nil {
+		if f.complete() {
+			earlier(jb.due(f))
+		} else {
+			earlier(jb.repairDeadline(f))
+		}
+	}
+	for _, jb := range bufs {
+		for _, f := range jb.frames {
+			if at, pending := jb.nackDue(f); pending {
+				earlier(at)
+			}
+		}
+	}
+	if ok && t < now {
+		t = now
+	}
+	return t, ok
+}
+
+// head skips the incomplete frames whose repair deadline has passed and
+// returns the lowest-sequence frame pending across bufs with its buffer (the
+// lower rung on a tie), or a nil frame when all are empty.
+func head(now float64, bufs []*JitterBuffer) (owner *JitterBuffer, seq uint32, f *partialFrame) {
+	for _, jb := range bufs {
+		s, c, ok := jb.oldest()
+		for ok && !c.complete() && now >= jb.repairDeadline(c) {
+			jb.release(s)
+			jb.skipped.Add(1)
+			s, c, ok = jb.oldest()
+		}
+		if ok && (f == nil || seqBefore(s, seq)) {
+			owner, seq, f = jb, s, c
+		}
+	}
+	return owner, seq, f
+}
+
+// due is when a complete frame may be played: the estimator's schedule for
+// its sender timestamp, but not before it completed and at most
+// MaxPlayoutDelay after that.
+func (jb *JitterBuffer) due(f *partialFrame) float64 {
+	at, ok := jb.Playout.Due(f.sendTime)
+	if !ok || at < f.lastArrival {
+		return f.lastArrival
+	}
+	if latest := f.lastArrival + MaxPlayoutDelay; at > latest {
+		return latest
+	}
+	return at
+}
+
+// retryAfter is how long a NACK round waits for its answer before the next
+// one: the measured repair timeout, between NackAfter and RenackAfter. ok is
+// false when re-requests are disabled.
+func (jb *JitterBuffer) retryAfter() (d float64, ok bool) {
+	if jb.RenackAfter <= 0 {
+		return 0, false
+	}
+	d = jb.RenackAfter
+	if rto, measured := jb.Playout.RepairTimeout(); measured && rto < d {
+		d = rto
+		if d < jb.NackAfter {
+			d = jb.NackAfter
+		}
+	}
+	return d, true
+}
+
+// repairDeadline is when an incomplete frame stops blocking delivery:
+// MaxPlayoutDelay + SkipAfter past its first fragment, or — if that is sooner,
+// which takes a measured round trip well under RenackAfter — the moment its
+// repairRounds-th request has gone unanswered.
+func (jb *JitterBuffer) repairDeadline(f *partialFrame) float64 {
+	at := f.firstArrival + MaxPlayoutDelay + jb.SkipAfter
+	if retry, ok := jb.retryAfter(); ok && f.nackRounds > 0 {
+		if lost := f.firstNack + repairRounds*retry; lost < at {
+			at = lost
+		}
+	}
+	return at
+}
+
+// nackDue is when f's next NACK round is due; pending is false when f is
+// complete or has had its last round.
+func (jb *JitterBuffer) nackDue(f *partialFrame) (at float64, pending bool) {
+	if f.complete() || f.nackRounds >= repairRounds {
+		return 0, false
+	}
+	at = f.lastArrival + jb.NackAfter
+	if f.nackRounds == 0 {
+		return at, true
+	}
+	retry, ok := jb.retryAfter()
+	if !ok {
+		return 0, false
+	}
+	if again := f.lastNack + retry; again > at {
+		at = again
+	}
+	return at, true
+}
+
+// release retires a delivered or skipped frame.
+func (jb *JitterBuffer) release(seq uint32) {
 	delete(jb.frames, seq)
 	jb.pending.Store(int64(len(jb.frames)))
-	for i := uint16(0); i < f.count; i++ {
-		delete(jb.nacked, nackKey{seq, i})
-	}
 	jb.nextSeq = seq + 1
 	jb.hasNext = true
+}
+
+// passed tells the buffer that frame seq has been played from another rung
+// of its stream. Being the lowest pending anywhere, it left nothing older
+// here; what arrives for it or before it from now on is late, as it would be
+// in one buffer, and this rung's copy of it (a receiver fed every rung
+// directly has one) is surplus.
+func (jb *JitterBuffer) passed(seq uint32) {
+	if _, dup := jb.frames[seq]; dup || !jb.hasNext || seqBefore(jb.nextSeq, seq+1) {
+		jb.release(seq)
+	}
 }
 
 // oldest returns the lowest-sequence pending frame.
@@ -254,32 +411,32 @@ func assemble(f *partialFrame) []byte {
 	return data
 }
 
-// Nacks returns fragments that should be retransmitted: missing pieces of
-// frames where later data has already arrived and NackAfter has elapsed.
-// A fragment still missing RenackAfter past its last NACK is requested
-// again (lost retransmissions must not wait out the skip deadline);
-// with RenackAfter disabled each fragment is NACK-ed at most once.
+// Nacks returns fragments that should be retransmitted: the missing pieces
+// of every incomplete frame that has gone NackAfter without a new fragment.
+// Fragments still missing when the answer is overdue (retryAfter) are
+// requested again — a lost retransmission must not wait out the repair
+// deadline; with RenackAfter disabled each fragment is NACK-ed at most once.
 func (jb *JitterBuffer) Nacks(now float64) []NackRequest {
 	var out []NackRequest
 	for seq, f := range jb.frames {
-		if len(f.got) == int(f.count) {
+		if at, pending := jb.nackDue(f); !pending || now < at {
 			continue
 		}
-		if now < f.lastArrival+jb.NackAfter {
-			continue
+		if f.nackRounds == 0 {
+			f.firstNack = now
 		}
+		f.lastNack = now
+		f.nackRounds++
 		for i := uint16(0); i < f.count; i++ {
 			if _, ok := f.got[i]; ok {
 				continue
 			}
-			k := nackKey{seq, i}
-			if last, ok := jb.nacked[k]; ok && (jb.RenackAfter <= 0 || now-last < jb.RenackAfter) {
-				continue
-			}
-			jb.nacked[k] = now
 			jb.nackedTotal.Add(1)
 			out = append(out, NackRequest{Stream: f.stream, FrameSeq: seq, FragIndex: i})
 		}
+	}
+	if len(out) < 2 {
+		return out
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].FrameSeq != out[b].FrameSeq {

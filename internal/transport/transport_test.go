@@ -80,37 +80,66 @@ func TestPacketizeReassemble(t *testing.T) {
 func TestJitterBufferInOrderDelivery(t *testing.T) {
 	jb := NewJitterBuffer()
 	data := []byte("hello world, this is a frame")
-	for _, p := range Packetize(StreamColor, 0, true, 0, data) {
+	pkts := Packetize(StreamColor, 0, true, 0, append(data, make([]byte, 2*MTU)...))
+	for _, p := range pkts[:len(pkts)-1] {
 		jb.Push(p, 1.0)
 	}
-	// Not ready before the jitter delay.
-	if out := jb.Pop(1.05); len(out) != 0 {
-		t.Fatal("delivered before jitter delay")
+	// Not ready while a fragment is still to come.
+	if out := jb.Pop(1.0); len(out) != 0 {
+		t.Fatal("delivered an incomplete frame")
 	}
-	out := jb.Pop(1.1)
+	// With nothing to say the path jitters, a complete in-order frame is
+	// played the moment its last fragment is in.
+	jb.Push(pkts[len(pkts)-1], 1.004)
+	out := jb.Pop(1.004)
 	if len(out) != 1 {
 		t.Fatalf("got %d frames", len(out))
 	}
-	if !bytes.Equal(out[0].Data, data) || out[0].FrameSeq != 0 || !out[0].Key {
+	if !bytes.Equal(out[0].Data[:len(data)], data) || out[0].FrameSeq != 0 || !out[0].Key {
 		t.Fatal("frame content wrong")
+	}
+	if out[0].FirstArrival != 1.0 || out[0].LastArrival != 1.004 {
+		t.Fatalf("arrivals %v, %v", out[0].FirstArrival, out[0].LastArrival)
 	}
 }
 
 func TestJitterBufferReordersFrames(t *testing.T) {
 	jb := NewJitterBuffer()
-	// Frame 1 arrives before frame 0.
-	for _, p := range Packetize(StreamColor, 1, false, 0, []byte("frame1")) {
-		jb.Push(p, 1.0)
+	frame := func(seq uint32, sentAt float64, data string) []Packet {
+		return Packetize(StreamColor, seq, false, uint64(sentAt*1e6), append([]byte(data), make([]byte, MTU)...))
 	}
-	for _, p := range Packetize(StreamColor, 0, false, 0, []byte("frame0")) {
-		jb.Push(p, 1.02)
+	// Frame 1 overtakes frame 0: all of it arrives between frame 0's two
+	// fragments. It is complete first and must still leave second.
+	f0, f1 := frame(0, 0.5, "frame0"), frame(1, 0.533, "frame1")
+	jb.Push(f0[0], 1.0)
+	for _, p := range f1 {
+		jb.Push(p, 1.01)
 	}
-	out := jb.Pop(1.5)
+	if out := jb.Pop(1.01); len(out) != 0 {
+		t.Fatalf("frame %d released ahead of an incomplete earlier frame", out[0].FrameSeq)
+	}
+	jb.Push(f0[1], 1.02)
+	// Frame 0 took 43 ms longer than frame 1 did, which is now the jitter the
+	// buffer knows about: frame 1 is held that long past its own arrival.
+	out := append(jb.Pop(1.02), jb.Pop(1.06)...)
 	if len(out) != 2 {
 		t.Fatalf("got %d frames", len(out))
 	}
 	if out[0].FrameSeq != 0 || out[1].FrameSeq != 1 {
 		t.Fatalf("order: %d, %d", out[0].FrameSeq, out[1].FrameSeq)
+	}
+	// A whole frame arriving after a later one has been played is too late.
+	for _, p := range frame(3, 0.6, "frame3") {
+		jb.Push(p, 1.10)
+	}
+	if out := jb.Pop(1.2); len(out) != 1 || out[0].FrameSeq != 3 {
+		t.Fatalf("frame 3 not released: %+v", out)
+	}
+	for _, p := range frame(2, 0.566, "frame2") {
+		jb.Push(p, 1.21)
+	}
+	if jb.Pending() != 0 || len(jb.Pop(1.5)) != 0 {
+		t.Fatal("a frame older than one already played was accepted")
 	}
 }
 

@@ -114,8 +114,7 @@ func TestLiveSessionOverUDP(t *testing.T) {
 	defer send.Close()
 
 	recv, err := NewRecvSession(rConn, sConn.LocalAddr(), RecvSessionConfig{
-		Receiver:    ReceiverConfig{Array: v.Array},
-		JitterDelay: 0.02, // loopback: keep the test fast
+		Receiver: ReceiverConfig{Array: v.Array},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -263,9 +263,12 @@ func (r *Relay) runIngest(i int, c net.PacketConn) {
 			continue
 		}
 		if r.router.FromSender(from) {
-			// Media (and sender pings) fan out to every subscriber: one
-			// copy into a pooled buffer, references to every queue.
-			r.router.RouteMedia(pool.Load(buf[:n]))
+			// Media fans out to every subscriber: one copy into a pooled
+			// buffer, references to every queue. Nothing else the sender
+			// might say (an echoed probe) is for all of them.
+			if buf[0] == mediaMagic {
+				r.router.RouteMedia(pool.Load(buf[:n]))
+			}
 			continue
 		}
 		r.fbMu.Lock()
@@ -309,6 +312,9 @@ func (r *Relay) runBatchIngest(i int, br udpio.BatchReader) {
 			}
 			from := ms[j].Addr
 			if r.router.FromSender(from) {
+				if ms[j].Buf[0] != mediaMagic {
+					continue // only media fans out; the slot is reused
+				}
 				pb := bufs[j]
 				pb.SetLen(n)
 				bufs[j] = pool.GetBlank()

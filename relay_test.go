@@ -50,8 +50,7 @@ func TestRelayFanOut(t *testing.T) {
 	counts := map[string]int{}
 	mkRecv := func(name string, conn net.PacketConn) *RecvSession {
 		rs, err := NewRecvSession(conn, relayConn.LocalAddr(), RecvSessionConfig{
-			Receiver:    ReceiverConfig{Array: v.Array},
-			JitterDelay: 0.02,
+			Receiver: ReceiverConfig{Array: v.Array},
 		})
 		if err != nil {
 			t.Fatal(err)

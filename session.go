@@ -2,6 +2,7 @@ package livo
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -129,35 +130,57 @@ func NewSendSession(conn net.PacketConn, remote net.Addr, cfg SendSessionConfig)
 	return s, nil
 }
 
+// paceCatchUp bounds how far behind its schedule the pacer may be and still
+// make the time up by sending early: a late timer or a scheduling stall of a
+// few milliseconds is absorbed, a longer one is not turned into a burst.
+const paceCatchUp = 2 * time.Millisecond
+
 // paceLoop transmits queued packets at the current rate instead of
 // bursting whole frames — WebRTC-style pacing keeps queues (and the
-// receiver's delay-gradient estimator) sane.
+// receiver's delay-gradient estimator) sane. It keeps a schedule rather than
+// sleeping after each packet: every packet has an absolute send time one
+// serialisation interval after the previous one's, so a timer that fires
+// late shortens the next wait instead of adding to the frame's wire time.
 func (s *SendSession) paceLoop() {
 	defer s.wg.Done()
+	// One timer for the life of the loop. It is re-armed only after its
+	// channel has been received from, which is what makes Reset safe.
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	<-timer.C
+	var next time.Time // the queue head's send time
 	for {
+		var wire []byte
 		select {
 		case <-s.closed:
 			return
-		case wire := <-s.paceQ:
-			if _, err := s.conn.WriteTo(wire, s.remote); err != nil {
-				s.err.Store(fmt.Errorf("livo: send: %w", err))
-				return
-			}
-			rate := s.Rate()
-			if rate < 1e5 {
-				rate = 1e5
-			}
-			// Serialize time of this packet at the target rate, halved:
-			// pace at 2x the media rate so feedback/overhead fits.
-			d := time.Duration(float64(len(wire)) * 8 / (2 * rate) * float64(time.Second))
-			if d > 0 {
-				select {
-				case <-s.closed:
-					return
-				case <-time.After(d):
-				}
-			}
+		case wire = <-s.paceQ:
 		}
+		now := time.Now()
+		if wait := next.Sub(now); wait > 0 {
+			timer.Reset(wait)
+			select {
+			case <-s.closed:
+				return
+			case <-timer.C:
+			}
+			now = time.Now()
+		}
+		if _, err := s.conn.WriteTo(wire, s.remote); err != nil {
+			s.err.Store(fmt.Errorf("livo: send: %w", err))
+			return
+		}
+		rate := s.Rate()
+		if rate < 1e5 {
+			rate = 1e5
+		}
+		// Serialize time of this packet at the target rate, halved:
+		// pace at 2x the media rate so feedback/overhead fits.
+		d := time.Duration(float64(len(wire)) * 8 / (2 * rate) * float64(time.Second))
+		if earliest := now.Add(-paceCatchUp); next.Before(earliest) {
+			next = earliest // idle queue or a long stall: no credit beyond the bound
+		}
+		next = next.Add(d)
 	}
 }
 
@@ -335,11 +358,12 @@ func (s *SendSession) handleFeedback(b []byte) {
 			s.sender.ForceKeyFrame()
 		}
 	case fbPong:
-		if t0, err := unmarshalPing(b); err == nil {
-			s.sender.ObserveRTT(s.now() - t0)
-		}
+		// Dead: a SendSession sends no pings, so no pong ever answers one,
+		// and Sender.ObserveRTT (which widens the culling frustum's
+		// look-ahead) is never fed in a live session. Probing from this side
+		// changes what is culled and is its own change (ROADMAP).
 	case fbPing:
-		// Reflect pings so the peer can measure RTT too.
+		// Reflect the receiver's probe: its RTT sizes the repair deadline.
 		b[0] = fbPong
 		_, _ = s.conn.WriteTo(b, s.remote)
 	}
@@ -412,13 +436,21 @@ type RecvSession struct {
 	trace    *frametrace.Ledger // cfg.Receiver.Trace (nil disables stamps)
 
 	// loopMu serializes the session's two goroutines — the blocking read
-	// loop and the housekeeping ticker — over the single-threaded receive
+	// loop and the housekeeping timers — over the single-threaded receive
 	// state: jitter buffers, decoder, congestion estimator, PLI tracker,
 	// and the user callbacks. Exactly one runs session logic at a time.
 	loopMu sync.Mutex
 
-	jb  map[uint8]*transport.JitterBuffer
-	gcc *transport.GCC
+	// jb holds one jitter buffer per (stream, rung), rungs in release order;
+	// playout is the estimator they all share (DESIGN.md §5).
+	jb      [2][transport.MaxRungs]*transport.JitterBuffer
+	playout *transport.PlayoutEstimator
+	// armed is the buffer deadline the housekeeping timer is set for (+Inf
+	// when it is stopped); the read loop pokes wake when a drain leaves an
+	// earlier one behind.
+	armed float64
+	wake  chan struct{}
+	gcc   *transport.GCC
 	// pli schedules key-frame requests during outages (only touched on the
 	// Run goroutine).
 	pli *transport.PLITracker
@@ -456,6 +488,7 @@ type RecvSession struct {
 	nacksSent atomic.Int64
 	plisSent  atomic.Int64
 	estRate   atomic.Uint64
+	rttUs     atomic.Int64 // smoothed RTT, microseconds (0 before the first pong)
 
 	// Telemetry handles, resolved once in NewRecvSession (DESIGN.md §6).
 	stages                               *telemetry.StageSet
@@ -470,12 +503,10 @@ type RecvSessionConfig struct {
 	InitialRateBps float64
 	// MinRateBps/MaxRateBps bound the estimator (defaults 1 Mbps / 1 Gbps).
 	MinRateBps, MaxRateBps float64
-	// JitterDelay overrides the 100 ms default.
-	JitterDelay float64
-	// NackRetry overrides the jitter buffers' 250 ms re-NACK interval (how
-	// long a NACK-ed fragment may stay missing before it is requested
-	// again — a lost retransmission is re-requested instead of waiting out
-	// the skip deadline). Negative disables re-requests.
+	// NackRetry overrides the jitter buffers' 250 ms ceiling on the re-NACK
+	// interval (how long a NACK-ed fragment may stay missing before it is
+	// requested again; once the round trip is measured the re-request goes
+	// out as soon as the answer is overdue). Negative disables re-requests.
 	NackRetry float64
 }
 
@@ -500,35 +531,28 @@ func NewRecvSession(conn net.PacketConn, remote net.Addr, cfg RecvSessionConfig)
 		conn:     conn,
 		remote:   remote,
 		trace:    cfg.Receiver.Trace,
-		jb:       make(map[uint8]*transport.JitterBuffer),
+		playout:  &transport.PlayoutEstimator{},
+		armed:    math.Inf(1),
+		wake:     make(chan struct{}, 1),
 		gcc:      transport.NewGCC(cfg.InitialRateBps, cfg.MinRateBps, cfg.MaxRateBps),
-		pli:    transport.NewPLITracker(),
-		start:  time.Now(),
-		closed: make(chan struct{}),
+		pli:      transport.NewPLITracker(),
+		start:    time.Now(),
+		closed:   make(chan struct{}),
 	}
 	// One jitter buffer per (stream, rung): fragments from two encodings of
 	// the same frame seq must never land in one reassembly slot, and a relay
 	// rung switch can interleave packets from both rungs around the key
 	// boundary. Buffers are pre-created (not lazily on first packet) so the
-	// map is never written after construction — Stats() reads it without
-	// loopMu. Legacy streams carry rung 0 and use the jbKey(stream, 0) entry.
-	for _, stream := range []uint8{transport.StreamColor, transport.StreamDepth} {
-		for rung := uint8(0); rung < transport.MaxRungs; rung++ {
-			r.jb[jbKey(stream, rung)] = transport.NewJitterBuffer()
-		}
-	}
-	if cfg.JitterDelay > 0 {
-		for _, jb := range r.jb {
-			jb.Delay = cfg.JitterDelay
-		}
-	}
-	if cfg.NackRetry != 0 {
-		retry := cfg.NackRetry
-		if retry < 0 {
-			retry = 0 // RenackAfter ≤ 0 means NACK-once
-		}
-		for _, jb := range r.jb {
-			jb.RenackAfter = retry
+	// table is never written after construction — Stats() reads it without
+	// loopMu. Legacy streams carry rung 0.
+	for si := range r.jb {
+		for rung := range r.jb[si] {
+			jb := transport.NewJitterBuffer()
+			jb.Playout = r.playout
+			if cfg.NackRetry != 0 {
+				jb.RenackAfter = math.Max(cfg.NackRetry, 0) // ≤ 0 means NACK-once
+			}
+			r.jb[si][rung] = jb
 		}
 	}
 	tel := cfg.Receiver.Telemetry
@@ -550,8 +574,8 @@ func NewRecvSession(conn net.PacketConn, remote net.Addr, cfg RecvSessionConfig)
 
 // Run processes packets until Close; call it on its own goroutine. Reads
 // block (no 20 ms deadline polling — Close pokes a past deadline after
-// closing r.closed to unblock the loop); timed work moves to a
-// housekeeping ticker. Conns that batch natively (a udpio socket) are
+// closing r.closed to unblock the loop); timed work moves to the
+// housekeeping goroutine. Conns that batch natively (a udpio socket) are
 // drained with one recvmmsg per kernel visit.
 func (r *RecvSession) Run() {
 	r.wg.Add(1)
@@ -573,8 +597,8 @@ func (r *RecvSession) Run() {
 			continue
 		}
 		r.loopMu.Lock()
-		if r.handleMedia(buf[:n], now) {
-			r.drain(now)
+		if r.handleDatagram(buf[:n], now) {
+			r.drainAndWake(now)
 		}
 		r.loopMu.Unlock()
 	}
@@ -600,12 +624,12 @@ func (r *RecvSession) runBatch(br udpio.BatchReader) {
 		r.loopMu.Lock()
 		any := false
 		for i := 0; i < got; i++ {
-			if ms[i].N > 0 && r.handleMedia(ms[i].Buf[:ms[i].N], now) {
+			if ms[i].N > 0 && r.handleDatagram(ms[i].Buf[:ms[i].N], now) {
 				any = true
 			}
 		}
 		if any {
-			r.drain(now)
+			r.drainAndWake(now)
 		}
 		r.loopMu.Unlock()
 	}
@@ -627,11 +651,24 @@ func (r *RecvSession) fatalReadErr(err error) bool {
 	return true
 }
 
-// handleMedia ingests one wire datagram (loopMu held), reporting whether
+// handleDatagram ingests one wire datagram (loopMu held), reporting whether
 // it was a media packet worth a drain pass.
-func (r *RecvSession) handleMedia(buf []byte, now float64) bool {
-	if len(buf) < 1 || buf[0] != mediaMagic {
-		return false // feedback-typed or junk: not ours
+func (r *RecvSession) handleDatagram(buf []byte, now float64) bool {
+	if len(buf) < 1 {
+		return false
+	}
+	if buf[0] == fbPong {
+		// Our own probe, echoed by the sender or the relay in front of it:
+		// the round trip a NACK and its retransmission will take.
+		if t0, err := unmarshalPing(buf); err == nil && t0 <= now {
+			r.playout.ObserveRTT(now - t0)
+			rtt, _ := r.playout.RTT()
+			r.rttUs.Store(int64(rtt * 1e6))
+		}
+		return false
+	}
+	if buf[0] != mediaMagic {
+		return false // other feedback types or junk: not ours
 	}
 	t0 := time.Now()
 	pkt, err := transport.Unmarshal(buf[1:])
@@ -646,111 +683,149 @@ func (r *RecvSession) handleMedia(buf []byte, now float64) bool {
 	r.received.Add(1)
 	r.rxTotal.Add(1)
 	r.mRx.Inc()
-	if jb := r.jb[jbKey(pkt.Stream, pkt.Rung)]; jb != nil {
-		jb.Push(pkt, now)
+	if si := int(pkt.Stream) - int(transport.StreamColor); si >= 0 && si < len(r.jb) && int(pkt.Rung) < len(r.jb[si]) {
+		r.jb[si][pkt.Rung].Push(pkt, now)
 	}
 	return true
 }
 
-// jbKey maps a (stream, rung) pair onto one jitter-buffer map key: stream id
-// in the low nibble, rung in the high nibble (stream ids are 1 and 2, rungs
-// are 0–3, so the packing is collision-free and jbKey(stream, 0) == stream).
-func jbKey(stream, rung uint8) uint8 { return stream | rung<<4 }
-
-// housekeeping owns the session's timed work until Close: jitter-buffer
-// delivery and NACK scheduling every 20 ms (the cadence the old read
-// deadline provided), feedback every 33 ms. It runs even — especially —
-// when no packets arrive: an outage is exactly when NACKs and PLIs must
-// keep flowing.
+// housekeeping owns the session's timed work until Close: feedback every
+// 33 ms, and jitter-buffer delivery and NACK scheduling at the buffers' next
+// deadline (a frame's playout time, a NACK round, a repair deadline), for
+// which it keeps one timer armed — stopped while nothing is pending, so an
+// idle session wakes for feedback only. It runs even — especially — when no
+// packets arrive: an outage is exactly when NACKs and PLIs must keep flowing.
 func (r *RecvSession) housekeeping() {
 	defer r.wg.Done()
-	drainTick := time.NewTicker(20 * time.Millisecond)
-	defer drainTick.Stop()
 	feedbackTick := time.NewTicker(33 * time.Millisecond)
 	defer feedbackTick.Stop()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	running := true // timer is set and its channel not yet received from
 	for {
 		select {
 		case <-r.closed:
 			return
-		case <-drainTick.C:
-			r.loopMu.Lock()
-			r.drain(r.now())
-			r.loopMu.Unlock()
 		case <-feedbackTick.C:
 			r.loopMu.Lock()
 			r.sendFeedback()
 			r.loopMu.Unlock()
+			continue
+		case <-timer.C:
+			running = false
+		case <-r.wake:
+		}
+		r.loopMu.Lock()
+		next, pending := r.drain(r.now())
+		r.armed = math.Inf(1)
+		if pending {
+			r.armed = next
+		}
+		r.loopMu.Unlock()
+		if running && !timer.Stop() {
+			<-timer.C
+		}
+		running = pending
+		if pending {
+			// Measured from now, not from before the drain (which decodes and
+			// renders); and at least a millisecond, so that a deadline the
+			// clock has already reached does not turn the loop into a spin.
+			timer.Reset(time.Duration(math.Max(next-r.now(), 0.001) * float64(time.Second)))
+		}
+	}
+}
+
+// drainAndWake is the read loops' drain: when it leaves a deadline earlier
+// than the one the housekeeping timer is armed for, housekeeping is poked to
+// re-arm (loopMu held).
+func (r *RecvSession) drainAndWake(now float64) {
+	if next, pending := r.drain(now); pending && next < r.armed {
+		r.armed = next
+		select {
+		case r.wake <- struct{}{}:
+		default:
 		}
 	}
 }
 
 func (r *RecvSession) now() float64 { return time.Since(r.start).Seconds() }
 
-// drain delivers ready frames from both jitter buffers and reconstructs
-// completed pairs.
-func (r *RecvSession) drain(now float64) {
-	for key, jb := range r.jb {
-		stream := key & 0x0f
-		for _, af := range jb.Pop(now) {
-			// Record jitter-buffer residency (first fragment arrival →
-			// delivery) as the jitter stage; ~Delay in a healthy session.
-			if res := now - af.FirstArrival; res > 0 {
-				r.stages.Done(af.FrameSeq, telemetry.StageJitter,
-					time.Now().Add(-time.Duration(res*float64(time.Second))))
-			}
-			r.trace.StampNow(frametrace.HopJitter, stream, af.FrameSeq, frametrace.NoSub)
-			pkt := &vcodec.Packet{Data: af.Data, Key: af.Key, Seq: af.FrameSeq, Rung: af.Rung}
-			var pf *PairedFrame
-			var err error
-			if stream == transport.StreamColor {
-				pf, err = r.receiver.PushColor(pkt)
-			} else {
-				pf, err = r.receiver.PushDepth(pkt)
-			}
-			if err != nil {
-				// Undecodable: a skipped frame left the decoder's reference
-				// stale, or the payload was corrupted in flight. Conceal
-				// with the last good paired frame and request a key frame;
-				// the tracker re-sends the PLI periodically until the IDR
-				// lands but suppresses per-frame storms (§A.1).
-				r.conceal(af.FrameSeq)
-				if r.pli.Request(now) {
-					r.plisSent.Add(1)
-					r.mPLISent.Inc()
-					_, _ = r.conn.WriteTo([]byte{fbPLI}, r.remote)
-				}
-				continue
-			}
-			if af.Key {
-				// The recovery IDR decoded: the PLI cycle is complete.
-				r.pli.OnKeyFrame()
-			}
-			if pf != nil {
-				r.decoded.Add(1)
-				if r.OnCloud != nil {
-					var fr *Frustum
-					if r.Frustum != nil {
-						fr = r.Frustum()
-					}
-					cloud, err := r.receiver.Reconstruct(pf, fr)
-					if err == nil {
-						r.OnCloud(pf.Seq, cloud)
-					}
-				}
+// drain delivers the frames that are due from each stream's jitter buffers —
+// in frame-sequence order across a stream's rungs — reconstructs completed
+// pairs and sends the NACKs that are due. It returns the buffers' next
+// deadline after now (loopMu held).
+func (r *RecvSession) drain(now float64) (next float64, pending bool) {
+	for si := range r.jb {
+		stream := transport.StreamColor + uint8(si)
+		rungs := r.jb[si][:]
+		for _, af := range transport.PopOrdered(now, rungs...) {
+			r.deliver(stream, af, now)
+		}
+		for _, jb := range rungs {
+			for _, nack := range jb.Nacks(now) {
+				r.lost.Add(1)
+				r.lostTotal.Add(1)
+				r.nacksSent.Add(1)
+				r.mNACKSent.Inc()
+				_, _ = r.conn.WriteTo(marshalNACK(nack.Stream, nack.FrameSeq, nack.FragIndex), r.remote)
 			}
 		}
-		for _, nack := range jb.Nacks(now) {
-			r.lost.Add(1)
-			r.lostTotal.Add(1)
-			r.nacksSent.Add(1)
-			r.mNACKSent.Inc()
-			_, _ = r.conn.WriteTo(marshalNACK(nack.Stream, nack.FrameSeq, nack.FragIndex), r.remote)
+		if at, ok := transport.NextDeadline(now, rungs...); ok && (!pending || at < next) {
+			next, pending = at, true
 		}
-		switch key {
-		case transport.StreamColor:
-			r.gJitterColor.SetInt(int64(jb.Stats().Pending))
-		case transport.StreamDepth:
-			r.gJitterDepth.SetInt(int64(jb.Stats().Pending))
+	}
+	r.gJitterColor.SetInt(int64(r.jb[0][0].Stats().Pending))
+	r.gJitterDepth.SetInt(int64(r.jb[1][0].Stats().Pending))
+	return next, pending
+}
+
+// deliver decodes one frame leaving the jitter buffers and, when it
+// completes a pair, reconstructs and hands over the cloud.
+func (r *RecvSession) deliver(stream uint8, af transport.AssembledFrame, now float64) {
+	// Record jitter-buffer residency (first fragment arrival → delivery) as
+	// the jitter stage: reassembly plus the playout wait.
+	if res := now - af.FirstArrival; res > 0 {
+		r.stages.Done(af.FrameSeq, telemetry.StageJitter,
+			time.Now().Add(-time.Duration(res*float64(time.Second))))
+	}
+	r.trace.StampNow(frametrace.HopJitter, stream, af.FrameSeq, frametrace.NoSub)
+	pkt := &vcodec.Packet{Data: af.Data, Key: af.Key, Seq: af.FrameSeq, Rung: af.Rung}
+	var pf *PairedFrame
+	var err error
+	if stream == transport.StreamColor {
+		pf, err = r.receiver.PushColor(pkt)
+	} else {
+		pf, err = r.receiver.PushDepth(pkt)
+	}
+	if err != nil {
+		// Undecodable: a skipped frame left the decoder's reference stale, or
+		// the payload was corrupted in flight. Conceal with the last good
+		// paired frame and request a key frame; the tracker re-sends the PLI
+		// periodically until the IDR lands but suppresses per-frame storms
+		// (§A.1).
+		r.conceal(af.FrameSeq)
+		if r.pli.Request(now) {
+			r.plisSent.Add(1)
+			r.mPLISent.Inc()
+			_, _ = r.conn.WriteTo([]byte{fbPLI}, r.remote)
+		}
+		return
+	}
+	if af.Key {
+		// The recovery IDR decoded: the PLI cycle is complete.
+		r.pli.OnKeyFrame()
+	}
+	if pf == nil {
+		return
+	}
+	r.decoded.Add(1)
+	if r.OnCloud != nil {
+		var fr *Frustum
+		if r.Frustum != nil {
+			fr = r.Frustum()
+		}
+		if cloud, err := r.receiver.Reconstruct(pf, fr); err == nil {
+			r.OnCloud(pf.Seq, cloud)
 		}
 	}
 }
@@ -822,6 +897,10 @@ type RecvStats struct {
 	// NACKsSent and PLIsSent count feedback messages emitted.
 	NACKsSent int64
 	PLIsSent  int64
+	// RTT is the smoothed round trip to the peer that echoes the session's
+	// probes (the sender, or the relay in front of it), in seconds; 0 before
+	// the first echo.
+	RTT float64
 	// EstRateBps is the congestion estimator's current bandwidth estimate
 	// (as last advertised via REMB).
 	EstRateBps float64
@@ -840,9 +919,10 @@ func (r *RecvSession) Stats() RecvStats {
 		Concealed:  r.concealed.Load(),
 		NACKsSent:  r.nacksSent.Load(),
 		PLIsSent:   r.plisSent.Load(),
+		RTT:        float64(r.rttUs.Load()) / 1e6,
 		EstRateBps: float64(r.estRate.Load()),
-		Color:      r.jb[transport.StreamColor].Stats(),
-		Depth:      r.jb[transport.StreamDepth].Stats(),
+		Color:      r.jb[0][0].Stats(),
+		Depth:      r.jb[1][0].Stats(),
 		Err:        r.Err(),
 	}
 }

@@ -118,8 +118,7 @@ func runFaultySession(t *testing.T, frames int, fec bool, configure func(*lossyF
 	defer send.Close()
 
 	recv, err := NewRecvSession(rConn, fConn.LocalAddr(), RecvSessionConfig{
-		Receiver:    ReceiverConfig{Array: v.Array},
-		JitterDelay: 0.03,
+		Receiver: ReceiverConfig{Array: v.Array},
 	})
 	if err != nil {
 		t.Fatal(err)
