@@ -265,13 +265,11 @@ func checkPipeBaseline(path string, results []experiments.PipeStageResult) error
 }
 
 // runRelayBench sweeps the relay data plane across subscriber counts and
-// GOMAXPROCS (1/2/4/8 for the sharded queued plane; the sequential plane is
-// single-threaded by construction), writes BENCH_relay.json, and prints the
-// queued-vs-sequential speedup plus the multi-core scaling ratio at each
-// count. With a baseline path it gates the queued plane's allocs/packet and
-// per-core throughput so CI catches fan-out regressions.
+// GOMAXPROCS (1/2/4/8), writes BENCH_relay.json, and prints the multi-core
+// scaling ratio at each count. With a baseline path it gates allocs/packet
+// and per-core throughput so CI catches fan-out regressions.
 func runRelayBench(outPath, baselinePath string, short bool) error {
-	fmt.Println("=== relaybench (sharded queued vs sequential fan-out) ===")
+	fmt.Println("=== relaybench (sharded fan-out) ===")
 	start := time.Now()
 	results, err := experiments.RunRelayBench(experiments.RelayBenchConfig{}, short, func(line string) {
 		fmt.Println(line)
@@ -279,27 +277,16 @@ func runRelayBench(outPath, baselinePath string, short bool) error {
 	if err != nil {
 		return err
 	}
-	// Speedup table: queued / sequential routed packets per second (matched
-	// at procs=1), and queued self-scaling across the procs sweep.
-	seqPPS := map[int]float64{}
-	queued1PPS := map[int]float64{}
+	// Scaling table: routed packets per second across the procs sweep.
+	procs1PPS := map[int]float64{}
 	for _, r := range results {
-		if r.Mode == "sequential" {
-			seqPPS[r.Subs] = r.PacketsPerSec
-		}
-		if r.Mode == "queued" && r.Procs == 1 {
-			queued1PPS[r.Subs] = r.PacketsPerSec
+		if r.Procs == 1 {
+			procs1PPS[r.Subs] = r.PacketsPerSec
 		}
 	}
 	for _, r := range results {
-		if r.Mode != "queued" {
-			continue
-		}
-		if r.Procs == 1 && seqPPS[r.Subs] > 0 {
-			fmt.Printf("speedup subs=%-5d %6.1fx packets/sec vs sequential\n", r.Subs, r.PacketsPerSec/seqPPS[r.Subs])
-		}
-		if r.Procs > 1 && queued1PPS[r.Subs] > 0 {
-			fmt.Printf("scaling subs=%-5d procs=%d %6.2fx vs procs=1\n", r.Subs, r.Procs, r.PacketsPerSec/queued1PPS[r.Subs])
+		if r.Procs > 1 && procs1PPS[r.Subs] > 0 {
+			fmt.Printf("scaling subs=%-5d procs=%d %6.2fx vs procs=1\n", r.Subs, r.Procs, r.PacketsPerSec/procs1PPS[r.Subs])
 		}
 	}
 	fmt.Printf("(relaybench in %s)\n", time.Since(start).Round(time.Millisecond))
@@ -308,7 +295,7 @@ func runRelayBench(outPath, baselinePath string, short bool) error {
 	// bookkeeping (owner-shard index map churn) is allowed at most 1, so
 	// any cell above 1.0 means the cache leaked work onto the hot path.
 	for _, r := range results {
-		if r.Mode == "queued" && r.AllocsPerPacket > 1.0 {
+		if r.AllocsPerPacket > 1.0 {
 			return fmt.Errorf("relaybench: subs=%d procs=%d %.2f allocs/packet exceeds the 1.0 cache-bookkeeping budget",
 				r.Subs, r.Procs, r.AllocsPerPacket)
 		}
@@ -328,7 +315,7 @@ func runRelayBench(outPath, baselinePath string, short bool) error {
 	return nil
 }
 
-// checkRelayBaseline gates the queued plane against the committed baseline,
+// checkRelayBaseline gates the data plane against the committed baseline,
 // matched on (subs, procs):
 //
 //   - allocs/packet may not exceed baseline + 0.05 — the hot path is
@@ -357,15 +344,10 @@ func checkRelayBaseline(path string, results []experiments.RelayBenchResult) err
 	type cell struct{ subs, procs int }
 	baseBy := map[cell][]experiments.RelayBenchResult{}
 	for _, b := range base {
-		if b.Mode == "queued" {
-			baseBy[cell{b.Subs, b.Procs}] = append(baseBy[cell{b.Subs, b.Procs}], b)
-		}
+		baseBy[cell{b.Subs, b.Procs}] = append(baseBy[cell{b.Subs, b.Procs}], b)
 	}
 	var failed bool
 	for _, r := range results {
-		if r.Mode != "queued" {
-			continue
-		}
 		cands := baseBy[cell{r.Subs, r.Procs}]
 		if len(cands) == 0 {
 			continue

@@ -19,12 +19,11 @@ import (
 // Relay fan-out scale benchmark (`livo-bench -relaybench`): drives the
 // relay data plane (internal/relaycore) at growing subscriber counts over
 // an in-memory packet conn — no UDP, no sockets — and measures routing
-// throughput, per-packet cost, allocations, and drop accounting for both
-// the sharded (per-core ingest + per-subscriber queues + batched writers)
-// and the legacy sequential data plane. The results land in
-// BENCH_relay.json.
+// throughput, per-packet cost, allocations, and drop accounting for the
+// sharded data plane (per-core ingest + per-subscriber queues + batched
+// writers). The results land in BENCH_relay.json.
 //
-// Each (mode, subs, procs) cell runs two phases with separate metrics:
+// Each (subs, procs) cell runs two phases with separate metrics:
 //
 //   - a paced phase at the configured media rate (FPS × fragments/frame,
 //     GOP-patterned key frames), reporting delivered/sec and drop rate —
@@ -41,20 +40,20 @@ import (
 //
 // The conn models what makes real fan-out hard: each subscriber has a
 // bounded socket buffer drained by an independent consumer that
-// occasionally stalls (GC pause, Wi-Fi retransmit, a backgrounded viewer).
-// The sequential plane writes subscribers one after another, so any one
-// stalled buffer blocks the whole relay; the sharded plane absorbs the
-// stall in that subscriber's ring and keeps routing. The buffer also
+// occasionally stalls (GC pause, Wi-Fi retransmit, a backgrounded viewer);
+// the data plane absorbs the stall in that subscriber's ring and keeps
+// routing (a plane that wrote subscribers one after another measured 10×
+// slower here and was removed — CHANGES.md, PRs 5–6). The buffer also
 // implements relaycore.BatchWriter — one lock acquisition per drained
 // batch, the in-memory analogue of sendmmsg amortization.
 
-// RelayBenchResult is one (mode, subscriber-count, procs) measurement.
+// RelayBenchResult is one (subscriber-count, procs) measurement.
 // PacketsRouted through AllocsPerPacket describe the flat-out phase;
 // DeliveredPerSec, Drops, and DropRate describe the paced phase; the Retx*
 // and Recovery* fields describe the loss-recovery phase (paced producer
 // behind ~2% bursty downstream loss, receivers NACKing every hole).
 type RelayBenchResult struct {
-	Mode               string  `json:"mode"` // "sequential" or "queued"
+	Mode               string  `json:"mode"` // always "queued" (kept so committed baselines parse unchanged)
 	Subs               int     `json:"subs"`
 	Procs              int     `json:"procs"`  // GOMAXPROCS for this cell
 	Shards             int     `json:"shards"` // ingest shards in the router
@@ -84,10 +83,10 @@ type RelayBenchResult struct {
 // RelayBenchConfig parameterizes a run; zero values pick defaults.
 type RelayBenchConfig struct {
 	SubCounts []int         // subscriber counts to sweep
-	ProcsList []int         // GOMAXPROCS sweep for the queued plane
+	ProcsList []int         // GOMAXPROCS sweep
 	FPS       int           // paced-phase media rate (frames/sec)
 	Duration  time.Duration // timed window per phase
-	Warmup    time.Duration // untimed warmup per (mode, subs, procs)
+	Warmup    time.Duration // untimed warmup per (subs, procs)
 	PauseProb float64       // per-delivered-packet consumer stall probability
 	PauseDur  time.Duration // consumer stall length
 	SockBuf   int           // per-subscriber socket buffer (packets)
@@ -224,7 +223,7 @@ func newRelayBenchConn(n int, cfg RelayBenchConfig) *relayBenchConn {
 }
 
 // putLocked copies one payload into the subscriber's buffer, blocking while
-// it is full (this is the stall the sequential plane serializes behind).
+// it is full.
 // Reports false once the conn is closed.
 func (s *relayBenchSub) putLocked(p []byte) bool {
 	for s.size == len(s.ring) && !s.closed {
@@ -447,10 +446,8 @@ func restampFrame(tmpl []byte, stream uint8, seq uint32, key bool) {
 	}
 }
 
-// RunRelayBench sweeps subscriber counts and GOMAXPROCS for both data
-// planes and returns the measurements. The sequential plane is inherently
-// single-threaded, so it runs at procs=1 only; the queued (sharded) plane
-// sweeps cfg.ProcsList.
+// RunRelayBench sweeps subscriber counts and GOMAXPROCS and returns the
+// measurements.
 func RunRelayBench(cfg RelayBenchConfig, short bool, progress func(string)) ([]RelayBenchResult, error) {
 	cfg.fill(short)
 	if progress == nil {
@@ -460,38 +457,28 @@ func RunRelayBench(cfg RelayBenchConfig, short bool, progress func(string)) ([]R
 	defer runtime.GOMAXPROCS(prevProcs)
 
 	var out []RelayBenchResult
-	run := func(mode string, subs, procs int) error {
-		r, err := runRelayBenchOne(mode, subs, procs, cfg)
-		if err != nil {
-			return err
-		}
-		progress(fmt.Sprintf("%-10s subs=%-5d procs=%d shards=%d %12.0f pkts/s (%10.0f /core) %8.0f ns/pkt %5.2f allocs/pkt | paced %6.0f offered/s %8.0f delivered/s drops=%d (%.2f%%) | loss retx=%.1f%% p99=%.1fms sndNACK=%d open=%d",
-			r.Mode, r.Subs, r.Procs, r.Shards, r.PacketsPerSec, r.PacketsPerSecCore,
-			r.NsPerPacket, r.AllocsPerPacket, r.PacedOfferedPerSec, r.DeliveredPerSec, r.Drops, r.DropRate*100,
-			r.RetxHitRate*100, r.RecoveryP99Ms, r.SenderNACKs, r.LossUnrecovered))
-		out = append(out, r)
-		return nil
-	}
 	for _, subs := range cfg.SubCounts {
-		if err := run("sequential", subs, 1); err != nil {
-			return nil, err
-		}
 		for _, procs := range cfg.ProcsList {
-			if err := run("queued", subs, procs); err != nil {
+			r, err := runRelayBenchOne(subs, procs, cfg)
+			if err != nil {
 				return nil, err
 			}
+			progress(fmt.Sprintf("subs=%-5d procs=%d shards=%d %12.0f pkts/s (%10.0f /core) %8.0f ns/pkt %5.2f allocs/pkt | paced %6.0f offered/s %8.0f delivered/s drops=%d (%.2f%%) | loss retx=%.1f%% p99=%.1fms sndNACK=%d open=%d",
+				r.Subs, r.Procs, r.Shards, r.PacketsPerSec, r.PacketsPerSecCore,
+				r.NsPerPacket, r.AllocsPerPacket, r.PacedOfferedPerSec, r.DeliveredPerSec, r.Drops, r.DropRate*100,
+				r.RetxHitRate*100, r.RecoveryP99Ms, r.SenderNACKs, r.LossUnrecovered))
+			out = append(out, r)
 		}
 	}
 	return out, nil
 }
 
-func runRelayBenchOne(mode string, subs, procs int, cfg RelayBenchConfig) (RelayBenchResult, error) {
+func runRelayBenchOne(subs, procs int, cfg RelayBenchConfig) (RelayBenchResult, error) {
 	runtime.GOMAXPROCS(procs)
 	conn := newRelayBenchConn(subs, cfg)
 	router := relaycore.NewRouter(conn, &relayBenchAddr{i: -1, s: "sender"}, relaycore.Config{
-		Sequential: mode == "sequential",
-		Shards:     procs,
-		Telemetry:  telemetry.NewRegistry(0),
+		Shards:    procs,
+		Telemetry: telemetry.NewRegistry(0),
 	})
 	subAddrs := make([]net.Addr, subs)
 	for i := 0; i < subs; i++ {
@@ -660,7 +647,7 @@ func runRelayBenchOne(mode string, subs, procs int, cfg RelayBenchConfig) (Relay
 	if !router.WaitIdle(60 * time.Second) {
 		router.Close()
 		conn.close()
-		return RelayBenchResult{}, fmt.Errorf("relaybench: %s/%d/procs=%d loss phase did not drain", mode, subs, procs)
+		return RelayBenchResult{}, fmt.Errorf("relaybench: %d/procs=%d loss phase did not drain", subs, procs)
 	}
 	r1 := router.Stats()
 	lossDropped, lossOpen := conn.lossTotals()
@@ -684,7 +671,7 @@ func runRelayBenchOne(mode string, subs, procs int, cfg RelayBenchConfig) (Relay
 		if !router.WaitIdle(60 * time.Second) {
 			router.Close()
 			conn.close()
-			return RelayBenchResult{}, fmt.Errorf("relaybench: %s/%d/procs=%d did not drain", mode, subs, procs)
+			return RelayBenchResult{}, fmt.Errorf("relaybench: %d/procs=%d did not drain", subs, procs)
 		}
 		elapsed := time.Since(t0)
 		totalRouted += routed
@@ -698,7 +685,7 @@ func runRelayBenchOne(mode string, subs, procs int, cfg RelayBenchConfig) (Relay
 	router.Close()
 	conn.close()
 	if !pacedDrained {
-		return RelayBenchResult{}, fmt.Errorf("relaybench: %s/%d/procs=%d paced phase did not drain", mode, subs, procs)
+		return RelayBenchResult{}, fmt.Errorf("relaybench: %d/procs=%d paced phase did not drain", subs, procs)
 	}
 	if got := s1.MediaPackets - s0.MediaPackets; got != totalRouted {
 		return RelayBenchResult{}, fmt.Errorf("relaybench: routed %d but stats count %d", totalRouted, got)
@@ -708,7 +695,7 @@ func runRelayBenchOne(mode string, subs, procs int, cfg RelayBenchConfig) (Relay
 	}
 
 	res := RelayBenchResult{
-		Mode:               mode,
+		Mode:               "queued",
 		Subs:               subs,
 		Procs:              procs,
 		Shards:             router.Shards(),

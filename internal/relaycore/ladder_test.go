@@ -2,6 +2,12 @@ package relaycore
 
 import (
 	"fmt"
+	"math/rand"
+	"net"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,20 +52,20 @@ func (h *ladderHarness) frame(key bool) {
 	h.clk.Advance(33 * time.Millisecond)
 }
 
-// deliveredRungs reassembles the subscriber's delivery log into the ordered
-// per-frame view (seq, rung, key), failing the test if any frame mixed
-// fragments from two rungs — the exact corruption a stateful decoder
-// cannot survive.
+// deliveredRungs reassembles one subscriber's delivery log into the
+// per-frame view (seq, rung, key) in seq order, failing the test if any
+// frame mixed rungs — between two fragments, or between its colour and
+// depth streams — the exact corruption a stateful decoder cannot survive.
 type frameRung struct {
 	seq  uint32
 	rung uint8
 	key  bool
 }
 
-func deliveredRungs(t *testing.T, rec *recWriter, sub *recSub) []frameRung {
+func deliveredRungs(t *testing.T, rec *recWriter, sub net.Addr) []frameRung {
 	t.Helper()
-	var out []frameRung
-	for _, b := range rec.payloads(sub.addr) {
+	bySeq := map[uint32]frameRung{}
+	for _, b := range rec.payloads(sub) {
 		if len(b) < 2 || b[0] != transport.MediaMagic {
 			continue
 		}
@@ -67,27 +73,22 @@ func deliveredRungs(t *testing.T, rec *recWriter, sub *recSub) []frameRung {
 		if err != nil {
 			t.Fatalf("undeliverable wire packet: %v", err)
 		}
-		if p.Stream != 1 || p.Parity {
+		if p.Parity {
 			continue
 		}
-		if n := len(out); n > 0 && out[n-1].seq == p.FrameSeq {
-			if out[n-1].rung != p.Rung {
-				t.Fatalf("frame %d delivered with mixed rungs %d and %d",
-					p.FrameSeq, out[n-1].rung, p.Rung)
-			}
-			continue
+		if fr, seen := bySeq[p.FrameSeq]; seen && fr.rung != p.Rung {
+			t.Fatalf("sub %s: frame %d delivered with mixed rungs %d and %d (stream %d)",
+				sub, p.FrameSeq, fr.rung, p.Rung, p.Stream)
 		}
-		out = append(out, frameRung{seq: p.FrameSeq, rung: p.Rung, key: p.Key})
+		bySeq[p.FrameSeq] = frameRung{seq: p.FrameSeq, rung: p.Rung, key: p.Key}
 	}
+	out := make([]frameRung, 0, len(bySeq))
+	for _, fr := range bySeq {
+		out = append(out, fr)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out
 }
-
-type recSub struct{ addr *fakeAddr }
-
-type fakeAddr struct{ s string }
-
-func (a *fakeAddr) Network() string { return "udp" }
-func (a *fakeAddr) String() string  { return a.s }
 
 // TestLadderSwitchAtKeyBoundary drives one subscriber through a full
 // down/up cycle: REMB collapse selects the quarter rung and the delivered
@@ -109,12 +110,11 @@ func TestLadderSwitchAtKeyBoundary(t *testing.T) {
 			r := NewRouter(rec, senderAddr(), cfg)
 			h := &ladderHarness{t: t, r: r, clk: clk}
 
-			subAddr := udp(1)
-			r.Subscribe(subAddr)
-			sub := &recSub{addr: &fakeAddr{s: subAddr.String()}}
+			sub := udp(1)
+			r.Subscribe(sub)
 
 			const gop = 10
-			remb := func(bps float64) { r.RouteFeedback(transport.AppendREMB(nil, bps), subAddr) }
+			remb := func(bps float64) { r.RouteFeedback(transport.AppendREMB(nil, bps), sub) }
 
 			// Phase A: plenty of bandwidth. Two GOPs warm up the per-rung
 			// rate estimator (first REMB only records baselines).
@@ -211,5 +211,150 @@ func TestLadderSwitchAtKeyBoundary(t *testing.T) {
 				t.Fatalf("PoolLive = %d after close with rungs active, want 0", st.PoolLive)
 			}
 		})
+	}
+}
+
+// TestRouterRandomSchedule hammers the router the way a reuseport relay
+// does — several feedback loops and several media loops at once — under a
+// seeded random schedule: two producers (colour, depth) route a 3-rung
+// ladder with each frame's rung copies in shuffled order while four
+// feedback goroutines fire REMBs that straddle every rung boundary (plus
+// NACKs, PLIs and probes) at random subscribers and from a stranger. Per
+// subscriber it asserts the data plane's invariants: no frame on two
+// rungs across fragments or streams, rung changes only across a key-frame
+// boundary, enqueued == sent + dropped + depth; and PoolLive() == 0 after
+// Close. Tier-1 runs it under -race, which is what makes RouteFeedback's
+// concurrency contract a tested one.
+func TestRouterRandomSchedule(t *testing.T) {
+	const (
+		subs, feeders = 6, 4
+		frames, gop   = 80, 5
+	)
+	// Both streams at 33 ms a frame cost ≈ 620/310/155 kb/s per rung;
+	// these estimates sit either side of each rung's 0.9 and 0.75 lines.
+	rembs := []float64{2e6, 850e3, 700e3, 680e3, 420e3, 350e3, 340e3, 210e3, 180e3, 165e3, 50e3}
+	for _, shards := range []int{1, 4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+				clk := &fakeClock{}
+				clk.Advance(time.Second)
+				rec := newRecWriter()
+				cfg := testConfig()
+				cfg.Shards = shards
+				cfg.Now = clk.Now
+				r := NewRouter(rec, senderAddr(), cfg)
+				addrs := make([]net.Addr, subs)
+				for i := range addrs {
+					addrs[i] = udp(i + 1)
+					r.Subscribe(addrs[i])
+				}
+				stranger := udp(500)
+
+				var producers, feeds sync.WaitGroup
+				done := make(chan struct{})
+				// The streams may drift apart, but like a real sender's not
+				// without bound: well inside rungHorizon frames.
+				var progress [2]atomic.Uint32
+				for p, stream := range []uint8{transport.StreamColor, transport.StreamDepth} {
+					producers.Add(1)
+					go func(p int, stream uint8) {
+						defer producers.Done()
+						rng := rand.New(rand.NewSource(seed*100 + int64(p)))
+						pool := r.ShardPool(p)
+						payload := make([]byte, 300)
+						for seq := uint32(0); seq < frames; seq++ {
+							for seq > progress[1-p].Load()+rungHorizon/4 {
+								runtime.Gosched()
+							}
+							progress[p].Store(seq)
+							for _, rung := range rng.Perm(3) {
+								n := ladderFrags[rung]
+								for f := uint16(0); f < n; f++ {
+									r.RouteMedia(pool.Load(mediaWireRung(stream, seq, f, n, seq%gop == 0, uint8(rung), payload)))
+								}
+								runtime.Gosched()
+							}
+							if p == 0 {
+								clk.Advance(33 * time.Millisecond)
+							}
+						}
+					}(p, stream)
+				}
+				for g := 0; g < feeders; g++ {
+					feeds.Add(1)
+					go func(g int) {
+						defer feeds.Done()
+						rng := rand.New(rand.NewSource(seed*1000 + int64(g)))
+						for {
+							select {
+							case <-done:
+								return
+							default:
+							}
+							from := addrs[rng.Intn(subs)]
+							if rng.Intn(16) == 0 {
+								from = stranger
+							}
+							switch k := rng.Intn(20); {
+							case k < 14:
+								r.RouteFeedback(transport.AppendREMB(nil, rembs[rng.Intn(len(rembs))]), from)
+							case k < 17:
+								stream := transport.StreamColor + uint8(rng.Intn(2))
+								r.RouteFeedback(transport.MarshalNACK(stream, uint32(rng.Intn(frames)), uint16(rng.Intn(4))), from)
+							case k < 18:
+								r.RouteFeedback([]byte{transport.FBPLI}, from)
+							case k < 19:
+								r.RouteFeedback([]byte{transport.FBPing, 1, 2, 3, 4, 5, 6, 7, 8}, from)
+							default:
+								r.RouteFeedback([]byte{transport.FBPose, byte(g)}, from)
+							}
+							runtime.Gosched()
+						}
+					}(g)
+				}
+				producers.Wait()
+				close(done)
+				feeds.Wait()
+				if !r.WaitIdle(10 * time.Second) {
+					t.Fatal("router did not drain")
+				}
+
+				st := r.Stats()
+				for _, ss := range st.Subs {
+					if ss.Enqueued != ss.Sent+ss.Dropped+ss.Depth {
+						t.Errorf("sub %s: enqueued %d != sent %d + dropped %d + depth %d",
+							ss.Addr, ss.Enqueued, ss.Sent, ss.Dropped, ss.Depth)
+					}
+				}
+				var switches int64
+				for _, a := range addrs {
+					fr := deliveredRungs(t, rec, a)
+					if len(fr) == 0 {
+						t.Fatalf("sub %s received nothing", a)
+					}
+					for i := 1; i < len(fr); i++ {
+						if fr[i].rung == fr[i-1].rung {
+							continue
+						}
+						switches++
+						// A change of rung must straddle a key frame's seq
+						// (the key itself can be missing: its new-rung copy
+						// may have passed before the switch was requested).
+						if fr[i].seq/gop == fr[i-1].seq/gop {
+							t.Errorf("sub %s: rung %d→%d between frames %d and %d, inside one GOP",
+								a, fr[i-1].rung, fr[i].rung, fr[i-1].seq, fr[i].seq)
+						}
+					}
+				}
+				if switches == 0 || st.RungSwitches < switches {
+					t.Errorf("%d rung changes delivered, router counted %d: want some, and counted ≥ delivered",
+						switches, st.RungSwitches)
+				}
+				r.Close()
+				if live := r.Stats().PoolLive; live != 0 {
+					t.Fatalf("PoolLive = %d after Close, want 0", live)
+				}
+			})
+		}
 	}
 }

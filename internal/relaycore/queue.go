@@ -68,16 +68,28 @@ const (
 // bandwidth-delay product (UpdateBandwidth) between a configured floor and
 // the allocated ring capacity, so a slow subscriber queues what it can
 // actually drain inside the depth window instead of a fixed second of media.
+//
+// The queue also holds the subscriber's position on the quality ladder
+// (rung.go) under the same lock as the ring: Offer filters each media
+// packet through it on the way in, so the filter costs the fan-out path no
+// synchronisation of its own and every reader sees one consistent switch.
 type SubQueue struct {
 	addr  net.Addr
-	shard *shard // owning shard; nil when unscheduled (sequential mode, tests)
+	shard *shard // owning shard; nil when unscheduled (tests)
 	sub   int32  // subscriber id for trace stamps and events (Subscribe assigns)
 
 	// events, when non-nil, receives a frame-drop event for every frame
-	// the drop policy discards or rejects (frametrace.EvFrameDrop).
+	// the drop policy discards or rejects (frametrace.EvFrameDrop) and a
+	// rung-switch event for every switch Offer commits.
 	events *frametrace.EventRing
 
+	// trace, when non-nil, receives the sub_enqueue stamp for each frame's
+	// first fragment Offer enqueues — taken under mu, so it can never
+	// follow the writer's sub_drain stamp for the same fragment.
+	trace *frametrace.Ledger
+
 	mu          sync.Mutex
+	rung        rungState
 	ring        []entry
 	mask        int
 	head        int // ring index of the oldest entry
@@ -131,6 +143,40 @@ func newSubQueue(addr net.Addr, depth, minDepth int, window time.Duration, telDr
 // incoming packet itself was rejected.
 func (q *SubQueue) Enqueue(buf *PacketBuf, fid frameID) bool {
 	q.mu.Lock()
+	return q.enqueueLocked(buf, fid, false)
+}
+
+// Offer is Enqueue behind the subscriber's rung filter (rungState.admit):
+// a media packet is enqueued only when its rung is the one its frame is
+// served on. Unlike Enqueue it leaves the caller's reference alone and
+// retains one for the queue when it enqueues, so the fan-out loop pays no
+// refcount traffic for the rung copies a subscriber is not watching.
+// first marks a frame's first data fragment, the only packet that can
+// commit a pending rung switch; committed reports that this one did (the
+// caller counts it, the queue logs the event).
+func (q *SubQueue) Offer(buf *PacketBuf, fid frameID, first bool) (committed bool) {
+	q.mu.Lock()
+	if fid.media {
+		var admit bool
+		admit, committed = q.rung.admit(fid.seq, fid.rung, fid.key, first)
+		if committed {
+			q.events.Add(frametrace.EvRungSwitch, fid.stream, fid.seq, q.sub,
+				frametrace.RungSwitchVal(q.rung.prev, q.rung.cur, int64(q.rung.selBps)))
+		}
+		if !admit {
+			q.mu.Unlock()
+			return committed
+		}
+	}
+	if !q.enqueueLocked(buf.Retain(), fid, first && q.trace != nil) {
+		buf.Release()
+	}
+	return committed
+}
+
+// enqueueLocked is Enqueue's body; it is entered with q.mu held and
+// releases it. stamp asks for a sub_enqueue trace stamp on success.
+func (q *SubQueue) enqueueLocked(buf *PacketBuf, fid frameID, stamp bool) bool {
 	if q.closed {
 		q.mu.Unlock()
 		return false
@@ -156,6 +202,9 @@ func (q *SubQueue) Enqueue(buf *PacketBuf, fid frameID) bool {
 	schedule := q.state == qIdle && q.shard != nil
 	if schedule {
 		q.state = qReady
+	}
+	if stamp {
+		q.trace.StampNow(frametrace.HopSubEnqueue, fid.stream, fid.seq, q.sub)
 	}
 	q.mu.Unlock()
 	if schedule {
@@ -244,6 +293,28 @@ func (q *SubQueue) UpdateBandwidth(bps float64) {
 	q.limitA.Store(int64(pkts))
 	q.mu.Unlock()
 	q.rembBps.Store(math.Float64bits(bps))
+}
+
+// retarget re-runs the rung choice for a fresh bandwidth estimate and
+// records the new assignment if it moved; the switch itself commits in
+// Offer at the next key frame. downswitch reports a move to a cheaper rung.
+func (q *SubQueue) retarget(rates *rungRates, bps float64) (downswitch bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	next, down := rates.pick(bps, q.rung.target)
+	if next == q.rung.target {
+		return false
+	}
+	q.rung.retarget(next, bps)
+	return down
+}
+
+// servedOn resolves a NACKed frame seq to the rung this subscriber was
+// sent it on (rungState.servedOn).
+func (q *SubQueue) servedOn(seq uint32) (rung uint8, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.rung.servedOn(seq)
 }
 
 // popBatch moves up to len(bufs) entries out of the ring for writing and
@@ -352,8 +423,7 @@ type SubStats struct {
 	Retx     int64   `json:"retx"`     // retransmissions served into this queue from the relay cache
 	REMBBps  float64 `json:"remb_bps"` // last REMB bandwidth estimate (0 = none yet)
 	// Rung and RungSwitches are the subscriber's current quality-ladder
-	// rung and how many rung switches have committed for it; Router.Stats
-	// fills them (the queue doesn't track rungs).
+	// rung and how many rung switches have committed for it.
 	Rung         uint8 `json:"rung"`
 	RungSwitches int64 `json:"rung_switches"`
 	// LastActiveAgeMs is how long the subscriber's reverse path has been
@@ -362,7 +432,7 @@ type SubStats struct {
 }
 
 func (q *SubQueue) stats() SubStats {
-	return SubStats{
+	ss := SubStats{
 		ID:       q.sub,
 		Addr:     q.addr.String(),
 		Enqueued: q.enqueued.Load(),
@@ -373,4 +443,8 @@ func (q *SubQueue) stats() SubStats {
 		Retx:     q.retx.Load(),
 		REMBBps:  math.Float64frombits(q.rembBps.Load()),
 	}
+	q.mu.Lock()
+	ss.Rung, ss.RungSwitches = q.rung.cur, q.rung.switches
+	q.mu.Unlock()
+	return ss
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"livo/internal/telemetry"
-	"livo/internal/transport"
 )
 
 // retxCache is a bounded FIFO of recently routed media packets, keyed by
@@ -172,22 +171,6 @@ func (c *retxCache) retxStats() (size int, inserted, evicted int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.size, c.inserted, c.evicted
-}
-
-// retxKeyOf extracts the retransmission-cache key from a wire packet.
-// Only media packets are cacheable, and parity packets are excluded: they
-// share the fragment index space with data fragments (see transport/fec.go),
-// so caching them could answer a data NACK with a parity payload.
-func retxKeyOf(b []byte) (nackKey, bool) {
-	if len(b) < 11 || b[0] != transport.MediaMagic || b[10]&transport.FlagParity != 0 {
-		return nackKey{}, false
-	}
-	return nackKey{
-		seq:    uint32(b[2])<<24 | uint32(b[3])<<16 | uint32(b[4])<<8 | uint32(b[5]),
-		frag:   uint16(b[6])<<8 | uint16(b[7]),
-		stream: b[1],
-		rung:   (b[10] & transport.FlagRungMask) >> transport.FlagRungShift,
-	}, true
 }
 
 // retxShard maps a cache key to its owner shard, spreading cache memory

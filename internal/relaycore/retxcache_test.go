@@ -99,22 +99,33 @@ func TestRetxCacheRefcounts(t *testing.T) {
 	}
 }
 
+// TestRetxKeyOf checks the cache key Router.classify derives from the one
+// header peek, and what it refuses to cache.
 func TestRetxKeyOf(t *testing.T) {
-	wire := mediaWire(2, 7, 3, 8, false, []byte("x"))
-	k, ok := retxKeyOf(wire)
-	if !ok || k != (nackKey{seq: 7, frag: 3, stream: 2}) {
-		t.Fatalf("retxKeyOf(media) = %+v, %v", k, ok)
+	r := NewRouter(newRecWriter(), senderAddr(), testConfig())
+	defer r.Close()
+	wire := mediaWireRung(2, 7, 3, 8, true, 1, []byte("x"))
+	fid, k, ok, first := r.classify(wire)
+	if !ok || k != (nackKey{seq: 7, frag: 3, stream: 2, rung: 1}) {
+		t.Fatalf("classify(media) key = %+v, %v", k, ok)
+	}
+	if fid != (frameID{media: true, stream: 2, seq: 7, rung: 1, key: true}) || first {
+		t.Fatalf("classify(media) fid = %+v first=%v", fid, first)
+	}
+	if _, _, _, first := r.classify(mediaWire(2, 7, 0, 8, false, nil)); !first {
+		t.Fatal("fragment 0 not reported first")
 	}
 	// Parity packets share the fragment index space with data fragments:
 	// caching them would answer a data NACK with a parity payload.
 	parity := transport.Packet{
 		Stream: 2, FrameSeq: 7, FragIndex: 0, FragCount: 8, Parity: true, Payload: []byte("p"),
 	}
-	if _, ok := retxKeyOf(append([]byte{transport.MediaMagic}, parity.Marshal()...)); ok {
-		t.Fatal("parity packet reported cacheable")
+	fid, _, ok, first = r.classify(append([]byte{transport.MediaMagic}, parity.Marshal()...))
+	if ok || first || !fid.media {
+		t.Fatalf("parity packet: cacheable=%v first=%v media=%v, want false/false/true", ok, first, fid.media)
 	}
-	if _, ok := retxKeyOf([]byte{transport.FBNACK, 1, 2}); ok {
-		t.Fatal("feedback packet reported cacheable")
+	if fid, _, ok, _ := r.classify([]byte{transport.FBNACK, 1, 2}); ok || fid.media || fid.ctl == 0 {
+		t.Fatalf("feedback packet: cacheable=%v fid=%+v, want its own control id", ok, fid)
 	}
 }
 
@@ -216,61 +227,6 @@ func TestNACKCacheExpiry(t *testing.T) {
 	}
 	if st := r.Stats(); st.RetxHits != 0 || st.RetxMisses != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 0/1", st.RetxHits, st.RetxMisses)
-	}
-}
-
-// TestNACKCacheDisabled: with DisableRetxCache every NACK goes to the
-// sender (the pre-cache A/B behavior) and no buffers are cached.
-func TestNACKCacheDisabled(t *testing.T) {
-	rec := newRecWriter()
-	cfg := testConfig()
-	cfg.Shards = 2
-	cfg.DisableRetxCache = true
-	r := NewRouter(rec, senderAddr(), cfg)
-
-	sub := udp(1)
-	r.Subscribe(sub)
-	r.RouteMedia(r.Pool().Load(mediaWire(1, 1, 0, 1, false, []byte("a"))))
-	if !r.WaitIdle(2 * time.Second) {
-		t.Fatal("router did not drain")
-	}
-	r.RouteFeedback(transport.MarshalNACK(1, 1, 0), sub)
-	if got := rec.count(senderAddr()); got != 1 {
-		t.Fatalf("sender observed %d NACKs with the cache disabled, want 1", got)
-	}
-	st := r.Stats()
-	if st.RetxHits != 0 || st.RetxMisses != 0 || st.RetxCached != 0 {
-		t.Fatalf("retx stats nonzero with cache disabled: %+v", st)
-	}
-	r.Close()
-	if st := r.Stats(); st.PoolLive != 0 {
-		t.Fatalf("PoolLive = %d after close, want 0", st.PoolLive)
-	}
-}
-
-// TestNACKServedFromCacheSequential: the legacy sequential plane serves
-// hits with a direct write to the requester.
-func TestNACKServedFromCacheSequential(t *testing.T) {
-	rec := newRecWriter()
-	cfg := testConfig()
-	cfg.Sequential = true
-	r := NewRouter(rec, senderAddr(), cfg)
-	defer r.Close()
-
-	sub := udp(1)
-	r.Subscribe(sub)
-	r.RouteMedia(r.Pool().Load(mediaWire(1, 3, 1, 2, false, []byte("b"))))
-	base := rec.count(sub)
-
-	r.RouteFeedback(transport.MarshalNACK(1, 3, 1), sub)
-	if got := rec.count(sub); got != base+1 {
-		t.Fatalf("requester received %d packets, want %d", got, base+1)
-	}
-	if got := rec.count(senderAddr()); got != 0 {
-		t.Fatalf("sender observed %d packets, want 0", got)
-	}
-	if st := r.Stats(); st.RetxHits != 1 {
-		t.Fatalf("RetxHits = %d, want 1", st.RetxHits)
 	}
 }
 

@@ -26,7 +26,6 @@
 package relaycore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"runtime"
@@ -47,11 +46,28 @@ type Writer interface {
 
 // BatchWriter is the sendmmsg-shaped extension of Writer: write every
 // packet in ps to one destination with a single call. Conns that implement
-// it (the relay's UDP shell, the bench conn) amortize per-op cost across a
-// writer batch; the router falls back to per-packet WriteTo otherwise.
+// it (a udpio socket, the bench conn) amortize per-op cost across a writer
+// batch.
 type BatchWriter interface {
 	Writer
 	WriteBatch(ps [][]byte, addr net.Addr) (n int, err error)
+}
+
+// WriteBatch sends ps to addr through w: one call when w is a BatchWriter,
+// a WriteTo per packet otherwise, stopping at the first error. It is the
+// one per-packet fallback outside udpio — the router's writer workers and
+// the relay's socket group both send through it.
+func WriteBatch(w Writer, ps [][]byte, addr net.Addr) (n int, err error) {
+	if bw, ok := w.(BatchWriter); ok {
+		return bw.WriteBatch(ps, addr)
+	}
+	for _, p := range ps {
+		if _, err := w.WriteTo(p, addr); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
 }
 
 // Config parameterizes a Router. The zero value picks production defaults.
@@ -95,9 +111,6 @@ type Config struct {
 	// RetxCacheAge bounds how old a cached packet may be and still serve a
 	// NACK (default 1 s — past that the receiver has skipped the frame).
 	RetxCacheAge time.Duration
-	// DisableRetxCache turns the relay-side retransmission cache off, so
-	// every NACK escalates to the sender (A/B measurement).
-	DisableRetxCache bool
 	// SilenceWindow evicts a subscriber whose reverse path has been silent
 	// (no feedback of any kind) for this long: its queue is torn down, its
 	// REMB entry leaves the forwarded minimum, and the primary is
@@ -109,10 +122,6 @@ type Config struct {
 	// OnEvict, when set, is called off the hot path with the address of
 	// each liveness-evicted subscriber.
 	OnEvict func(addr net.Addr)
-	// Sequential selects the pre-queue data plane — a mutex-guarded
-	// snapshot copy and serial WriteTo per packet — kept for A/B
-	// measurement (livo-bench -relaybench benchmarks both).
-	Sequential bool
 	// Telemetry receives the livo_relay_* series (default
 	// telemetry.Default).
 	Telemetry *telemetry.Registry
@@ -184,20 +193,6 @@ type Subscriber struct {
 	// this subscriber (stamped at subscribe and on every RouteFeedback);
 	// the liveness sweep evicts subscribers silent past the window.
 	lastActive atomic.Int64
-
-	// Quality-ladder state. curRung is the rung currently delivered (written
-	// only by the owning shard's ingest goroutine, at key-frame boundaries);
-	// targetRung is the REMB-selected assignment (written by the feedback
-	// goroutine); prevRung/switchSeq remember the last switch so NACKs for
-	// pre-switch frames are served from the rung that was actually sent.
-	// selREMB is the estimate (bps) that drove the current target, carried
-	// into the rung-switch event; switches counts committed switches.
-	curRung    atomic.Uint32
-	targetRung atomic.Uint32
-	prevRung   atomic.Uint32
-	switchSeq  atomic.Uint32
-	selREMB    atomic.Int64
-	switches   atomic.Int64
 }
 
 // Addr returns the subscriber's address.
@@ -207,53 +202,12 @@ func (s *Subscriber) Addr() net.Addr { return s.addr }
 // it to frametrace stamps and events.
 func (s *Subscriber) ID() int32 { return s.id }
 
-// Rung returns the quality-ladder rung currently delivered to this
-// subscriber (0 until a ladder stream and a reassignment exist).
-func (s *Subscriber) Rung() uint8 { return uint8(s.curRung.Load()) }
-
-// rungForSeq returns the rung frame seq was delivered at: the current rung
-// for frames at or past the last switch boundary, the previous rung before
-// it. NACKs carry no rung, so retransmission lookups key through this.
-func (s *Subscriber) rungForSeq(seq uint32) uint8 {
-	if seq >= s.switchSeq.Load() {
-		return uint8(s.curRung.Load())
-	}
-	return uint8(s.prevRung.Load())
-}
-
 // subID is the event-friendly id of a possibly-nil subscriber.
 func subID(s *Subscriber) int32 {
 	if s == nil {
 		return frametrace.NoSub
 	}
 	return s.id
-}
-
-// commitAndFilterRung is the per-subscriber rung state machine, shared by
-// the sharded and sequential planes. A packet passes when its rung matches
-// the subscriber's current rung; a pending reassignment (target != current)
-// commits at the first data fragment of a key frame — whichever rung's copy
-// arrives first — so the old rung's stream ends cleanly at the previous
-// frame and the new rung starts at a key, the only boundary a stateful
-// decoder can cross. Non-media packets always pass.
-func commitAndFilterRung(sub *Subscriber, fid frameID, frag0 bool,
-	events *frametrace.EventRing, switches *atomic.Int64, tel *telemetry.Counter) bool {
-	if !fid.media {
-		return true
-	}
-	cur := sub.curRung.Load()
-	if tgt := sub.targetRung.Load(); tgt != cur && fid.key && frag0 {
-		sub.prevRung.Store(cur)
-		sub.switchSeq.Store(fid.seq)
-		sub.curRung.Store(tgt)
-		sub.switches.Add(1)
-		switches.Add(1)
-		tel.Inc()
-		events.Add(frametrace.EvRungSwitch, fid.stream, fid.seq, sub.id,
-			frametrace.RungSwitchVal(uint8(cur), uint8(tgt), sub.selREMB.Load()))
-		cur = tgt
-	}
-	return uint32(fid.rung) == cur
 }
 
 // subSnapshot is the immutable subscriber set; the hot path reads it with
@@ -271,15 +225,22 @@ type subSnapshot struct {
 const stealPoll = 500 * time.Microsecond
 
 // Router fans one sender's media out to subscribers and aggregates their
-// feedback. RouteMedia may be called concurrently from multiple ingest
-// loops (one per reuseport socket); RouteFeedback must be called from a
-// single routing goroutine. Membership and Stats are safe from any
-// goroutine.
+// feedback. Every method is safe for concurrent use: RouteMedia and
+// RouteFeedback may both be called from any number of ingest loops (one
+// per reuseport socket) at once, alongside membership changes and Stats.
+// Per-stream packet order is the caller's: packets of one stream keep the
+// order they were routed in only when one goroutine routes that stream.
+//
+// Synchronisation: the media path is lock-free up to each shard's ingest
+// ring; fbMu alone guards the feedback aggregation state (REMB extrema,
+// NACK coalescer, PLI gate, rung rates); each subscriber's ladder position
+// sits with its ring behind its queue's lock (taken after fbMu, never
+// before). No lock is held across a write to the conn.
 type Router struct {
-	cfg      Config
-	out      Writer
-	batchOut BatchWriter // non-nil when out implements BatchWriter
-	sender   net.Addr
+	cfg       Config
+	out       Writer
+	sender    net.Addr
+	senderKey Key // KeyOf(sender), computed once for FromSender
 
 	shards []*shard
 	pools  []*BufPool
@@ -292,38 +253,23 @@ type Router struct {
 	closedCh  chan struct{}
 	closeOnce sync.Once
 
-	// Retransmission caches: one per shard (owned by shard.retx, filled by
-	// its ingest goroutine) or a single router-held cache in Sequential
-	// mode. retxSeq is nil when the cache is disabled or the plane is
-	// sharded.
-	retxSeq *retxCache
-	retxOn  bool
-
-	// Feedback aggregation state; fbMu serializes the routing goroutine
-	// with Unsubscribe's REMB eviction.
+	// Feedback aggregation state, all under fbMu: concurrent RouteFeedback
+	// callers, Unsubscribe's REMB eviction and the key-frame PLI re-arm.
+	// rates folds rungBytes — wire bytes per rung, one atomic add per
+	// media packet — into per-rung bitrates at REMB cadence.
 	fbMu        sync.Mutex
 	remb        *rembMin
 	nacks       *nackCoalescer
 	pli         pliGate
+	rates       rungRates
 	lastREMBFwd int64
 	lastREMBMin float64
 	rembSent    bool
-	rembScratch [9]byte
-	ctlSeq      atomic.Uint64
-	subSeq      atomic.Int32 // next subscriber id
 
-	// Quality-ladder state. rungBytes accumulates wire bytes per rung on
-	// the media hot path (one atomic add per packet); the fbMu-guarded rate
-	// estimator folds the deltas into per-rung EWMA bitrates at REMB cadence
-	// and the selector assigns each subscriber the best rung its estimate
-	// affords. ladderSeen latches once any rung > 0 is observed — until
-	// then the stream is single-rung and every path behaves as before.
-	ladderSeen   atomic.Bool
+	ctlSeq       atomic.Uint64
+	subSeq       atomic.Int32 // next subscriber id
 	rungSwitches atomic.Int64
 	rungBytes    [transport.MaxRungs]atomic.Int64
-	rungRate     [transport.MaxRungs]float64 // fbMu
-	rungLastByte [transport.MaxRungs]int64   // fbMu
-	rungRateNs   int64                       // fbMu
 
 	mediaPkts     atomic.Int64
 	fanoutPkts    atomic.Int64
@@ -348,38 +294,25 @@ type Router struct {
 	telRungSubs                        [transport.MaxRungs]*telemetry.Gauge
 }
 
-// Rung-selection policy. A rung is affordable when its measured bitrate
-// fits inside the subscriber's REMB with rungDownHeadroom to spare; moving
-// back up to a more expensive rung additionally requires rungUpHeadroom
-// (hysteresis, so an estimate hovering at a rung's cost does not flap).
-// Rates refresh at most every rungRateMinInterval and blend with
-// rungRateAlpha.
-const (
-	rungDownHeadroom    = 0.9
-	rungUpHeadroom      = 0.75
-	rungRateMinInterval = 50 * time.Millisecond
-	rungRateAlpha       = 0.5
-)
-
 // pliWire is the one-byte PLI the router originates when a subscriber is
 // reassigned to a cheaper rung mid-GOP: the switch commits at the next key
 // frame, so the downswitch rides the existing PLI path to get one quickly.
 var pliWire = []byte{transport.FBPLI}
 
 // NewRouter builds a router writing through out toward the given sender.
-// The sharded plane's ingest and writer goroutines start immediately (none
-// in Sequential mode) and stop at Close.
+// The shards' ingest and writer goroutines start immediately and stop at
+// Close.
 func NewRouter(out Writer, sender net.Addr, cfg Config) *Router {
 	cfg.fill()
 	r := &Router{
-		cfg:      cfg,
-		out:      out,
-		sender:   sender,
-		remb:     newREMBMin(),
-		nacks:    newNACKCoalescer(cfg.NACKWindow.Nanoseconds()),
-		closedCh: make(chan struct{}),
+		cfg:       cfg,
+		out:       out,
+		sender:    sender,
+		senderKey: KeyOf(sender),
+		remb:      newREMBMin(),
+		nacks:     newNACKCoalescer(cfg.NACKWindow.Nanoseconds()),
+		closedCh:  make(chan struct{}),
 	}
-	r.batchOut, _ = out.(BatchWriter)
 	r.pli.window = cfg.PLIWindow.Nanoseconds()
 	r.snap.Store(&subSnapshot{byKey: map[Key]*Subscriber{}})
 	reg := cfg.Telemetry
@@ -403,16 +336,7 @@ func NewRouter(out Writer, sender net.Addr, cfg Config) *Router {
 	for i := range r.telRungSubs {
 		r.telRungSubs[i] = reg.Gauge(fmt.Sprintf(`livo_relay_rung_subscribers{rung="%d"}`, i))
 	}
-	r.retxOn = !cfg.DisableRetxCache
 
-	if cfg.Sequential {
-		r.pools = []*BufPool{NewBufPool(cfg.BufClass)}
-		if r.retxOn {
-			r.retxSeq = newRetxCache(cfg.RetxCachePackets, cfg.RetxCacheAge.Nanoseconds(), r.telRetxEvict)
-		}
-		r.startLiveness()
-		return r
-	}
 	// Each shard's cache share; floored so a many-shard router still holds
 	// a useful window per shard.
 	retxPerShard := cfg.RetxCachePackets / cfg.Shards
@@ -427,14 +351,10 @@ func NewRouter(out Writer, sender net.Addr, cfg Config) *Router {
 			reg.Counter(fmt.Sprintf("livo_relay_shard_%d_routed_total", i)),
 			reg.Counter(fmt.Sprintf("livo_relay_shard_%d_stolen_total", i)))
 		r.shards[i].trace = cfg.Trace
-		r.shards[i].events = cfg.Events
 		r.shards[i].rungSwitches = &r.rungSwitches
 		r.shards[i].telRungSwitch = r.telRungSwitch
-		r.shards[i].ladderSeen = &r.ladderSeen
-		if r.retxOn {
-			r.shards[i].retx = newRetxCache(retxPerShard, cfg.RetxCacheAge.Nanoseconds(), r.telRetxEvict)
-			r.shards[i].now = r.now
-		}
+		r.shards[i].retx = newRetxCache(retxPerShard, cfg.RetxCacheAge.Nanoseconds(), r.telRetxEvict)
+		r.shards[i].now = r.now
 	}
 	r.ingestWg.Add(len(r.shards))
 	for _, s := range r.shards {
@@ -446,18 +366,11 @@ func NewRouter(out Writer, sender net.Addr, cfg Config) *Router {
 			go r.runWriter(i)
 		}
 	}
-	r.startLiveness()
-	return r
-}
-
-// startLiveness launches the liveness sweep when a silence window is
-// configured.
-func (r *Router) startLiveness() {
-	if r.cfg.SilenceWindow <= 0 {
-		return
+	if cfg.SilenceWindow > 0 {
+		r.liveWg.Add(1)
+		go r.runLiveness()
 	}
-	r.liveWg.Add(1)
-	go r.runLiveness()
+	return r
 }
 
 // Pool returns the shard-0 packet-buffer pool (a single relay read loop
@@ -470,13 +383,8 @@ func (r *Router) Pool() *BufPool { return r.pools[0] }
 // never contend across cores).
 func (r *Router) ShardPool(i int) *BufPool { return r.pools[i%len(r.pools)] }
 
-// Shards returns the shard count (1 in Sequential mode).
-func (r *Router) Shards() int {
-	if r.cfg.Sequential {
-		return 1
-	}
-	return len(r.shards)
-}
+// Shards returns the shard count.
+func (r *Router) Shards() int { return len(r.shards) }
 
 // Sender returns the sender address the router forwards feedback to.
 func (r *Router) Sender() net.Addr { return r.sender }
@@ -499,10 +407,7 @@ func (r *Router) Subscribe(addr net.Addr) {
 	if _, ok := cur.byKey[k]; ok {
 		return
 	}
-	shardIdx := 0
-	if len(r.shards) > 0 {
-		shardIdx = int(k.hash() % uint64(len(r.shards)))
-	}
+	shardIdx := int(k.hash() % uint64(len(r.shards)))
 	sub := &Subscriber{
 		addr:  addr,
 		key:   k,
@@ -512,10 +417,9 @@ func (r *Router) Subscribe(addr net.Addr) {
 	}
 	sub.q.sub = sub.id
 	sub.q.events = r.cfg.Events
+	sub.q.trace = r.cfg.Trace
+	sub.q.shard = r.shards[shardIdx]
 	sub.lastActive.Store(r.now())
-	if len(r.shards) > 0 {
-		sub.q.shard = r.shards[shardIdx]
-	}
 	next := &subSnapshot{
 		subs:    make([]*Subscriber, 0, len(cur.subs)+1),
 		byKey:   make(map[Key]*Subscriber, len(cur.subs)+1),
@@ -536,9 +440,6 @@ func (r *Router) Subscribe(addr net.Addr) {
 // storePartitionLocked rebuilds shard shardIdx's partition snapshot from
 // the global snapshot (r.mu held).
 func (r *Router) storePartitionLocked(shardIdx int, snap *subSnapshot) {
-	if len(r.shards) == 0 {
-		return
-	}
 	part := make([]*Subscriber, 0, 1+len(snap.subs)/len(r.shards))
 	for _, s := range snap.subs {
 		if s.shard == shardIdx {
@@ -605,28 +506,22 @@ func (r *Router) Primary() net.Addr {
 
 // FromSender reports whether addr is the media sender (allocation-free for
 // UDP addresses).
-func (r *Router) FromSender(addr net.Addr) bool { return KeyOf(addr) == KeyOf(r.sender) }
+func (r *Router) FromSender(addr net.Addr) bool { return KeyOf(addr) == r.senderKey }
 
-// frameIDOf classifies a wire packet for the drop policy. Media packets
-// (magic-prefixed transport header) group by stream+sequence and carry the
-// key-frame flag; anything else is its own droppable unit.
-func (r *Router) frameIDOf(b []byte) frameID {
-	if len(b) >= 11 && b[0] == transport.MediaMagic {
-		return frameID{
-			media:  true,
-			stream: b[1],
-			seq:    binary.BigEndian.Uint32(b[2:6]),
-			rung:   (b[10] & transport.FlagRungMask) >> transport.FlagRungShift,
-			key:    b[10]&1 != 0,
-		}
+// classify peeks a packet's header once and derives what the data plane
+// keys on: the drop policy's frame id, the retransmission-cache key
+// (cacheable only for data fragments: parity shares their fragment index
+// space — see transport/fec.go — so caching it could answer a data NACK
+// with a parity payload), and whether this is the frame's first data
+// fragment. Anything that is not media is its own droppable unit.
+func (r *Router) classify(b []byte) (fid frameID, rk nackKey, cacheable, first bool) {
+	h, ok := transport.PeekMedia(b)
+	if !ok {
+		return frameID{ctl: r.ctlSeq.Add(1)}, nackKey{}, false, false
 	}
-	return frameID{ctl: r.ctlSeq.Add(1)}
-}
-
-// mediaKeyFlag reports whether a wire packet is a key-frame media packet
-// (flags byte at magic+9, low bit — see transport.Packet.Marshal).
-func mediaKeyFlag(b []byte) bool {
-	return len(b) >= 11 && b[0] == transport.MediaMagic && b[10]&1 != 0
+	fid = frameID{media: true, stream: h.Stream, seq: h.Seq, rung: h.Rung, key: h.Key}
+	rk = nackKey{seq: h.Seq, frag: h.Frag, stream: h.Stream, rung: h.Rung}
+	return fid, rk, !h.Parity, h.First()
 }
 
 // RouteMedia fans one sender packet out to every subscriber: one descriptor
@@ -637,58 +532,32 @@ func (r *Router) RouteMedia(buf *PacketBuf) {
 	r.mediaPkts.Add(1)
 	r.telMedia.Inc()
 	b := buf.Bytes()
-	fid := r.frameIDOf(b)
-	// frag0 marks a frame's first data fragment: the trace stamp site and
-	// the rung-switch commit point.
-	_, _, frag0 := transport.FirstFragment(b)
-	if fid.media && (fid.rung > 0 || r.ladderSeen.Load()) {
-		// Per-rung byte accounting for the REMB rung selector; one atomic
-		// add per packet, folded into EWMA bitrates off the hot path.
-		// Legacy rung-0-only traffic skips the add (a shared-cacheline
-		// write) for the cost of one read-only load; the estimator warms
-		// up from live traffic within an EWMA interval once a ladder
-		// appears.
-		if !r.ladderSeen.Load() {
-			r.ladderSeen.Store(true)
-		}
+	fid, rk, cacheable, first := r.classify(b)
+	if fid.media {
+		// Per-rung byte accounting for the rung policy, folded into rates
+		// off the hot path at REMB cadence.
 		r.rungBytes[fid.rung].Add(int64(len(b)))
 	}
 	// One branch per packet when tracing is off; when on, each frame's
-	// first fragment is stamped at ingest and flagged so the shard and
-	// queue hops stamp the same fragment downstream.
-	first := false
-	if r.cfg.Trace != nil && frag0 {
-		first = true
+	// first fragment is stamped at ingest and the shard and queue hops
+	// stamp the same fragment downstream.
+	if r.cfg.Trace != nil && first {
 		r.cfg.Trace.StampNow(frametrace.HopRelayIngest, fid.stream, fid.seq, frametrace.NoSub)
 	}
-	if mediaKeyFlag(b) {
+	if fid.key {
 		// A key frame is on its way to everyone: the PLI refresh cycle is
 		// complete, mirror the receivers' PLITracker.OnKeyFrame.
 		r.fbMu.Lock()
 		r.pli.OnKeyFrame()
 		r.fbMu.Unlock()
 	}
-	if r.cfg.Sequential {
-		if r.retxSeq != nil {
-			if rk, ok := retxKeyOf(b); ok {
-				r.retxSeq.Insert(rk, buf, r.now())
-			}
-		}
-		r.routeSequential(b, fid, frag0)
-		buf.Release()
-		return
-	}
 	// A cacheable packet is assigned an owner shard whose ingest goroutine
 	// inserts it into that shard's retransmission cache — cache bookkeeping
 	// rides the existing fan-out hop instead of the producer hot path. The
 	// owner gets the descriptor even when its subscriber partition is empty.
 	owner := -1
-	var rk nackKey
-	if r.retxOn && fid.media {
-		if k, ok := retxKeyOf(b); ok {
-			rk = k
-			owner = retxShard(k, len(r.shards))
-		}
+	if cacheable {
+		owner = retxShard(rk, len(r.shards))
 	}
 	snap := r.snap.Load()
 	if len(snap.subs) == 0 && owner < 0 {
@@ -700,7 +569,7 @@ func (r *Router) RouteMedia(buf *PacketBuf) {
 			continue
 		}
 		buf.Retain()
-		if !s.push(ingestEntry{buf: buf, fid: fid, rk: rk, cache: i == owner, first: first, frag0: frag0}) {
+		if !s.push(ingestEntry{buf: buf, fid: fid, rk: rk, cache: i == owner, first: first}) {
 			buf.Release()
 		}
 	}
@@ -764,7 +633,7 @@ func (r *Router) runWriter(home int) {
 					}
 				}
 			}
-			r.writeBatch(pkts[:n], q.addr)
+			_, _ = WriteBatch(r.out, pkts[:n], q.addr)
 			for i := 0; i < n; i++ {
 				bufs[i].Release()
 				bufs[i] = nil
@@ -777,43 +646,11 @@ func (r *Router) runWriter(home int) {
 	}
 }
 
-// writeBatch sends one drained batch to a subscriber: a single
-// sendmmsg-shaped call when the conn supports it, per-packet WriteTo
-// otherwise.
-func (r *Router) writeBatch(pkts [][]byte, addr net.Addr) {
-	if r.batchOut != nil {
-		_, _ = r.batchOut.WriteBatch(pkts, addr)
-		return
-	}
-	for _, p := range pkts {
-		_, _ = r.out.WriteTo(p, addr)
-	}
-}
-
-// routeSequential is the pre-change data plane, preserved for the A/B
-// benchmark: snapshot the subscriber list with a fresh allocation, then
-// write to each subscriber in turn, blocking the whole relay on the
-// slowest one. The rung filter applies here too, so ladder behavior is
-// identical across planes.
-func (r *Router) routeSequential(b []byte, fid frameID, frag0 bool) {
-	r.mu.Lock()
-	snap := r.snap.Load()
-	subs := make([]*Subscriber, 0, len(snap.subs))
-	subs = append(subs, snap.subs...)
-	r.mu.Unlock()
-	ladder := r.ladderSeen.Load()
-	for _, s := range subs {
-		if ladder && !commitAndFilterRung(s, fid, frag0, r.cfg.Events, &r.rungSwitches, r.telRungSwitch) {
-			continue
-		}
-		_, _ = r.out.WriteTo(b, s.addr)
-	}
-	r.fanoutPkts.Add(int64(len(subs)))
-	r.telFanout.Add(int64(len(subs)))
-}
-
 // RouteFeedback aggregates one reverse-path message from a subscriber. b is
 // the caller's to scribble on: a probe is turned into its echo in place.
+// Safe for concurrent callers (one per ingest loop): shared aggregation
+// state is touched only under fbMu, and every outgoing message is either b
+// itself or built on this call's stack.
 func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 	if len(b) == 0 {
 		return
@@ -837,33 +674,33 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 			sub.q.UpdateBandwidth(bps)
 		}
 		now := r.now()
-		ladder := r.ladderSeen.Load()
+		var totals [transport.MaxRungs]int64
+		for i := range totals {
+			totals[i] = r.rungBytes[i].Load()
+		}
 		r.fbMu.Lock()
-		min := r.remb.Update(k, bps)
-		target := min
-		var downswitch bool
-		if ladder {
-			r.updateRungRatesLocked(now)
-			downswitch = r.selectRungLocked(sub, bps)
+		target := r.remb.Update(k, bps)
+		r.rates.observe(totals, now)
+		if r.rates.rungs() > 1 {
 			// With a ladder the sender budget follows the *fastest* class:
 			// rung 0 must stay worth watching for it, while slower classes
 			// ride the cheaper rungs instead of dragging everyone down.
 			target = r.remb.Max()
 		}
+		downswitch := sub != nil && sub.q.retarget(&r.rates, bps)
 		fwd := !r.rembSent || target != r.lastREMBMin || now-r.lastREMBFwd >= r.cfg.REMBInterval.Nanoseconds()
-		var wire []byte
 		if fwd {
 			r.rembSent = true
 			r.lastREMBMin = target
 			r.lastREMBFwd = now
-			wire = transport.AppendREMB(r.rembScratch[:0], target)
 		}
 		r.fbMu.Unlock()
 		if fwd {
 			r.rembFwd.Add(1)
 			r.telREMB.Inc()
 			r.cfg.Events.Add(frametrace.EvREMB, 0, 0, subID(sub), int64(target))
-			_, _ = r.out.WriteTo(wire, r.sender)
+			var scratch [9]byte
+			_, _ = r.out.WriteTo(transport.AppendREMB(scratch[:0], target), r.sender)
 		}
 		if downswitch {
 			// The subscriber can no longer afford its rung: the switch only
@@ -896,26 +733,25 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 			return
 		}
 		// The wire NACK has no rung field; the requester's loss is in
-		// whichever rung it was being served for that sequence.
-		var rung uint8
+		// whichever rung it was served that sequence on.
+		rung, served := uint8(0), true
 		if sub != nil {
-			rung = sub.rungForSeq(seq)
+			rung, served = sub.q.servedOn(seq)
 		}
 		nk := nackKey{seq: seq, frag: frag, stream: stream, rung: rung}
 		// Self-healing path: a cache hit retransmits to the requester only
-		// and the sender never sees the loss. Misses (expired, evicted, or
-		// never routed here) escalate through the coalescer as before.
-		if r.serveRetx(nk, sub, from) {
+		// and the sender never sees the loss. Misses (expired, evicted,
+		// never routed here, or a sequence the requester was never served)
+		// escalate through the coalescer.
+		if served && r.serveRetx(nk, sub, from) {
 			r.retxHits.Add(1)
 			r.telRetxHit.Inc()
 			r.cfg.Events.Add(frametrace.EvRetxHit, stream, seq, subID(sub), int64(frag))
 			return
 		}
-		if r.retxOn {
-			r.retxMisses.Add(1)
-			r.telRetxMiss.Inc()
-			r.cfg.Events.Add(frametrace.EvRetxMiss, stream, seq, subID(sub), int64(frag))
-		}
+		r.retxMisses.Add(1)
+		r.telRetxMiss.Inc()
+		r.cfg.Events.Add(frametrace.EvRetxMiss, stream, seq, subID(sub), int64(frag))
 		now := r.now()
 		r.fbMu.Lock()
 		fwd := r.nacks.ShouldForward(nk, now)
@@ -959,103 +795,26 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 	}
 }
 
-// updateRungRatesLocked folds the hot path's per-rung byte counters into
-// EWMA bitrate estimates (fbMu held). Called at REMB cadence; refreshes at
-// most every rungRateMinInterval so a REMB burst cannot alias the rates.
-func (r *Router) updateRungRatesLocked(now int64) {
-	if r.rungRateNs == 0 {
-		r.rungRateNs = now
-		for i := range r.rungLastByte {
-			r.rungLastByte[i] = r.rungBytes[i].Load()
-		}
-		return
-	}
-	dt := now - r.rungRateNs
-	if dt < rungRateMinInterval.Nanoseconds() {
-		return
-	}
-	sec := float64(dt) / 1e9
-	for i := range r.rungRate {
-		total := r.rungBytes[i].Load()
-		inst := float64(total-r.rungLastByte[i]) * 8 / sec
-		r.rungLastByte[i] = total
-		if r.rungRate[i] == 0 {
-			r.rungRate[i] = inst
-		} else {
-			r.rungRate[i] += rungRateAlpha * (inst - r.rungRate[i])
-		}
-	}
-	r.rungRateNs = now
-}
-
-// selectRungLocked assigns sub the best rung its REMB estimate affords
-// (fbMu held): the lowest rung id — rungs are ordered best-first — whose
-// measured bitrate fits inside bps with headroom, falling back to the
-// cheapest rung ever observed when nothing fits. Moving back up to a more
-// expensive rung demands extra headroom (hysteresis). The return value
-// reports a *downswitch* — a reassignment to a cheaper rung, which the
-// caller accelerates with a PLI; upswitches wait for the GOP's next
-// periodic key frame. The assignment itself commits in the subscriber's
-// shard at a key-frame boundary (commitAndFilterRung).
-func (r *Router) selectRungLocked(sub *Subscriber, bps float64) (downswitch bool) {
-	if sub == nil {
-		return false
-	}
-	cur := sub.targetRung.Load()
-	best, cheapest := -1, -1
-	for i := 0; i < transport.MaxRungs; i++ {
-		if r.rungBytes[i].Load() == 0 {
-			continue
-		}
-		cheapest = i
-		if best < 0 && r.rungRate[i] <= bps*rungDownHeadroom {
-			best = i
-		}
-	}
-	if best < 0 {
-		best = cheapest
-	}
-	if best < 0 || uint32(best) == cur {
-		return false
-	}
-	if uint32(best) < cur && r.rungRate[best] > bps*rungUpHeadroom {
-		return false // not comfortably affordable yet: hold the cheaper rung
-	}
-	sub.selREMB.Store(int64(bps))
-	sub.targetRung.Store(uint32(best))
-	return uint32(best) > cur
-}
-
 // serveRetx answers one NACK from the retransmission cache, reporting
 // whether it was served locally. A hit is retransmitted to the requester
-// only — through its queue on the sharded plane (so the drop policy and
-// pacing still apply), or a direct write in Sequential mode / for a
-// requester that is not a subscriber.
+// only — through its queue, so the drop policy and pacing still apply, or
+// a direct write for a requester that is not a subscriber.
 func (r *Router) serveRetx(k nackKey, sub *Subscriber, from net.Addr) bool {
-	if !r.retxOn {
-		return false
-	}
-	now := r.now()
-	var buf *PacketBuf
-	if r.retxSeq != nil {
-		buf = r.retxSeq.Lookup(k, now)
-	} else if len(r.shards) > 0 {
-		buf = r.shards[retxShard(k, len(r.shards))].retx.Lookup(k, now)
-	}
+	buf := r.shards[retxShard(k, len(r.shards))].retx.Lookup(k, r.now())
 	if buf == nil {
 		return false
 	}
-	if sub != nil && !r.cfg.Sequential {
-		// Classify before Enqueue: on success the queue owns our reference
-		// and a writer may release it at any moment.
-		fid := r.frameIDOf(buf.Bytes())
-		if sub.q.Enqueue(buf, fid) {
-			sub.q.retx.Add(1)
-		} else {
-			buf.Release()
-		}
-	} else {
+	if sub == nil {
 		_, _ = r.out.WriteTo(buf.Bytes(), from)
+		buf.Release()
+		return true
+	}
+	// Classify before Enqueue: on success the queue owns our reference
+	// and a writer may release it at any moment.
+	fid, _, _, _ := r.classify(buf.Bytes())
+	if sub.q.Enqueue(buf, fid) {
+		sub.q.retx.Add(1)
+	} else {
 		buf.Release()
 	}
 	return true
@@ -1134,12 +893,7 @@ func (r *Router) doClose() {
 	}
 	r.ingestWg.Wait()
 	for _, s := range r.shards {
-		if s.retx != nil {
-			s.retx.close()
-		}
-	}
-	if r.retxSeq != nil {
-		r.retxSeq.close()
+		s.retx.close()
 	}
 	for _, s := range snap.subs {
 		s.q.Close()
@@ -1249,25 +1003,16 @@ func (r *Router) Stats() Stats {
 	for _, p := range r.pools {
 		st.PoolLive += p.Live()
 	}
-	if r.retxSeq != nil {
-		size, _, ev := r.retxSeq.retxStats()
+	for _, s := range r.shards {
+		size, _, ev := s.retx.retxStats()
 		st.RetxCached += int64(size)
 		st.RetxEvicted += ev
-	}
-	for _, s := range r.shards {
-		if s.retx != nil {
-			size, _, ev := s.retx.retxStats()
-			st.RetxCached += int64(size)
-			st.RetxEvicted += ev
-		}
 	}
 	r.telRetxCache.SetInt(st.RetxCached)
 	now := r.now()
 	for _, s := range snap.subs {
 		ss := s.q.stats()
 		ss.LastActiveAgeMs = float64(now-s.lastActive.Load()) / 1e6
-		ss.Rung = s.Rung()
-		ss.RungSwitches = s.switches.Load()
 		if int(ss.Rung) < len(st.RungSubscribers) {
 			st.RungSubscribers[ss.Rung]++
 		}

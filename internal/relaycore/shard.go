@@ -51,25 +51,20 @@ type shard struct {
 	routed atomic.Int64 // packets fanned out by this shard's ingest worker
 	stolen atomic.Int64 // queues this shard's workers stole from other shards
 
-	// Retransmission cache owned by this shard (nil when disabled). The
-	// ingest goroutine inserts cache-flagged descriptors; the router's
-	// feedback path looks up NACKs. now is the router's clock.
+	// Retransmission cache owned by this shard. The ingest goroutine
+	// inserts cache-flagged descriptors; the router's feedback path looks
+	// up NACKs. now is the router's clock.
 	retx *retxCache
 	now  func() int64
 
-	// trace, when non-nil, receives shard_route and sub_enqueue stamps for
+	// trace, when non-nil, receives a shard_route stamp per subscriber for
 	// each frame's first fragment (cfg.Trace; nil disables tracing).
 	trace *frametrace.Ledger
 
-	// Quality-ladder hooks (router-owned): events receives rung-switch
-	// events (nil-safe), rungSwitches and telRungSwitch count commits. The
-	// commit itself runs here because each subscriber is fanned out by
-	// exactly one ingest goroutine, so its curRung never races a delivery
-	// decision.
-	events        *frametrace.EventRing
+	// rungSwitches and telRungSwitch (router-owned) count the rung
+	// switches this shard's subscribers commit.
 	rungSwitches  *atomic.Int64
 	telRungSwitch *telemetry.Counter
-	ladderSeen    *atomic.Bool
 
 	telRouted, telStolen *telemetry.Counter
 }
@@ -79,8 +74,7 @@ type ingestEntry struct {
 	fid   frameID
 	rk    nackKey // retransmission-cache key (valid when cache is set)
 	cache bool    // this shard owns caching this packet
-	first bool    // frame's first fragment — the one trace stamp sites fire on
-	frag0 bool    // first data fragment of a media frame (rung-switch commit point)
+	first bool    // a media frame's first data fragment: trace stamps fire on it, rung switches commit at it
 }
 
 // ingestRingCap bounds per-shard ingest backlog (power of two). At 2048
@@ -186,9 +180,10 @@ func (s *shard) runIngest(wg *sync.WaitGroup) {
 		for i := 0; i < n; i++ {
 			e := batch[i]
 			batch[i] = ingestEntry{}
-			if e.cache && s.retx != nil {
+			if e.cache {
 				s.retx.Insert(e.rk, e.buf, s.now())
 			}
+			stamp := e.first && s.trace != nil
 			for _, sub := range subs {
 				// shard_route is stamped per subscriber (not once per
 				// shard with NoSub): a NoSub stamp from another shard —
@@ -196,17 +191,12 @@ func (s *shard) runIngest(wg *sync.WaitGroup) {
 				// can land after this shard's sub_enqueue, and the
 				// collector's max-wins merge would then show the frame
 				// leaving the shard after it entered the queue.
-				if e.first {
+				if stamp {
 					s.trace.StampNow(frametrace.HopShardRoute, e.fid.stream, e.fid.seq, sub.q.sub)
 				}
-				if !s.admitRung(sub, &e) {
-					continue
-				}
-				e.buf.Retain()
-				if !sub.q.Enqueue(e.buf, e.fid) {
-					e.buf.Release()
-				} else if e.first {
-					s.trace.StampNow(frametrace.HopSubEnqueue, e.fid.stream, e.fid.seq, sub.q.sub)
+				if sub.q.Offer(e.buf, e.fid, e.first) {
+					s.rungSwitches.Add(1)
+					s.telRungSwitch.Inc()
 				}
 			}
 			e.buf.Release()
@@ -215,26 +205,6 @@ func (s *shard) runIngest(wg *sync.WaitGroup) {
 		s.routed.Add(int64(n))
 		s.telRouted.Add(int64(n))
 	}
-}
-
-// admitRung reports whether a packet passes the subscriber's quality-rung
-// filter, committing a pending rung switch first when the packet opens a
-// key frame. The commit point is the first data fragment of a key frame —
-// regardless of which rung's copy arrives first — so the old rung's stream
-// ends cleanly at the previous frame and the new rung starts at a key:
-// exactly the boundary a stateful decoder can cross. Non-media packets
-// (pongs, pings) always pass. Legacy single-rung streams carry rung 0
-// everywhere and every subscriber starts at rung 0, so the filter admits
-// everything until a ladder and a reassignment exist.
-func (s *shard) admitRung(sub *Subscriber, e *ingestEntry) bool {
-	// Until a ladder is observed every packet is rung 0 and every
-	// subscriber sits at rung 0 with no pending reassignment
-	// (selectRungLocked only runs once ladderSeen latches), so the filter
-	// is a guaranteed admit — skip its per-subscriber atomic loads.
-	if !s.ladderSeen.Load() {
-		return true
-	}
-	return commitAndFilterRung(sub, e.fid, e.frag0, s.events, s.rungSwitches, s.telRungSwitch)
 }
 
 // close wakes everything parked on the ingest ring; the ingest goroutine

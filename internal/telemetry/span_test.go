@@ -118,20 +118,25 @@ func TestSpanRingTicketValidationAtWrap(t *testing.T) {
 			defer readerDone.Done()
 			for {
 				spans := r.Recent(r.Cap())
-				prev := int64(-1)
+				var last [workers]int64 // newest seq seen per writer, +1
 				for _, sp := range spans {
 					if sp.StartNs != int64(sp.Seq)*7 || sp.DurNs != int64(sp.Seq)+3 {
 						t.Errorf("torn span at wrap: %+v", sp)
 						return
 					}
-					// Recent walks slot indices oldest→newest; a slot
-					// holding a previous lap's ticket that slipped through
-					// would appear here with an out-of-order start time.
-					if int64(sp.StartNs) <= prev-int64(r.Cap()*workers)*7 {
-						t.Errorf("stale lap resurfaced: start=%d after %d", sp.StartNs, prev)
+					// Recent walks slot indices oldest→newest and each
+					// writer records its own seqs in order, so within one
+					// writer's range seqs only grow; a slot holding a
+					// previous lap's ticket that slipped through would
+					// appear here behind a newer span of the same writer.
+					// (Writers interleave freely, so nothing orders spans
+					// of different writers.)
+					w := int(sp.Seq) / per
+					if int64(sp.Seq) < last[w] {
+						t.Errorf("stale lap resurfaced: writer %d seq %d after %d", w, sp.Seq, last[w]-1)
 						return
 					}
-					prev = sp.StartNs
+					last[w] = int64(sp.Seq) + 1
 				}
 				select {
 				case <-stop:

@@ -99,29 +99,51 @@ func Unmarshal(b []byte) (Packet, error) {
 	return p, nil
 }
 
+// MediaHeader is the routing-relevant prefix of a MediaMagic-prefixed wire
+// datagram: everything the relay needs to classify, filter and cache a
+// packet without unmarshalling it.
+type MediaHeader struct {
+	Seq    uint32
+	Frag   uint16
+	Stream uint8
+	Rung   uint8
+	Key    bool
+	Parity bool
+}
+
+// PeekMedia reads the header fields straight off a wire datagram. ok is
+// false for anything that is not a media packet long enough to carry its
+// flags byte; the payload is not validated (Unmarshal does that).
+func PeekMedia(wire []byte) (h MediaHeader, ok bool) {
+	if len(wire) < 11 || wire[0] != MediaMagic {
+		return MediaHeader{}, false
+	}
+	flags := wire[10]
+	return MediaHeader{
+		Seq:    binary.BigEndian.Uint32(wire[2:]),
+		Frag:   binary.BigEndian.Uint16(wire[6:]),
+		Stream: wire[1],
+		Rung:   (flags & FlagRungMask) >> FlagRungShift,
+		Key:    flags&FlagKey != 0,
+		Parity: flags&FlagParity != 0,
+	}, true
+}
+
+// First reports whether the packet is fragment 0 of a media frame's data
+// (parity excluded) — the fragment trace stamps and rung switches key on.
+func (h MediaHeader) First() bool { return h.Frag == 0 && !h.Parity }
+
 // FirstFragment reports whether a MediaMagic-prefixed wire datagram
 // carries fragment 0 of a media frame (parity excluded) and, if so,
 // returns the frame's stream and sequence without unmarshalling. Trace
 // stamp sites on the relay and receiver hot paths use it to stamp each
 // frame exactly once per hop straight off the raw bytes.
 func FirstFragment(wire []byte) (stream uint8, frameSeq uint32, ok bool) {
-	if len(wire) < 11 || wire[0] != MediaMagic ||
-		wire[6] != 0 || wire[7] != 0 || // FragIndex (offsets 6–7 past the magic)
-		wire[10]&FlagParity != 0 {
+	h, ok := PeekMedia(wire)
+	if !ok || !h.First() {
 		return 0, 0, false
 	}
-	return wire[1], binary.BigEndian.Uint32(wire[2:]), true
-}
-
-// WireRung extracts the quality-ladder rung id from a MediaMagic-prefixed
-// wire datagram without unmarshalling — the relay's per-packet rung filter
-// reads it straight off the raw bytes. Non-media or short datagrams report
-// rung 0 (the full-quality rung every legacy stream occupies).
-func WireRung(wire []byte) uint8 {
-	if len(wire) < 11 || wire[0] != MediaMagic {
-		return 0
-	}
-	return (wire[10] & FlagRungMask) >> FlagRungShift
+	return h.Stream, h.Seq, true
 }
 
 // Packetize splits one encoded frame into MTU-sized packets on rung 0.

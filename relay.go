@@ -40,12 +40,6 @@ type Relay struct {
 	conns  []net.PacketConn
 	router *relaycore.Router
 
-	// fbMu serializes RouteFeedback: with a reuseport group, kernel flow
-	// steering spreads subscribers across sockets, but the router's
-	// feedback aggregation is single-goroutine by contract. Media needs no
-	// such serialization (RouteMedia is concurrency-safe).
-	fbMu sync.Mutex
-
 	closed    chan struct{}
 	alreadyMu sync.Mutex
 	already   bool
@@ -64,8 +58,7 @@ func NewRelay(conn net.PacketConn, sender net.Addr) *Relay {
 }
 
 // NewRelayWith creates a relay with an explicit data-plane configuration
-// (shard count, queue depth, feedback windows, or the legacy Sequential
-// path kept for A/B measurement — see livo-bench -relaybench).
+// (shard count, queue depth, feedback windows, retransmission cache size).
 func NewRelayWith(conn net.PacketConn, sender net.Addr, cfg relaycore.Config) *Relay {
 	return NewRelayGroup([]net.PacketConn{conn}, sender, cfg)
 }
@@ -84,15 +77,9 @@ func NewRelayGroup(conns []net.PacketConn, sender net.Addr, cfg relaycore.Config
 	if reg == nil {
 		reg = telemetry.Default
 	}
-	var out relaycore.BatchWriter
-	if len(conns) == 1 {
-		out = batchConn{conns[0]}
-	} else {
-		g := groupConn{conns: make([]batchConn, len(conns))}
-		for i, c := range conns {
-			g.conns[i] = batchConn{c}
-		}
-		out = g
+	var out relaycore.Writer = conns[0]
+	if len(conns) > 1 {
+		out = groupConn{conns}
 	}
 	return &Relay{
 		conns:      conns,
@@ -104,35 +91,14 @@ func NewRelayGroup(conns []net.PacketConn, sender net.Addr, cfg relaycore.Config
 	}
 }
 
-// batchConn adapts a net.PacketConn to relaycore.BatchWriter so writer
-// workers drain each ring batch with one call. Conns that batch natively
-// (a udpio sendmmsg socket, the bench conn) are delegated to; plain conns
-// get a per-packet fallback loop — the WriteBatch contract (all-or-prefix
-// to one destination) holds either way.
-type batchConn struct{ net.PacketConn }
-
-func (c batchConn) WriteBatch(ps [][]byte, addr net.Addr) (int, error) {
-	if bw, ok := c.PacketConn.(relaycore.BatchWriter); ok {
-		return bw.WriteBatch(ps, addr)
-	}
-	n := 0
-	for _, p := range ps {
-		if _, err := c.PacketConn.WriteTo(p, addr); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
 // groupConn fans writes across a reuseport socket group: each destination
 // hashes to one member (the same avalanche mix the router uses for shard
 // partitions, allocation-free for UDP addresses), so one subscriber's
 // packets always take one socket and stay ordered. All members share the
 // local address, so the source seen by peers is identical.
-type groupConn struct{ conns []batchConn }
+type groupConn struct{ conns []net.PacketConn }
 
-func (g groupConn) pick(addr net.Addr) batchConn {
+func (g groupConn) pick(addr net.Addr) net.PacketConn {
 	return g.conns[relaycore.KeyOf(addr).Hash()%uint64(len(g.conns))]
 }
 
@@ -141,7 +107,7 @@ func (g groupConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 }
 
 func (g groupConn) WriteBatch(ps [][]byte, addr net.Addr) (int, error) {
-	return g.pick(addr).WriteBatch(ps, addr)
+	return relaycore.WriteBatch(g.pick(addr), ps, addr)
 }
 
 // Subscribe adds a receiver (idempotent per address). The first subscriber
@@ -271,9 +237,7 @@ func (r *Relay) runIngest(i int, c net.PacketConn) {
 			}
 			continue
 		}
-		r.fbMu.Lock()
 		r.router.RouteFeedback(buf[:n], from)
-		r.fbMu.Unlock()
 	}
 }
 
@@ -322,9 +286,7 @@ func (r *Relay) runBatchIngest(i int, br udpio.BatchReader) {
 				r.router.RouteMedia(pb)
 				continue
 			}
-			r.fbMu.Lock()
 			r.router.RouteFeedback(ms[j].Buf[:n], from)
-			r.fbMu.Unlock()
 		}
 	}
 }

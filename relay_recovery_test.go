@@ -400,8 +400,11 @@ func TestRelayLivenessEviction(t *testing.T) {
 	var evictMu sync.Mutex
 	var evicted []string
 	relay := NewRelayWith(conn, sender, relaycore.Config{
-		Shards:        1,
-		SilenceWindow: 80 * time.Millisecond,
+		Shards: 1,
+		// Wide against the 5 ms refresh below: under -race on a busy
+		// 2-core host the process itself stalls for tens of ms, and a
+		// stall longer than the window evicts the live subscriber too.
+		SilenceWindow: 400 * time.Millisecond,
 		OnEvict: func(a net.Addr) {
 			evictMu.Lock()
 			evicted = append(evicted, a.String())
