@@ -11,22 +11,15 @@ import (
 
 // Feedback messages ride the reverse path of a live session: viewer poses
 // (for frustum prediction, §3.4), receiver bandwidth estimates (REMB-style,
-// §3.3), NACKs and PLIs (§A.1), and RTT probes. The wire-type values and
-// the REMB/NACK codecs live in internal/transport so the relay core can
-// aggregate feedback without importing this package.
-const (
-	fbPose = transport.FBPose
-	fbREMB = transport.FBREMB
-	fbNACK = transport.FBNACK
-	fbPLI  = transport.FBPLI
-	fbPing = transport.FBPing
-	fbPong = transport.FBPong
-)
+// §3.3), NACKs and PLIs (§A.1), and RTT probes. The wire-type values
+// (transport.FB*) and the REMB/NACK codecs live in internal/transport so
+// the relay core can aggregate feedback without importing this package;
+// only the two codecs the relay never opens — pose and ping — live here.
 
 // marshalPose encodes a timestamped viewer pose.
 func marshalPose(t float64, p geom.Pose) []byte {
 	out := make([]byte, 1, 1+8*8)
-	out[0] = fbPose
+	out[0] = transport.FBPose
 	for _, v := range []float64{t, p.Position.X, p.Position.Y, p.Position.Z,
 		p.Rotation.W, p.Rotation.X, p.Rotation.Y, p.Rotation.Z} {
 		out = binary.BigEndian.AppendUint64(out, math.Float64bits(v))
@@ -38,7 +31,7 @@ func unmarshalPose(b []byte) (t float64, p geom.Pose, err error) {
 	if len(b) < 1+8*8 {
 		return 0, geom.Pose{}, fmt.Errorf("livo: short pose feedback")
 	}
-	f := make([]float64, 8)
+	var f [8]float64
 	for i := range f {
 		f[i] = math.Float64frombits(binary.BigEndian.Uint64(b[1+8*i:]))
 	}
@@ -46,22 +39,6 @@ func unmarshalPose(b []byte) (t float64, p geom.Pose, err error) {
 		Position: geom.V3(f[1], f[2], f[3]),
 		Rotation: geom.Quat{W: f[4], X: f[5], Y: f[6], Z: f[7]}.Normalize(),
 	}, nil
-}
-
-// marshalREMB encodes a receiver bandwidth estimate (bits per second).
-func marshalREMB(bps float64) []byte {
-	return transport.AppendREMB(make([]byte, 0, 9), bps)
-}
-
-func unmarshalREMB(b []byte) (float64, error) { return transport.UnmarshalREMB(b) }
-
-// marshalNACK encodes a missing-fragment report.
-func marshalNACK(stream uint8, frameSeq uint32, frag uint16) []byte {
-	return transport.MarshalNACK(stream, frameSeq, frag)
-}
-
-func unmarshalNACK(b []byte) (stream uint8, frameSeq uint32, frag uint16, err error) {
-	return transport.UnmarshalNACK(b)
 }
 
 // marshalPing/Pong carry a sender timestamp for application-level RTT.

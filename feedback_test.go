@@ -2,10 +2,14 @@ package livo
 
 import (
 	"math"
+	"net"
 	"testing"
 	"testing/quick"
 
 	"livo/internal/geom"
+	"livo/internal/scene"
+	"livo/internal/telemetry"
+	"livo/internal/transport"
 )
 
 func TestPoseFeedbackRoundTrip(t *testing.T) {
@@ -38,49 +42,27 @@ func clampF(x float64) float64 {
 }
 
 func TestPoseFeedbackErrors(t *testing.T) {
-	if _, _, err := unmarshalPose([]byte{fbPose, 1, 2}); err == nil {
+	if _, _, err := unmarshalPose([]byte{transport.FBPose, 1, 2}); err == nil {
 		t.Error("short pose accepted")
 	}
 }
 
-func TestREMBRoundTrip(t *testing.T) {
-	b := marshalREMB(123.456e6)
-	got, err := unmarshalREMB(b)
-	if err != nil || got != 123.456e6 {
-		t.Fatalf("remb = %v, %v", got, err)
-	}
-	if _, err := unmarshalREMB([]byte{fbREMB}); err == nil {
-		t.Error("short REMB accepted")
-	}
-}
-
-func TestNACKRoundTrip(t *testing.T) {
-	b := marshalNACK(2, 0xDEADBEEF, 777)
-	stream, seq, frag, err := unmarshalNACK(b)
-	if err != nil || stream != 2 || seq != 0xDEADBEEF || frag != 777 {
-		t.Fatalf("nack = %d %d %d %v", stream, seq, frag, err)
-	}
-	if _, _, _, err := unmarshalNACK([]byte{fbNACK, 0}); err == nil {
-		t.Error("short NACK accepted")
-	}
-}
-
 func TestPingRoundTrip(t *testing.T) {
-	b := marshalPing(3.25, fbPing)
-	if b[0] != fbPing {
+	b := marshalPing(3.25, transport.FBPing)
+	if b[0] != transport.FBPing {
 		t.Error("ping type wrong")
 	}
 	got, err := unmarshalPing(b)
 	if err != nil || got != 3.25 {
 		t.Fatalf("ping = %v, %v", got, err)
 	}
-	if _, err := unmarshalPing([]byte{fbPing}); err == nil {
+	if _, err := unmarshalPing([]byte{transport.FBPing}); err == nil {
 		t.Error("short ping accepted")
 	}
 }
 
 func TestFeedbackTypesDistinct(t *testing.T) {
-	types := []byte{fbPose, fbREMB, fbNACK, fbPLI, fbPing, fbPong}
+	types := []byte{transport.FBPose, transport.FBREMB, transport.FBNACK, transport.FBPLI, transport.FBPing, transport.FBPong}
 	seen := map[byte]bool{}
 	for _, ty := range types {
 		if seen[ty] {
@@ -91,4 +73,66 @@ func TestFeedbackTypesDistinct(t *testing.T) {
 		}
 		seen[ty] = true
 	}
+}
+
+// FuzzHandleFeedback feeds arbitrary datagrams to the two session-level
+// parsers that face the wire: SendSession.handleFeedback (reverse path) and
+// RecvSession.handleDatagram (media path plus probe echoes). Neither may
+// panic, and a datagram too short to be any complete message must leave
+// both sessions' counters exactly as they were.
+func FuzzHandleFeedback(f *testing.F) {
+	media := append([]byte{mediaMagic},
+		transport.Packetize(transport.StreamColor, 3, true, 1000, []byte("frame"))[0].Marshal()...)
+	for _, seed := range [][]byte{
+		marshalPose(1.5, geom.Pose{Position: geom.V3(0, 1.5, 2), Rotation: geom.Quat{W: 1}}),
+		transport.AppendREMB(nil, 4e6),
+		transport.MarshalNACK(transport.StreamDepth, 7, 2),
+		{transport.FBPLI},
+		marshalPing(0.25, transport.FBPing),
+		marshalPing(0.25, transport.FBPong),
+		media,
+	} {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		f.Add(seed[:1])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff})
+
+	v, err := scene.OpenVideo("office1", testCapture())
+	if err != nil {
+		f.Fatal(err)
+	}
+	mem := newMemNet()
+	nowhere := &net.UDPAddr{IP: net.IPv4(10, 9, 0, 9), Port: 9} // memNet drops what is sent here
+	reg := telemetry.NewRegistry(64)
+	s, err := NewSendSession(mem.listen(f), nowhere, SendSessionConfig{
+		Sender: SenderConfig{Array: v.Array, ViewParams: DefaultViewParams(), Telemetry: reg},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = s.Close() })
+	r, err := NewRecvSession(mem.listen(f), nowhere, RecvSessionConfig{
+		Receiver: ReceiverConfig{Array: v.Array, Telemetry: reg},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		send0, recv0 := s.Stats(), r.Stats()
+		s.handleFeedback(append([]byte(nil), b...)) // a ping is answered in place
+		r.loopMu.Lock()
+		r.handleDatagram(b, r.now())
+		r.loopMu.Unlock()
+		// The shortest messages that count: a 1-byte PLI, an 8-byte NACK; a
+		// 9-byte pong on the receive side.
+		if len(b) < 8 && (len(b) == 0 || b[0] != transport.FBPLI) && s.Stats() != send0 {
+			t.Fatalf("short feedback %x changed the send session: %+v → %+v", b, send0, s.Stats())
+		}
+		if len(b) < 9 && r.Stats() != recv0 {
+			t.Fatalf("short datagram %x changed the receive session: %+v → %+v", b, recv0, r.Stats())
+		}
+	})
 }

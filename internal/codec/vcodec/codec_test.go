@@ -492,6 +492,26 @@ func BenchmarkEncodeColor(b *testing.B) {
 	}
 }
 
+// BenchmarkLadderEncode is BenchmarkEncodeColor through the 3-rung ladder:
+// the ratio of the two ns/op is the ladder's encode amortization (one
+// encode ≈ 1.5×, not 3×). Reported, not gated — it is a wall-clock ratio.
+func BenchmarkLadderEncode(b *testing.B) {
+	le, err := NewLadderEncoder(ColorConfig(320, 288), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frames := make([]*Frame, 4)
+	for i := range frames {
+		frames[i] = FromColor(synthColor(320, 288, i))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := le.EncodeLadder(frames[i%4], nil, 8000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDecodeColor(b *testing.B) {
 	cfg := ColorConfig(320, 288)
 	enc, _ := NewEncoder(cfg)

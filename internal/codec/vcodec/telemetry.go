@@ -9,8 +9,8 @@ import (
 // Codec-level telemetry (frame-path observability, DESIGN.md §6). The
 // handles resolve against telemetry.Default once at package init; each
 // successful encode/decode costs one histogram observation (a few atomic
-// ops against a ~hundreds-of-ms 4K encode). `livo-bench -codecbench`
-// measures the registry-on vs registry-off delta into BENCH_telemetry.json.
+// ops against a ~hundreds-of-ms 4K encode; last measured registry-on vs
+// registry-off delta −1.0%, i.e. noise — CHANGES.md PR 3).
 var (
 	telEncodeSeconds = telemetry.Default.Histogram("livo_vcodec_encode_seconds", telemetry.LatencyBuckets)
 	telDecodeSeconds = telemetry.Default.Histogram("livo_vcodec_decode_seconds", telemetry.LatencyBuckets)

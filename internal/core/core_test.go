@@ -570,3 +570,87 @@ func TestSenderBlankTileReuse(t *testing.T) {
 		}
 	}
 }
+
+// Frame-path allocation budgets, heap objects per frame at GOMAXPROCS=1
+// after warm-up. Measured today: ProcessFrame 18, PushColor+PushDepth 5,
+// Reconstruct 0. The limits leave room for a pooled buffer growing on
+// unseen content, not for a per-frame buffer that stopped being pooled.
+const (
+	maxProcessFrameAllocs = 28
+	maxPushAllocs         = 10
+	maxReconstructAllocs  = 4
+)
+
+// TestFramePathSteadyStateAllocs replays distinct frames through sender
+// encode, receiver decode/pair and reconstruction, and holds each stage to
+// its budget. Unlike TestReconstructSteadyStateAllocs (one paired frame,
+// reconstructed repeatedly) every run sees new content, so an arena that
+// is re-grown per frame shows up. GOMAXPROCS is 1 for the same reason as
+// there: ParFor's worker spawns allocate and are not part of the budget.
+func TestFramePathSteadyStateAllocs(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	const warm, runs = 8, 16
+	v := testVideo(t, "dance5")
+	views := make([][]frame.RGBDFrame, warm+runs+1) // AllocsPerRun adds one warm-up call
+	for i := range views {
+		views[i] = v.Frame(i)
+	}
+	s, err := NewSender(SenderConfig{Variant: LiVoNoCull, Array: v.Array, ViewParams: geom.DefaultViewParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReceiver(ReceiverConfig{Array: v.Array, VoxelSize: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := geom.NewFrustum(viewerPose(), geom.DefaultViewParams())
+
+	// The receive side needs each frame's packets in order, so the sender
+	// pass keeps them (a packet's bytes are its own) and the receiver
+	// pass replays them.
+	encs := make([]*EncodedFrame, len(views))
+	process := func(i int) {
+		if encs[i], err = s.ProcessFrame(views[i], 50e6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pf *PairedFrame
+	push := func(i int) {
+		if _, err := r.PushColor(encs[i].Color); err != nil {
+			t.Fatal(err)
+		}
+		if pf, err = r.PushDepth(encs[i].Depth); err != nil || pf == nil {
+			t.Fatalf("frame %d did not pair: %v", i, err)
+		}
+	}
+	reconstruct := func() {
+		if _, err := r.Reconstruct(pf, &f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(stage string, got float64, budget int) {
+		t.Logf("%s: %.0f allocs/frame", stage, got)
+		if got > float64(budget) {
+			t.Errorf("%s allocates %.0f objects per frame, budget %d", stage, got, budget)
+		}
+	}
+
+	i := 0
+	for ; i < warm; i++ {
+		process(i)
+	}
+	check("ProcessFrame", testing.AllocsPerRun(runs, func() { process(i); i++ }), maxProcessFrameAllocs)
+
+	for i = 0; i < warm; i++ {
+		push(i)
+		reconstruct()
+	}
+	// Push and Reconstruct alternate per frame as in a session. Their sum
+	// is measured over new frames, Reconstruct alone on the last pair; the
+	// difference is the push, without breaking the decoder's frame order.
+	both := testing.AllocsPerRun(runs, func() { push(i); reconstruct(); i++ })
+	rec := testing.AllocsPerRun(runs, reconstruct)
+	check("PushColor+PushDepth", both-rec, maxPushAllocs)
+	check("Reconstruct", rec, maxReconstructAllocs)
+}

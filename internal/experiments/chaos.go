@@ -352,3 +352,28 @@ func ChaosReport(q Quality, out io.Writer) error {
 	fmt.Fprintf(out, "%-22s %-10.1f %-10.1f\n", "geom PSSIM (decoded)", metrics.Mean(cg), metrics.Mean(fg))
 	return nil
 }
+
+// ChaosTraceDump replays office1 through the chaos harness (bursty loss,
+// corruption, FEC on) with the frame ledger armed, writes the merged
+// capture→reconstruct timelines as JSONL to out, and returns their latency
+// decomposition. Chaos stamps carry *simulated* replay time, so the dump is
+// deterministic for a given quality preset and seed.
+func ChaosTraceDump(q Quality, out io.Writer) (frametrace.Report, error) {
+	w, err := workload("office1", q)
+	if err != nil {
+		return frametrace.Report{}, err
+	}
+	led := frametrace.NewLedger("chaos", 1<<13)
+	if _, err := RunChaos(ChaosRunConfig{
+		Workload: w, Chaos: netem.DefaultChaosConfig(42), FEC: true, Seed: 1, Trace: led,
+	}); err != nil {
+		return frametrace.Report{}, err
+	}
+	col := frametrace.NewCollector()
+	col.Add(led, 0)
+	tls := col.Merge(frametrace.NoSub)
+	if err := frametrace.WriteTimelinesJSONL(out, tls); err != nil {
+		return frametrace.Report{}, err
+	}
+	return frametrace.Decompose(tls), nil
+}

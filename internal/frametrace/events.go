@@ -1,8 +1,9 @@
 package frametrace
 
 import (
-	"sync/atomic"
 	"time"
+
+	"livo/internal/ring"
 )
 
 // EventKind classifies one structured data-plane event.
@@ -75,31 +76,14 @@ type Event struct {
 	TimeNs int64
 }
 
-// eventSlot follows the same ticket-publication scheme as Ledger slots.
-type eventSlot struct {
-	ticket atomic.Uint64
-	meta   atomic.Uint64 // seq<<32 | kind<<8 | stream
-	sub    atomic.Int64
-	val    atomic.Int64
-	t      atomic.Int64
-}
-
 // EventRing is a fixed-capacity lock-free ring of recent data-plane
-// events. A nil *EventRing ignores all events.
-type EventRing struct {
-	slots []eventSlot
-	mask  uint64
-	next  atomic.Uint64
-}
+// events (storage: internal/ring). A nil *EventRing ignores all events.
+type EventRing struct{ ring *ring.Ring }
 
 // NewEventRing creates a ring with at least capacity entries (rounded up
 // to a power of two; minimum 64).
 func NewEventRing(capacity int) *EventRing {
-	n := 64
-	for n < capacity {
-		n <<= 1
-	}
-	return &EventRing{slots: make([]eventSlot, n), mask: uint64(n - 1)}
+	return &EventRing{ring: ring.New(capacity)}
 }
 
 // Cap returns the ring capacity; 0 for a nil ring.
@@ -107,7 +91,7 @@ func (r *EventRing) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return r.ring.Cap()
 }
 
 // Recorded returns how many events have ever been recorded.
@@ -115,7 +99,16 @@ func (r *EventRing) Recorded() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.next.Load()
+	return r.ring.Recorded()
+}
+
+// Dropped returns how many of those were abandoned because a writer a
+// full lap away owned their slot (see internal/ring); 0 for a nil ring.
+func (r *EventRing) Dropped() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.ring.Dropped()
 }
 
 // Add records one event at time.Now(). Safe for concurrent use; free of
@@ -124,14 +117,8 @@ func (r *EventRing) Add(kind EventKind, stream uint8, seq uint32, sub int32, val
 	if r == nil {
 		return
 	}
-	i := r.next.Add(1) - 1
-	s := &r.slots[i&r.mask]
-	s.ticket.Store(0)
-	s.meta.Store(uint64(seq)<<32 | uint64(kind)<<8 | uint64(stream))
-	s.sub.Store(int64(sub))
-	s.val.Store(val)
-	s.t.Store(time.Now().UnixNano())
-	s.ticket.Store(i + 1)
+	r.ring.Put(uint64(seq)<<32|uint64(kind)<<8|uint64(stream), uint64(int64(sub)), uint64(val),
+		uint64(time.Now().UnixNano()))
 }
 
 // Recent returns up to n of the most recent events, oldest first.
@@ -139,34 +126,16 @@ func (r *EventRing) Recent(n int) []Event {
 	if r == nil {
 		return nil
 	}
-	cur := r.next.Load()
-	if n <= 0 || cur == 0 {
-		return nil
-	}
-	if uint64(n) > cur {
-		n = int(cur)
-	}
-	if n > len(r.slots) {
-		n = len(r.slots)
-	}
-	out := make([]Event, 0, n)
-	for i := cur - uint64(n); i < cur; i++ {
-		s := &r.slots[i&r.mask]
-		if s.ticket.Load() != i+1 {
-			continue
-		}
-		meta, sub, val, t := s.meta.Load(), s.sub.Load(), s.val.Load(), s.t.Load()
-		if s.ticket.Load() != i+1 {
-			continue
-		}
+	var out []Event
+	r.ring.Recent(n, func(w [ring.Words]uint64) {
 		out = append(out, Event{
-			Kind:   EventKind(meta >> 8 & 0xff),
-			Stream: uint8(meta & 0xff),
-			Seq:    uint32(meta >> 32),
-			Sub:    int32(sub),
-			Val:    val,
-			TimeNs: t,
+			Kind:   EventKind(w[0] >> 8 & 0xff),
+			Stream: uint8(w[0] & 0xff),
+			Seq:    uint32(w[0] >> 32),
+			Sub:    int32(w[1]),
+			Val:    int64(w[2]),
+			TimeNs: int64(w[3]),
 		})
-	}
+	})
 	return out
 }

@@ -7,17 +7,17 @@
 // from those timelines (per-stage p50/p99, stage sums reconciled against
 // end-to-end) is the latency breakdown the paper's evaluation hinges on.
 //
-// The hot path is allocation-free: a stamp is one atomic increment plus
-// four atomic stores, and a nil *Ledger is a no-op so call sites need no
-// enable branches of their own. Storage follows telemetry.SpanRing's
-// ticket-publication scheme: writers invalidate a slot's ticket, rewrite
-// the fields, then republish; readers validate the ticket before and
-// after copying.
+// The hot path is allocation-free and never blocks, and a nil *Ledger is
+// a no-op so call sites need no enable branches of their own. Storage is
+// internal/ring, shared with telemetry.SpanRing: exclusive slot ownership,
+// a record dropped (and counted) rather than torn when two writers a full
+// lap apart collide.
 package frametrace
 
 import (
-	"sync/atomic"
 	"time"
+
+	"livo/internal/ring"
 )
 
 // Hop identifies one pipeline layer a frame passes through, in pipeline
@@ -67,33 +67,19 @@ type Stamp struct {
 // NoSub marks a stamp that is not tied to one subscriber.
 const NoSub int32 = -1
 
-// slot is one ring entry; see telemetry.spanSlot for the ticket scheme.
-type slot struct {
-	ticket atomic.Uint64
-	meta   atomic.Uint64 // seq<<32 | hop<<8 | stream
-	sub    atomic.Int64
-	t      atomic.Int64
-}
-
 // Ledger is one process's fixed-capacity ring of hop stamps. A nil
 // *Ledger is valid and ignores all stamps, so tracing is enabled by
 // plumbing a ledger in and disabled by leaving it nil.
 type Ledger struct {
-	node  string
-	slots []slot
-	mask  uint64
-	next  atomic.Uint64
+	node string
+	ring *ring.Ring
 }
 
 // NewLedger creates a ledger with at least capacity slots (rounded up to
 // a power of two; minimum 64). node labels the process in merged dumps
 // ("sender", "relay", "receiver").
 func NewLedger(node string, capacity int) *Ledger {
-	n := 64
-	for n < capacity {
-		n <<= 1
-	}
-	return &Ledger{node: node, slots: make([]slot, n), mask: uint64(n - 1)}
+	return &Ledger{node: node, ring: ring.New(capacity)}
 }
 
 // Node returns the ledger's process label.
@@ -109,7 +95,7 @@ func (l *Ledger) Cap() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.slots)
+	return l.ring.Cap()
 }
 
 // Recorded returns how many stamps have ever been recorded (≥ Cap means
@@ -118,7 +104,16 @@ func (l *Ledger) Recorded() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.next.Load()
+	return l.ring.Recorded()
+}
+
+// Dropped returns how many of those were abandoned because a writer a
+// full lap away owned their slot (see internal/ring); 0 for a nil ledger.
+func (l *Ledger) Dropped() uint64 {
+	if l == nil {
+		return 0
+	}
+	return l.ring.Dropped()
 }
 
 // Stamp records that frame seq reached hop at tNs on the ledger's clock.
@@ -127,13 +122,7 @@ func (l *Ledger) Stamp(hop Hop, stream uint8, seq uint32, sub int32, tNs int64) 
 	if l == nil {
 		return
 	}
-	i := l.next.Add(1) - 1
-	s := &l.slots[i&l.mask]
-	s.ticket.Store(0) // invalidate while rewriting
-	s.meta.Store(uint64(seq)<<32 | uint64(hop)<<8 | uint64(stream))
-	s.sub.Store(int64(sub))
-	s.t.Store(tNs)
-	s.ticket.Store(i + 1)
+	l.ring.Put(uint64(seq)<<32|uint64(hop)<<8|uint64(stream), uint64(int64(sub)), uint64(tNs), 0)
 }
 
 // StampNow is Stamp at time.Now().UnixNano() — the common case for
@@ -152,33 +141,15 @@ func (l *Ledger) Recent(n int) []Stamp {
 	if l == nil {
 		return nil
 	}
-	cur := l.next.Load()
-	if n <= 0 || cur == 0 {
-		return nil
-	}
-	if uint64(n) > cur {
-		n = int(cur)
-	}
-	if n > len(l.slots) {
-		n = len(l.slots)
-	}
-	out := make([]Stamp, 0, n)
-	for i := cur - uint64(n); i < cur; i++ {
-		s := &l.slots[i&l.mask]
-		if s.ticket.Load() != i+1 {
-			continue
-		}
-		meta, sub, t := s.meta.Load(), s.sub.Load(), s.t.Load()
-		if s.ticket.Load() != i+1 {
-			continue // rewritten mid-copy
-		}
+	var out []Stamp
+	l.ring.Recent(n, func(w [ring.Words]uint64) {
 		out = append(out, Stamp{
-			Seq:    uint32(meta >> 32),
-			Hop:    Hop(meta >> 8 & 0xff),
-			Stream: uint8(meta & 0xff),
-			Sub:    int32(sub),
-			TimeNs: t,
+			Seq:    uint32(w[0] >> 32),
+			Hop:    Hop(w[0] >> 8 & 0xff),
+			Stream: uint8(w[0] & 0xff),
+			Sub:    int32(w[1]),
+			TimeNs: int64(w[2]),
 		})
-	}
+	})
 	return out
 }

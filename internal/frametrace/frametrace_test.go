@@ -1,8 +1,11 @@
 package frametrace
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+
+	"livo/internal/ring"
 )
 
 // TestNilSafe checks that a nil ledger and a nil event ring accept the
@@ -11,12 +14,12 @@ func TestNilSafe(t *testing.T) {
 	var l *Ledger
 	l.Stamp(HopCapture, 0, 1, NoSub, 123)
 	l.StampNow(HopCapture, 0, 1, NoSub)
-	if l.Recent(10) != nil || l.Recorded() != 0 || l.Cap() != 0 || l.Node() != "" {
+	if l.Recent(10) != nil || l.Recorded() != 0 || l.Dropped() != 0 || l.Cap() != 0 || l.Node() != "" {
 		t.Fatal("nil ledger should be inert")
 	}
 	var r *EventRing
 	r.Add(EvPLI, 0, 0, NoSub, 0)
-	if r.Recent(10) != nil || r.Recorded() != 0 || r.Cap() != 0 {
+	if r.Recent(10) != nil || r.Recorded() != 0 || r.Dropped() != 0 || r.Cap() != 0 {
 		t.Fatal("nil event ring should be inert")
 	}
 }
@@ -107,6 +110,53 @@ func TestLedgerConcurrent(t *testing.T) {
 	readerWg.Wait()
 	if l.Recorded() != writers*perWriter {
 		t.Fatalf("recorded: got %d, want %d", l.Recorded(), writers*perWriter)
+	}
+}
+
+// TestLedgerTicketValidationAtWrap and TestEventRingTicketValidationAtWrap
+// run the ring's shared wrap suite (ring.ConformWrap) through each pack/
+// unpack layer. Run with -race.
+func TestLedgerTicketValidationAtWrap(t *testing.T) {
+	l := NewLedger("x", 64)
+	err := ring.ConformWrap(ring.WrapUser{
+		Cap:   l.Cap(),
+		Write: func(seq uint32) { l.Stamp(HopJitter, uint8(seq), seq, int32(seq)-7, int64(seq)*3+1) },
+		Read: func() (seqs []uint32, err error) {
+			for _, st := range l.Recent(l.Cap()) {
+				if st.Hop != HopJitter || st.Stream != uint8(st.Seq) || st.Sub != int32(st.Seq)-7 || st.TimeNs != int64(st.Seq)*3+1 {
+					err = fmt.Errorf("%+v", st)
+				}
+				seqs = append(seqs, st.Seq)
+			}
+			return seqs, err
+		},
+		Recorded: l.Recorded,
+		Dropped:  l.Dropped,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestEventRingTicketValidationAtWrap(t *testing.T) {
+	r := NewEventRing(64)
+	err := ring.ConformWrap(ring.WrapUser{
+		Cap:   r.Cap(),
+		Write: func(seq uint32) { r.Add(EvRetxHit, uint8(seq), seq, int32(seq)-7, int64(seq)*5+2) },
+		Read: func() (seqs []uint32, err error) {
+			for _, ev := range r.Recent(r.Cap()) {
+				if ev.Kind != EvRetxHit || ev.Stream != uint8(ev.Seq) || ev.Sub != int32(ev.Seq)-7 || ev.Val != int64(ev.Seq)*5+2 || ev.TimeNs == 0 {
+					err = fmt.Errorf("%+v", ev)
+				}
+				seqs = append(seqs, ev.Seq)
+			}
+			return seqs, err
+		},
+		Recorded: r.Recorded,
+		Dropped:  r.Dropped,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -214,6 +214,83 @@ func TestLadderSwitchAtKeyBoundary(t *testing.T) {
 	}
 }
 
+// TestLadderClassesConverge is the heterogeneous fan-out the ladder exists
+// for: three classes of eight subscribers, each advertising one constant
+// REMB that affords exactly one rung (the harness's rungs cost ≈ 310 / 155
+// / 78 kb/s on the wire; 0.9 of 1 Mb/s, 250 kb/s and 120 kb/s clear rung
+// 0, 1 and 2 respectively and not the rung above). Loss-free, on the fake
+// clock: after the warm-up GOPs every subscriber sits on its class's rung,
+// receives at least 99% of the window's frames, each on that one rung, and
+// the router drops nothing.
+func TestLadderClassesConverge(t *testing.T) {
+	const (
+		perClass, gop    = 8, 10
+		warmup, measured = 4 * gop, 10 * gop
+	)
+	classes := []struct {
+		bps  float64
+		rung uint8
+	}{{1e6, 0}, {250e3, 1}, {120e3, 2}}
+
+	clk := &fakeClock{}
+	rec := newRecWriter()
+	cfg := testConfig()
+	cfg.Now = clk.Now
+	r := NewRouter(rec, senderAddr(), cfg)
+	defer r.Close()
+	h := &ladderHarness{t: t, r: r, clk: clk}
+
+	type member struct {
+		addr net.Addr
+		remb []byte
+		rung uint8
+	}
+	var subs []member
+	for ci, cl := range classes {
+		for j := 0; j < perClass; j++ {
+			m := member{udp(1 + ci*perClass + j), transport.AppendREMB(nil, cl.bps), cl.rung}
+			r.Subscribe(m.addr)
+			subs = append(subs, m)
+		}
+	}
+	for i := 0; i < warmup+measured; i++ {
+		h.frame(h.seq%gop == 0)
+		for _, m := range subs {
+			r.RouteFeedback(m.remb, m.addr)
+		}
+		if !r.WaitIdle(2 * time.Second) {
+			t.Fatalf("router did not drain frame %d", i)
+		}
+	}
+
+	st := r.Stats()
+	if st.Drops != 0 {
+		t.Fatalf("drops = %d on a loss-free fan-out, want 0", st.Drops)
+	}
+	onRung := map[string]uint8{}
+	for _, ss := range st.Subs {
+		onRung[ss.Addr] = ss.Rung
+	}
+	for _, m := range subs {
+		if got := onRung[m.addr.String()]; got != m.rung {
+			t.Errorf("sub %s (class rung %d) ended on rung %d", m.addr, m.rung, got)
+		}
+		got := 0
+		for _, fr := range deliveredRungs(t, rec, m.addr) { // fails on any mixed-rung frame
+			if fr.seq < warmup {
+				continue
+			}
+			if fr.rung != m.rung {
+				t.Errorf("sub %s: frame %d on rung %d after warm-up, want %d", m.addr, fr.seq, fr.rung, m.rung)
+			}
+			got++
+		}
+		if got*100 < measured*99 {
+			t.Errorf("sub %s received %d of %d frames, want ≥ 99%%", m.addr, got, measured)
+		}
+	}
+}
+
 // TestRouterRandomSchedule hammers the router the way a reuseport relay
 // does — several feedback loops and several media loops at once — under a
 // seeded random schedule: two producers (colour, depth) route a 3-rung
@@ -255,6 +332,7 @@ func TestRouterRandomSchedule(t *testing.T) {
 				// The streams may drift apart, but like a real sender's not
 				// without bound: well inside rungHorizon frames.
 				var progress [2]atomic.Uint32
+				var fed atomic.Int64 // feedback messages routed so far
 				for p, stream := range []uint8{transport.StreamColor, transport.StreamDepth} {
 					producers.Add(1)
 					go func(p int, stream uint8) {
@@ -262,10 +340,15 @@ func TestRouterRandomSchedule(t *testing.T) {
 						rng := rand.New(rand.NewSource(seed*100 + int64(p)))
 						pool := r.ShardPool(p)
 						payload := make([]byte, 300)
+						fedMark := int64(-4)
 						for seq := uint32(0); seq < frames; seq++ {
-							for seq > progress[1-p].Load()+rungHorizon/4 {
+							// Nor may the media outrun the feedback: on a busy
+							// host the feeders can otherwise get so few turns
+							// while frames flow that no rung ever changes.
+							for seq > progress[1-p].Load()+rungHorizon/4 || fed.Load() < fedMark+4 {
 								runtime.Gosched()
 							}
+							fedMark = fed.Load()
 							progress[p].Store(seq)
 							for _, rung := range rng.Perm(3) {
 								n := ladderFrags[rung]
@@ -308,6 +391,7 @@ func TestRouterRandomSchedule(t *testing.T) {
 							default:
 								r.RouteFeedback([]byte{transport.FBPose, byte(g)}, from)
 							}
+							fed.Add(1)
 							runtime.Gosched()
 						}
 					}(g)

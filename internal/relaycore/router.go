@@ -1,6 +1,6 @@
 // Package relaycore is the relay's data plane, factored out of the public
 // Relay so it is unit-testable and benchmarkable without UDP sockets
-// (livo-bench -relaybench drives it with an in-memory conn).
+// (BenchmarkRouterFanout drives it with a discarding writer).
 //
 // Design (SFU-style fan-out, sharded across cores; cf. DESIGN.md §7):
 //

@@ -127,6 +127,20 @@ func TestRenderMeetsMTPBudget(t *testing.T) {
 	t.Logf("rendered 120k points at 640x480 in %v", el)
 }
 
+// maxSplatAllocs is Splat's per-frame allocation budget: the image, its
+// pixels, the depth buffer and the result (4 today), whatever the cloud
+// size. Anything per point or per pixel blows well past it.
+const maxSplatAllocs = 6
+
+func TestSplatAllocs(t *testing.T) {
+	c := wall(120, 2.0, [3]uint8{200, 50, 50})
+	opts := Options{Width: 320, Height: 240}
+	got := testing.AllocsPerRun(10, func() { Splat(c, geom.PoseIdentity, opts) })
+	if got > maxSplatAllocs {
+		t.Errorf("Splat allocates %.0f objects per frame, budget %d", got, maxSplatAllocs)
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	im := Splat(pointcloud.New(0), geom.PoseIdentity, Options{})
 	b := im.RGBA.Bounds()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"livo/internal/ring"
 )
 
 // Span is one timed hop of one frame through the pipeline.
@@ -14,92 +16,51 @@ type Span struct {
 	DurNs   int64 // duration in nanoseconds
 }
 
-// spanSlot is one ring entry. All fields are atomics so concurrent
-// record/read is race-free; ticket is the publication word: 0 while a
-// writer owns the slot, ticket index+1 once the fields are consistent.
-// A reader validates ticket before and after copying the fields; a slot
-// republished with the same ticket between the two reads would require a
-// full ring of concurrent writes mid-copy, which debug telemetry
-// tolerates.
-type spanSlot struct {
-	ticket atomic.Uint64
-	meta   atomic.Uint64 // seq<<32 | stage
-	start  atomic.Int64
-	dur    atomic.Int64
-}
-
-// SpanRing is a fixed-capacity lock-free ring of the most recent spans.
-// Writers claim a slot with one atomic increment and publish with atomic
-// stores; wraparound overwrites the oldest entries. Readers (the /debugz
-// dump) never block writers.
+// SpanRing is a fixed-capacity lock-free ring of the most recent spans
+// (storage and slot protocol: internal/ring). Wraparound overwrites the
+// oldest entries; readers (the /debugz dump) never block writers.
 type SpanRing struct {
-	slots []spanSlot
-	mask  uint64
-	next  atomic.Uint64
-	on    *atomic.Bool // shared with the owning registry; nil means always on
+	ring *ring.Ring
+	on   *atomic.Bool // shared with the owning registry; nil means always on
 }
 
 // NewSpanRing creates a ring with at least capacity entries (rounded up
 // to a power of two; minimum 64).
 func NewSpanRing(capacity int) *SpanRing {
-	n := 64
-	for n < capacity {
-		n <<= 1
-	}
-	return &SpanRing{slots: make([]spanSlot, n), mask: uint64(n - 1)}
+	return &SpanRing{ring: ring.New(capacity)}
 }
 
 // Cap returns the ring capacity.
-func (r *SpanRing) Cap() int { return len(r.slots) }
+func (r *SpanRing) Cap() int { return r.ring.Cap() }
 
 // Recorded returns how many spans have ever been recorded (≥ Cap means
 // the ring has wrapped).
-func (r *SpanRing) Recorded() uint64 { return r.next.Load() }
+func (r *SpanRing) Recorded() uint64 { return r.ring.Recorded() }
+
+// Dropped returns how many of those were abandoned because a writer a
+// full lap away owned their slot (see internal/ring).
+func (r *SpanRing) Dropped() uint64 { return r.ring.Dropped() }
 
 // Record appends one span, overwriting the oldest entry once full.
 func (r *SpanRing) Record(seq uint32, stage Stage, startNs, durNs int64) {
 	if r.on != nil && !r.on.Load() {
 		return
 	}
-	i := r.next.Add(1) - 1
-	s := &r.slots[i&r.mask]
-	s.ticket.Store(0) // invalidate while rewriting
-	s.meta.Store(uint64(seq)<<32 | uint64(stage))
-	s.start.Store(startNs)
-	s.dur.Store(durNs)
-	s.ticket.Store(i + 1)
+	r.ring.Put(uint64(seq)<<32|uint64(stage), uint64(startNs), uint64(durNs), 0)
 }
 
 // Recent returns up to n of the most recent spans, oldest first. Slots
 // concurrently being rewritten are skipped.
 func (r *SpanRing) Recent(n int) []Span {
-	cur := r.next.Load()
-	if n <= 0 || cur == 0 {
-		return nil
-	}
-	if uint64(n) > cur {
-		n = int(cur)
-	}
-	if n > len(r.slots) {
-		n = len(r.slots)
-	}
-	out := make([]Span, 0, n)
-	for i := cur - uint64(n); i < cur; i++ {
-		s := &r.slots[i&r.mask]
-		if s.ticket.Load() != i+1 {
-			continue
-		}
-		meta, start, dur := s.meta.Load(), s.start.Load(), s.dur.Load()
-		if s.ticket.Load() != i+1 {
-			continue // rewritten mid-copy
-		}
+	var out []Span
+	r.ring.Recent(n, func(w [ring.Words]uint64) {
 		out = append(out, Span{
-			Seq:     uint32(meta >> 32),
-			Stage:   Stage(meta & 0xff),
-			StartNs: start,
-			DurNs:   dur,
+			Seq:     uint32(w[0] >> 32),
+			Stage:   Stage(w[0] & 0xff),
+			StartNs: int64(w[1]),
+			DurNs:   int64(w[2]),
 		})
-	}
+	})
 	return out
 }
 

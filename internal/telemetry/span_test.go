@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"livo/internal/ring"
 )
 
 func nowForTest() time.Time { return time.Now().Add(-time.Millisecond) }
@@ -100,73 +103,27 @@ func TestSpanRingConcurrent(t *testing.T) {
 	}
 }
 
-// TestSpanRingTicketValidationAtWrap reads the full ring while writers
-// continuously wrap it, exercising the ticket check against slots from
-// a previous lap: a slot whose ticket belongs to an older lap (or is 0,
-// mid-rewrite) must be skipped, so every span a reader gets back is
-// untorn and each Recent batch is strictly ordered with no stale
-// resurrections. Run with -race.
+// TestSpanRingTicketValidationAtWrap runs the ring's shared wrap suite
+// (ring.ConformWrap) through the span pack/unpack layer. Run with -race.
 func TestSpanRingTicketValidationAtWrap(t *testing.T) {
 	r := NewSpanRing(64) // small ring so every reader pass races a wrap
-	const workers = 4
-	const per = 20000
-	stop := make(chan struct{})
-	var readerDone sync.WaitGroup
-	for rd := 0; rd < 2; rd++ {
-		readerDone.Add(1)
-		go func() {
-			defer readerDone.Done()
-			for {
-				spans := r.Recent(r.Cap())
-				var last [workers]int64 // newest seq seen per writer, +1
-				for _, sp := range spans {
-					if sp.StartNs != int64(sp.Seq)*7 || sp.DurNs != int64(sp.Seq)+3 {
-						t.Errorf("torn span at wrap: %+v", sp)
-						return
-					}
-					// Recent walks slot indices oldest→newest and each
-					// writer records its own seqs in order, so within one
-					// writer's range seqs only grow; a slot holding a
-					// previous lap's ticket that slipped through would
-					// appear here behind a newer span of the same writer.
-					// (Writers interleave freely, so nothing orders spans
-					// of different writers.)
-					w := int(sp.Seq) / per
-					if int64(sp.Seq) < last[w] {
-						t.Errorf("stale lap resurfaced: writer %d seq %d after %d", w, sp.Seq, last[w]-1)
-						return
-					}
-					last[w] = int64(sp.Seq) + 1
+	err := ring.ConformWrap(ring.WrapUser{
+		Cap:   r.Cap(),
+		Write: func(seq uint32) { r.Record(seq, StageJitter, int64(seq)*7, int64(seq)+3) },
+		Read: func() (seqs []uint32, err error) {
+			for _, sp := range r.Recent(r.Cap()) {
+				if sp.Stage != StageJitter || sp.StartNs != int64(sp.Seq)*7 || sp.DurNs != int64(sp.Seq)+3 {
+					err = fmt.Errorf("%+v", sp)
 				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
+				seqs = append(seqs, sp.Seq)
 			}
-		}()
-	}
-	var writers sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			for i := 0; i < per; i++ {
-				seq := uint32(w*per + i)
-				r.Record(seq, StageJitter, int64(seq)*7, int64(seq)+3)
-			}
-		}(w)
-	}
-	writers.Wait()
-	close(stop)
-	readerDone.Wait()
-	if r.Recorded() != uint64(workers*per) {
-		t.Fatalf("Recorded = %d, want %d", r.Recorded(), workers*per)
-	}
-	// After writers stop the ring is quiescent: a full read must return
-	// every slot (all tickets valid for the final lap).
-	if got := len(r.Recent(r.Cap())); got != r.Cap() {
-		t.Fatalf("quiescent full read returned %d spans, want %d", got, r.Cap())
+			return seqs, err
+		},
+		Recorded: r.Recorded,
+		Dropped:  r.Dropped,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

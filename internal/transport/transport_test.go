@@ -32,9 +32,23 @@ func TestPacketMarshalRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+	// The reverse path's two codecs.
+	if got, err := UnmarshalREMB(AppendREMB(nil, 123.456e6)); err != nil || got != 123.456e6 {
+		t.Errorf("remb = %v, %v", got, err)
+	}
+	stream, seq, frag, err := UnmarshalNACK(MarshalNACK(2, 0xDEADBEEF, 777))
+	if err != nil || stream != 2 || seq != 0xDEADBEEF || frag != 777 {
+		t.Errorf("nack = %d %d %d %v", stream, seq, frag, err)
+	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
+	if _, err := UnmarshalREMB([]byte{FBREMB}); err == nil {
+		t.Error("short REMB accepted")
+	}
+	if _, _, _, err := UnmarshalNACK([]byte{FBNACK, 0}); err == nil {
+		t.Error("short NACK accepted")
+	}
 	if _, err := Unmarshal(nil); err == nil {
 		t.Error("nil accepted")
 	}

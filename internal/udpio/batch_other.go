@@ -22,10 +22,5 @@ func (s *Socket) sendBatch(ps [][]byte, addr net.Addr) (int, error) {
 }
 
 func (s *Socket) recvBatch(ms []Message) (int, error) {
-	n, addr, err := s.ReadFrom(ms[0].Buf)
-	if err != nil {
-		return 0, err
-	}
-	ms[0].N, ms[0].Addr = n, addr
-	return 1, nil
+	return readOne(s, ms, &s.truncated)
 }

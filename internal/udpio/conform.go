@@ -7,25 +7,20 @@ import (
 )
 
 // ConformWriter is the batch-writer shape under conformance test. It
-// matches relaycore.BatchWriter structurally, so the helper runs against
-// a real udpio Socket and the in-memory bench conn alike without an
+// matches relaycore.BatchWriter structurally, so the helper needs no
 // import edge.
 type ConformWriter interface {
 	WriteTo(p []byte, addr net.Addr) (n int, err error)
 	WriteBatch(ps [][]byte, addr net.Addr) (n int, err error)
 }
 
-// ConformConfig parameterizes ConformBatchWriter for transports with
-// different observability and limits.
+// ConformConfig tells ConformBatchWriter how to observe the transport.
 type ConformConfig struct {
 	// Recv returns the next datagram delivered to the test address, in
-	// order. Nil skips content verification (the in-memory bench conn
-	// records only packet lengths) — the count and error contracts are
-	// still checked.
+	// order.
 	Recv func() ([]byte, error)
 	// MaxDatagram is the transport's datagram size limit (65507 for real
-	// UDP). Zero skips the truncation check — in-memory conns accept any
-	// length.
+	// UDP).
 	MaxDatagram int
 }
 
@@ -44,9 +39,6 @@ func ConformBatchWriter(bw ConformWriter, addr net.Addr, cfg ConformConfig) erro
 		n, err := bw.WriteBatch(ps, addr)
 		if err != nil || n != len(ps) {
 			return fmt.Errorf("%s: got (%d, %v), want (%d, nil)", label, n, err, len(ps))
-		}
-		if cfg.Recv == nil {
-			return nil
 		}
 		for i, want := range ps {
 			got, err := cfg.Recv()
@@ -85,28 +77,24 @@ func ConformBatchWriter(bw ConformWriter, addr net.Addr, cfg ConformConfig) erro
 		return err
 	}
 
-	if cfg.MaxDatagram > 0 {
-		// All-or-prefix on error: a datagram over the transport limit must
-		// fail, and exactly the packets before it must have been sent.
-		ps := mk(4, 200)
-		ps[2] = make([]byte, cfg.MaxDatagram+1)
-		n, err := bw.WriteBatch(ps, addr)
-		if err == nil {
-			return fmt.Errorf("oversize batch: no error for a %d-byte datagram", len(ps[2]))
+	// All-or-prefix on error: a datagram over the transport limit must
+	// fail, and exactly the packets before it must have been sent.
+	ps := mk(4, 200)
+	ps[2] = make([]byte, cfg.MaxDatagram+1)
+	n, err := bw.WriteBatch(ps, addr)
+	if err == nil {
+		return fmt.Errorf("oversize batch: no error for a %d-byte datagram", len(ps[2]))
+	}
+	if n != 2 {
+		return fmt.Errorf("oversize batch: got n=%d, want 2 (all-or-prefix)", n)
+	}
+	for i := 0; i < 2; i++ {
+		got, rerr := cfg.Recv()
+		if rerr != nil {
+			return fmt.Errorf("oversize batch: recv prefix packet %d: %v", i, rerr)
 		}
-		if n != 2 {
-			return fmt.Errorf("oversize batch: got n=%d, want 2 (all-or-prefix)", n)
-		}
-		if cfg.Recv != nil {
-			for i := 0; i < 2; i++ {
-				got, rerr := cfg.Recv()
-				if rerr != nil {
-					return fmt.Errorf("oversize batch: recv prefix packet %d: %v", i, rerr)
-				}
-				if !bytes.Equal(got, ps[i]) {
-					return fmt.Errorf("oversize batch: prefix packet %d mismatch (%d bytes)", i, len(got))
-				}
-			}
+		if !bytes.Equal(got, ps[i]) {
+			return fmt.Errorf("oversize batch: prefix packet %d mismatch (%d bytes)", i, len(got))
 		}
 	}
 	return nil

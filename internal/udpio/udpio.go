@@ -46,8 +46,8 @@ type Config struct {
 	RecvBuf int
 	SendBuf int
 	// DisableBatch forces per-packet syscalls even where kernel batching
-	// is available — the A/B baseline for -netbench and a portability
-	// escape hatch (-udp-batch=false).
+	// is available — the A/B baseline the tests hold the batched path
+	// against and a portability escape hatch (-udp-batch=false).
 	DisableBatch bool
 }
 
@@ -72,7 +72,8 @@ type BatchReader interface {
 }
 
 // SocketStats snapshots a Socket's syscall accounting — the numerator and
-// denominator of the syscalls-per-packet figure the netbench gates.
+// denominator of the syscalls-per-packet figure (Relay.WireStats, the
+// benchmark's udpio.*_syscalls_per_pkt).
 type SocketStats struct {
 	ReadSyscalls  int64 // kernel visits on the read side (incl. EAGAIN retries)
 	ReadPackets   int64 // datagrams delivered to the caller
@@ -235,15 +236,52 @@ func (s *Socket) ReadBatch(ms []Message) (int, error) {
 		return 0, nil
 	}
 	if !s.batched {
-		n, addr, err := s.ReadFrom(ms[0].Buf)
-		if err != nil {
-			return 0, err
-		}
-		ms[0].N, ms[0].Addr = n, addr
-		return 1, nil
+		return readOne(s, ms, &s.truncated)
 	}
 	return s.recvBatch(ms)
 }
+
+// readOne is ReadBatch without kernel batching: one datagram into ms[0].
+// ReadFrom clips a datagram longer than its buffer without saying so, so
+// one that fills the buffer is taken as clipped: dropped (N == 0) and
+// counted, like MSG_TRUNC on the batched path — never routed short.
+func readOne(c net.PacketConn, ms []Message, truncated *atomic.Int64) (int, error) {
+	if len(ms) == 0 {
+		return 0, nil
+	}
+	n, addr, err := c.ReadFrom(ms[0].Buf)
+	if err != nil {
+		return 0, err
+	}
+	if n == len(ms[0].Buf) {
+		truncated.Add(1)
+		n = 0
+	}
+	ms[0].N, ms[0].Addr = n, addr
+	return 1, nil
+}
+
+// Reader returns the batch-read side of c, so a read loop is written once
+// against ReadBatch: c itself when it already batches (a Socket), else a
+// per-packet adapter with the same slot, blocking and truncation
+// contracts, whose Stats carry its truncation count.
+func Reader(c net.PacketConn) BatchReader {
+	if br, ok := c.(BatchReader); ok {
+		return br
+	}
+	return &packetReader{c: c}
+}
+
+type packetReader struct {
+	c         net.PacketConn
+	truncated atomic.Int64
+}
+
+func (r *packetReader) ReadBatch(ms []Message) (int, error) {
+	return readOne(r.c, ms, &r.truncated)
+}
+
+func (r *packetReader) Stats() SocketStats { return SocketStats{Truncated: r.truncated.Load()} }
 
 // Batched reports whether kernel batching is active on this socket.
 func (s *Socket) Batched() bool { return s.batched }

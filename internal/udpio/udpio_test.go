@@ -67,6 +67,13 @@ func TestConformLoopback(t *testing.T) {
 			if !tc.disable && batchSupported && st.WriteSyscalls >= st.WritePackets {
 				t.Fatalf("batched path made %d syscalls for %d packets", st.WriteSyscalls, st.WritePackets)
 			}
+			// The per-packet plane is the A/B baseline: it must really be
+			// one kernel visit per packet, or a batching figure measured
+			// against it means nothing.
+			if tc.disable && (st.Batched || st.WriteSyscalls*100 < st.WritePackets*99) {
+				t.Fatalf("per-packet path amortized syscalls (batched=%v, %d syscalls for %d packets)",
+					st.Batched, st.WriteSyscalls, st.WritePackets)
+			}
 		})
 	}
 }
@@ -133,43 +140,65 @@ func TestReadBatchDeadline(t *testing.T) {
 }
 
 // A datagram larger than the slot buffer must be dropped (N == 0) and
-// counted, never delivered as a corrupt prefix. Kernel-batch semantics
-// (MSG_TRUNC); the fallback ReadFrom truncates silently like any UDP read.
+// counted, never delivered as a corrupt prefix — on the kernel-batched path
+// (MSG_TRUNC), on a Socket's per-packet fallback, and through the Reader
+// adapter over a plain conn, which is also checked to hand a Socket back
+// as itself.
 func TestReadBatchTruncation(t *testing.T) {
-	s := listenT(t, Config{})
-	if !s.Batched() {
-		t.Skip("kernel batching unavailable")
+	if s := listenT(t, Config{}); Reader(s) != BatchReader(s) {
+		t.Fatal("Reader wrapped a conn that already batches")
 	}
-	peer := plainConn(t)
-	if _, err := peer.WriteTo(make([]byte, 3000), s.LocalAddr()); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	if _, err := peer.WriteTo([]byte("ok"), s.LocalAddr()); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	ms := make([]Message, 4)
-	for i := range ms {
-		ms[i].Buf = make([]byte, 2048)
-	}
-	_ = s.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var kept [][]byte
-	for len(kept) == 0 {
-		n, err := s.ReadBatch(ms)
-		if err != nil {
-			t.Fatalf("ReadBatch: %v", err)
-		}
-		for i := 0; i < n; i++ {
-			if ms[i].N > 0 {
-				kept = append(kept, ms[i].Buf[:ms[i].N])
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) net.PacketConn
+	}{
+		{"batched", func(t *testing.T) net.PacketConn {
+			s := listenT(t, Config{})
+			if !s.Batched() {
+				t.Skip("kernel batching unavailable")
 			}
-		}
-	}
-	if len(kept) != 1 || string(kept[0]) != "ok" {
-		t.Fatalf("kept %d packets (first %q), want just \"ok\"", len(kept), kept[0])
-	}
-	if s.Stats().Truncated != 1 {
-		t.Fatalf("Truncated = %d, want 1", s.Stats().Truncated)
+			return s
+		}},
+		{"perpacket", func(t *testing.T) net.PacketConn { return listenT(t, Config{DisableBatch: true}) }},
+		{"adapter", plainConn},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.open(t)
+			br := Reader(c)
+			peer := plainConn(t)
+			for _, p := range [][]byte{make([]byte, 3000), []byte("ok")} {
+				if _, err := peer.WriteTo(p, c.LocalAddr()); err != nil {
+					t.Fatalf("WriteTo: %v", err)
+				}
+			}
+			time.Sleep(50 * time.Millisecond)
+			ms := make([]Message, 4)
+			for i := range ms {
+				ms[i].Buf = make([]byte, 2048)
+			}
+			_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
+			var kept [][]byte
+			for len(kept) == 0 {
+				n, err := br.ReadBatch(ms)
+				if err != nil {
+					t.Fatalf("ReadBatch: %v", err)
+				}
+				for i := 0; i < n; i++ {
+					if ms[i].N > 0 {
+						if a, b := ms[i].Addr.String(), peer.LocalAddr().String(); a != b {
+							t.Fatalf("slot %d addr = %s, want %s", i, a, b)
+						}
+						kept = append(kept, ms[i].Buf[:ms[i].N])
+					}
+				}
+			}
+			if len(kept) != 1 || string(kept[0]) != "ok" {
+				t.Fatalf("kept %d packets (first of %d bytes), want just \"ok\"", len(kept), len(kept[0]))
+			}
+			if st := br.(interface{ Stats() SocketStats }).Stats(); st.Truncated != 1 {
+				t.Fatalf("Truncated = %d, want 1", st.Truncated)
+			}
+		})
 	}
 }
 

@@ -29,16 +29,16 @@ import (
 // the router.
 //
 // The wire path batches at the kernel where the conns allow it (DESIGN.md
-// §7, "wire I/O"): a conn that implements udpio.BatchReader is drained
-// with recvmmsg directly into that socket's shard BufPool (zero copies on
-// ingest), and a conn implementing relaycore.BatchWriter drains each
-// writer-ring batch with one sendmmsg. Reads block — teardown unblocks
-// them by poking a past read deadline after closing r.closed — so the idle
-// relay makes zero syscalls, where the old loop paid a SetReadDeadline +
-// ReadFrom pair every 50 ms.
+// §7): every conn is read through udpio.Reader straight into that socket's
+// shard BufPool (zero copies on ingest) — one recvmmsg per visit on a udpio
+// Socket, one datagram per visit on anything else — and a conn implementing
+// relaycore.BatchWriter drains each writer-ring batch with one sendmmsg.
+// Reads block — teardown unblocks them by poking a past read deadline after
+// closing r.closed — so the idle relay makes zero syscalls.
 type Relay struct {
-	conns  []net.PacketConn
-	router *relaycore.Router
+	conns   []net.PacketConn
+	readers []udpio.BatchReader // udpio.Reader(conns[i])
+	router  *relaycore.Router
 
 	closed    chan struct{}
 	alreadyMu sync.Mutex
@@ -81,8 +81,13 @@ func NewRelayGroup(conns []net.PacketConn, sender net.Addr, cfg relaycore.Config
 	if len(conns) > 1 {
 		out = groupConn{conns}
 	}
+	readers := make([]udpio.BatchReader, len(conns))
+	for i, c := range conns {
+		readers[i] = udpio.Reader(c)
+	}
 	return &Relay{
 		conns:      conns,
+		readers:    readers,
 		router:     relaycore.NewRouter(out, sender, cfg),
 		closed:     make(chan struct{}),
 		telReadErr: reg.Counter("livo_relay_read_errors_total"),
@@ -136,10 +141,10 @@ func (r *Relay) Stats() relaycore.Stats {
 }
 
 // WireStats aggregates syscall accounting across the relay's sockets.
-// Conns that are not udpio Sockets contribute nothing (all zeros).
+// Conns that are not udpio Sockets contribute only their truncation count.
 func (r *Relay) WireStats() udpio.SocketStats {
 	var agg udpio.SocketStats
-	for _, c := range r.conns {
+	for _, c := range r.readers {
 		if sc, ok := c.(interface{ Stats() udpio.SocketStats }); ok {
 			st := sc.Stats()
 			agg.ReadSyscalls += st.ReadSyscalls
@@ -195,58 +200,24 @@ func (r *Relay) Run() {
 			}
 		}
 	}()
-	for i, c := range r.conns {
+	for i, br := range r.readers {
 		r.wg.Add(1)
 		loops.Add(1)
-		go func(i int, c net.PacketConn) {
+		go func(i int, br udpio.BatchReader) {
 			defer r.wg.Done()
 			defer loops.Done()
-			if br, ok := c.(udpio.BatchReader); ok {
-				r.runBatchIngest(i, br)
-				return
-			}
-			r.runIngest(i, c)
-		}(i, c)
+			r.runBatchIngest(i, br)
+		}(i, br)
 	}
 	loops.Wait()
 }
 
-// runIngest is the per-packet ingest loop for plain conns: a blocking
-// ReadFrom per datagram (no per-iteration deadline syscall — Close pokes
-// a past deadline to unblock it).
-func (r *Relay) runIngest(i int, c net.PacketConn) {
-	pool := r.router.ShardPool(i)
-	buf := make([]byte, 65536)
-	for {
-		n, from, err := c.ReadFrom(buf)
-		if err != nil {
-			if r.fatalReadErr(err) {
-				return
-			}
-			continue
-		}
-		if n == 0 {
-			continue
-		}
-		if r.router.FromSender(from) {
-			// Media fans out to every subscriber: one copy into a pooled
-			// buffer, references to every queue. Nothing else the sender
-			// might say (an echoed probe) is for all of them.
-			if buf[0] == mediaMagic {
-				r.router.RouteMedia(pool.Load(buf[:n]))
-			}
-			continue
-		}
-		r.router.RouteFeedback(buf[:n], from)
-	}
-}
-
-// runBatchIngest drains a batching socket with recvmmsg straight into the
-// shard's BufPool: every slot is a blank pooled buffer, so a media packet
-// is routed with zero copies — SetLen stamps the wire length and the
-// router takes ownership of the reference; the emptied slot is refilled
-// with a fresh blank. Feedback is parsed synchronously, so its slot (and
-// its scratch address) is reused in place.
+// runBatchIngest drains one socket straight into its shard's BufPool: every
+// slot is a blank pooled buffer, so a media packet is routed with zero
+// copies — SetLen stamps the wire length and the router takes ownership
+// of the reference; the emptied slot is refilled with a fresh blank.
+// Feedback is parsed synchronously, so its slot (and its scratch address)
+// is reused in place.
 func (r *Relay) runBatchIngest(i int, br udpio.BatchReader) {
 	pool := r.router.ShardPool(i)
 	ms := make([]udpio.Message, udpio.DefaultBatch)

@@ -118,6 +118,60 @@ func TestRelayUDPBatchWirePath(t *testing.T) {
 		t.Fatalf("WireStats lost the batched flag: %+v", ws)
 	}
 
+	// Fan-out amortization: with 64 subscribers behind it a relay under a
+	// burst drains whole writer-ring batches, so where the kernel batches it
+	// must spend at most one write syscall per 16 packets (it sits near
+	// 1/32). Nobody reads the extra subscribers' sockets — the kernel drops
+	// what overflows them, after the write was counted.
+	for len(subs) < 64 {
+		sc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		subs = append(subs, sc)
+		relay.Subscribe(sc.LocalAddr())
+	}
+	before := relay.WireStats()
+	const burstFrames, burstFrags = 48, 16
+	for f := 0; f < burstFrames; f++ {
+		for g := 0; g < burstFrags; g++ {
+			d := mkMediaDatagram(transport.StreamColor, uint32(100+f), uint16(g), burstFrags, false, 1000)
+			if _, err := senderConn.WriteTo(d, relayAddr); err != nil {
+				t.Fatalf("sender WriteTo: %v", err)
+			}
+		}
+	}
+	// Drained = every queue empty with the fan-out count unchanged since
+	// the previous look.
+	deadline, last := time.Now().Add(10*time.Second), int64(-1)
+	for {
+		st := relay.Stats()
+		var depth int64
+		for _, ss := range st.Subs {
+			depth += ss.Depth
+		}
+		if depth == 0 && st.FanoutPackets == last && st.FanoutPackets > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("burst did not drain: depth %d", depth)
+		}
+		last = st.FanoutPackets
+		time.Sleep(20 * time.Millisecond)
+	}
+	after := relay.WireStats()
+	pkts, sys := after.WritePackets-before.WritePackets, after.WriteSyscalls-before.WriteSyscalls
+	if pkts < 64*burstFrags {
+		t.Fatalf("burst wrote only %d packets to 64 subscribers", pkts)
+	}
+	if socks[0].Batched() && sys*16 > pkts {
+		t.Fatalf("batched fan-out spent %d write syscalls on %d packets (%.3f/pkt), budget 1/16",
+			sys, pkts, float64(sys)/float64(pkts))
+	}
+	t.Logf("64-subscriber burst: %d write syscalls for %d packets (%.3f/pkt, batched=%v)",
+		sys, pkts, float64(sys)/float64(pkts), socks[0].Batched())
+
 	// Close must unblock the blocking batch reads without a fatal error.
 	if err := relay.Close(); err != nil {
 		t.Fatal(err)

@@ -317,18 +317,21 @@ func (s *SendSession) feedbackLoop() {
 }
 
 func (s *SendSession) handleFeedback(b []byte) {
+	if len(b) == 0 {
+		return
+	}
 	switch b[0] {
-	case fbPose:
+	case transport.FBPose:
 		if t, pose, err := unmarshalPose(b); err == nil {
 			s.sender.ObservePose(t, pose)
 		}
-	case fbREMB:
-		if bps, err := unmarshalREMB(b); err == nil && bps > 0 {
+	case transport.FBREMB:
+		if bps, err := transport.UnmarshalREMB(b); err == nil && bps > 0 {
 			s.rateBps.Store(uint64(bps))
 			s.gRate.Set(bps)
 		}
-	case fbNACK:
-		if stream, seq, frag, err := unmarshalNACK(b); err == nil {
+	case transport.FBNACK:
+		if stream, seq, frag, err := transport.UnmarshalNACK(b); err == nil {
 			s.nacksRecv.Add(1)
 			// The wire NACK carries no rung id, so resend every rung's copy
 			// of the fragment that exists in history. Direct receivers only
@@ -349,7 +352,7 @@ func (s *SendSession) handleFeedback(b []byte) {
 				_, _ = s.conn.WriteTo(wire, s.remote)
 			}
 		}
-	case fbPLI:
+	case transport.FBPLI:
 		s.plisRecv.Add(1)
 		s.mPLIRx.Inc()
 		// Refresh-in-flight guard: during an outage the receiver re-sends
@@ -357,14 +360,14 @@ func (s *SendSession) handleFeedback(b []byte) {
 		if s.pliArmed.CompareAndSwap(false, true) {
 			s.sender.ForceKeyFrame()
 		}
-	case fbPong:
+	case transport.FBPong:
 		// Dead: a SendSession sends no pings, so no pong ever answers one,
 		// and Sender.ObserveRTT (which widens the culling frustum's
 		// look-ahead) is never fed in a live session. Probing from this side
 		// changes what is culled and is its own change (ROADMAP).
-	case fbPing:
+	case transport.FBPing:
 		// Reflect the receiver's probe: its RTT sizes the repair deadline.
-		b[0] = fbPong
+		b[0] = transport.FBPong
 		_, _ = s.conn.WriteTo(b, s.remote)
 	}
 }
@@ -573,41 +576,18 @@ func NewRecvSession(conn net.PacketConn, remote net.Addr, cfg RecvSessionConfig)
 }
 
 // Run processes packets until Close; call it on its own goroutine. Reads
-// block (no 20 ms deadline polling — Close pokes a past deadline after
-// closing r.closed to unblock the loop); timed work moves to the
-// housekeeping goroutine. Conns that batch natively (a udpio socket) are
-// drained with one recvmmsg per kernel visit.
+// block (no deadline polling — Close pokes a past deadline after closing
+// r.closed to unblock the loop); timed work moves to the housekeeping
+// goroutine. The conn is read through udpio.Reader: one recvmmsg fills a
+// slice of slots on a udpio socket (one datagram per visit on anything
+// else), all of which are processed — and the jitter buffers drained once —
+// under a single loopMu hold.
 func (r *RecvSession) Run() {
 	r.wg.Add(1)
 	defer r.wg.Done()
 	r.wg.Add(1)
 	go r.housekeeping()
-	if br, ok := r.conn.(udpio.BatchReader); ok {
-		r.runBatch(br)
-		return
-	}
-	buf := make([]byte, 65536)
-	for {
-		n, _, err := r.conn.ReadFrom(buf)
-		now := r.now()
-		if err != nil {
-			if r.fatalReadErr(err) {
-				return
-			}
-			continue
-		}
-		r.loopMu.Lock()
-		if r.handleDatagram(buf[:n], now) {
-			r.drainAndWake(now)
-		}
-		r.loopMu.Unlock()
-	}
-}
-
-// runBatch is the batched read loop: one recvmmsg fills a slice of slots,
-// all of which are processed (and the jitter buffers drained once) under
-// a single loopMu hold.
-func (r *RecvSession) runBatch(br udpio.BatchReader) {
+	br := udpio.Reader(r.conn)
 	ms := make([]udpio.Message, udpio.DefaultBatch)
 	for i := range ms {
 		ms[i].Buf = make([]byte, 2048) // > MediaMagic + header + MTU
@@ -657,7 +637,7 @@ func (r *RecvSession) handleDatagram(buf []byte, now float64) bool {
 	if len(buf) < 1 {
 		return false
 	}
-	if buf[0] == fbPong {
+	if buf[0] == transport.FBPong {
 		// Our own probe, echoed by the sender or the relay in front of it:
 		// the round trip a NACK and its retransmission will take.
 		if t0, err := unmarshalPing(buf); err == nil && t0 <= now {
@@ -767,7 +747,7 @@ func (r *RecvSession) drain(now float64) (next float64, pending bool) {
 				r.lostTotal.Add(1)
 				r.nacksSent.Add(1)
 				r.mNACKSent.Inc()
-				_, _ = r.conn.WriteTo(marshalNACK(nack.Stream, nack.FrameSeq, nack.FragIndex), r.remote)
+				_, _ = r.conn.WriteTo(transport.MarshalNACK(nack.Stream, nack.FrameSeq, nack.FragIndex), r.remote)
 			}
 		}
 		if at, ok := transport.NextDeadline(now, rungs...); ok && (!pending || at < next) {
@@ -807,7 +787,7 @@ func (r *RecvSession) deliver(stream uint8, af transport.AssembledFrame, now flo
 		if r.pli.Request(now) {
 			r.plisSent.Add(1)
 			r.mPLISent.Inc()
-			_, _ = r.conn.WriteTo([]byte{fbPLI}, r.remote)
+			_, _ = r.conn.WriteTo([]byte{transport.FBPLI}, r.remote)
 		}
 		return
 	}
@@ -870,8 +850,8 @@ func (r *RecvSession) sendFeedback() {
 	rate := r.gcc.Rate()
 	r.estRate.Store(uint64(rate))
 	r.gEstRate.Set(rate)
-	_, _ = r.conn.WriteTo(marshalREMB(rate), r.remote)
-	_, _ = r.conn.WriteTo(marshalPing(now, fbPing), r.remote)
+	_, _ = r.conn.WriteTo(transport.AppendREMB(make([]byte, 0, 9), rate), r.remote)
+	_, _ = r.conn.WriteTo(marshalPing(now, transport.FBPing), r.remote)
 }
 
 // Err returns the first asynchronous error hit by Run (media read failure),

@@ -53,7 +53,7 @@ func (memTimeout) Temporary() bool { return true }
 func newMemNet() *memNet { return &memNet{conns: map[string]*memConn{}} }
 
 // listen adds a conn on its own port.
-func (n *memNet) listen(t *testing.T) *memConn {
+func (n *memNet) listen(t testing.TB) *memConn {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	c := &memConn{
@@ -368,11 +368,11 @@ func replayCall(t *testing.T, rec *recording, lossPct float64, oneWay time.Durat
 				return
 			}
 			switch buf[0] {
-			case fbPing:
-				buf[0] = fbPong
+			case transport.FBPing:
+				buf[0] = transport.FBPong
 				_, _ = sConn.WriteTo(buf[:n], rConn.LocalAddr())
-			case fbNACK:
-				stream, seq, frag, err := unmarshalNACK(buf[:n])
+			case transport.FBNACK:
+				stream, seq, frag, err := transport.UnmarshalNACK(buf[:n])
 				if err != nil || int(seq) >= len(rec.frames) {
 					continue
 				}
@@ -583,18 +583,18 @@ func TestRelayPingAnsweredToPingerOnly(t *testing.T) {
 	defer relay.Close()
 
 	const pinger = 3
-	ping := marshalPing(12.5, fbPing)
+	ping := marshalPing(12.5, transport.FBPing)
 	_, _ = subs[pinger].WriteTo(ping, relayConn.LocalAddr())
 	pong, ok := subs[pinger].recv(2 * time.Second)
 	if !ok {
 		t.Fatal("no pong came back to the pinger")
 	}
-	if t0, err := unmarshalPing(pong); err != nil || pong[0] != fbPong || t0 != 12.5 {
+	if t0, err := unmarshalPing(pong); err != nil || pong[0] != transport.FBPong || t0 != 12.5 {
 		t.Fatalf("pong = %x, want the ping's timestamp under the pong type", pong)
 	}
 	// A sender that still echoes (or probes) must not reach anyone either.
-	_, _ = sender.WriteTo(marshalPing(12.5, fbPong), relayConn.LocalAddr())
-	_, _ = sender.WriteTo(marshalPing(1, fbPing), relayConn.LocalAddr())
+	_, _ = sender.WriteTo(marshalPing(12.5, transport.FBPong), relayConn.LocalAddr())
+	_, _ = sender.WriteTo(marshalPing(1, transport.FBPing), relayConn.LocalAddr())
 	// Media sent after them arrives after them: once it is through, anything
 	// the probes caused would be too.
 	media := append([]byte{mediaMagic}, transport.Packetize(transport.StreamColor, 0, true, 0, []byte("frame"))[0].Marshal()...)
