@@ -8,9 +8,10 @@
 //
 //	livo-conference -seconds 10
 //
-// The A→B direction is traced end to end (capture → encode → packetize →
-// relay → jitter → decode → reconstruct): -debug-addr serves the merged
-// timelines at /debugz/frames, structured relay events at /debugz/events,
+// The A→B direction is traced end to end (capture → cull → tile → encode →
+// packetize → relay → jitter → decode → reconstruct): -debug-addr serves
+// the merged timelines at /debugz/frames, their per-stage decomposition at
+// /debugz/stages, structured relay events at /debugz/events,
 // and per-subscriber queue stats at /debugz/subscribers; -trace-dump writes
 // the merged timelines as JSONL at exit; SIGQUIT prints a compact
 // subscriber table without stopping the conference.
@@ -191,7 +192,8 @@ func main() {
 	// mounted alongside the registry pages.
 	if *debug != "" {
 		extra := map[string]http.Handler{
-			"/debugz/frames": frametrace.MergedFramesHandler(traceSend, traceRelay, traceRecv),
+			"/debugz/frames": frametrace.FramesHandler(traceSend, traceRelay, traceRecv),
+			"/debugz/stages": frametrace.StagesHandler(traceSend, traceRelay, traceRecv),
 			"/debugz/events": frametrace.EventsHandler(traceEvents),
 		}
 		if relay != nil {

@@ -105,7 +105,7 @@ func FuzzHandleFeedback(f *testing.F) {
 	}
 	mem := newMemNet()
 	nowhere := &net.UDPAddr{IP: net.IPv4(10, 9, 0, 9), Port: 9} // memNet drops what is sent here
-	reg := telemetry.NewRegistry(64)
+	reg := telemetry.NewRegistry()
 	s, err := NewSendSession(mem.listen(f), nowhere, SendSessionConfig{
 		Sender: SenderConfig{Array: v.Array, ViewParams: DefaultViewParams(), Telemetry: reg},
 	})

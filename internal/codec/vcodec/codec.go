@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"livo/internal/pipeline"
 )
@@ -363,13 +362,7 @@ func (e *Encoder) LastRecon() *Frame {
 // EncodeQP encodes f at a fixed quantization parameter, bypassing rate
 // control (used by the LiVo-NoAdapt/Starline baseline, §4.5).
 func (e *Encoder) EncodeQP(f *Frame, qp int) (*Packet, error) {
-	start := time.Now()
-	pkt, err := e.encode(f, qp)
-	if err == nil {
-		telEncodeSeconds.ObserveDuration(time.Since(start))
-		telEncodedBytes.Add(int64(pkt.SizeBytes()))
-	}
-	return pkt, err
+	return e.encode(f, qp)
 }
 
 // Encode encodes f so the packet is close to targetBytes. This is the
@@ -381,7 +374,6 @@ func (e *Encoder) Encode(f *Frame, targetBytes int) (*Packet, error) {
 	if targetBytes <= 0 {
 		return nil, fmt.Errorf("vcodec: non-positive target %d", targetBytes)
 	}
-	start := time.Now()
 	qp := e.lastQP
 	if e.hasModel {
 		qp = int(math.Round(6 * (e.modelA - math.Log2(float64(targetBytes)))))
@@ -427,8 +419,6 @@ func (e *Encoder) Encode(f *Frame, targetBytes int) (*Packet, error) {
 		}
 		qp = qp2
 	}
-	telEncodeSeconds.ObserveDuration(time.Since(start))
-	telEncodedBytes.Add(int64(pkt.SizeBytes()))
 	return pkt, nil
 }
 
@@ -716,7 +706,7 @@ func (c Config) maxPayloadBytes() int {
 }
 
 // decode is the uninstrumented decode path; Decode (telemetry.go) wraps it
-// with latency/error telemetry.
+// with the decode-error counter.
 func (d *Decoder) decode(pkt *Packet) (*Frame, error) {
 	r := &byteReader{buf: pkt.Data}
 	magic, err := r.readByte()
@@ -826,7 +816,7 @@ func (d *Decoder) decode(pkt *Packet) (*Frame, error) {
 			pp: parsed[p], prev: prevPlane, recon: recon.planes[p],
 			w: pw, h: ph,
 			maxVal: maxVal, mid: mid,
-			step:   qpToStep(pqp, cfg.BitDepth),
+			step: qpToStep(pqp, cfg.BitDepth),
 		})
 	}
 	d.jobs = d.jobs[:0]

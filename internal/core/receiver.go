@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"livo/internal/camera"
 	"livo/internal/codec/depth"
@@ -26,11 +25,12 @@ type ReceiverConfig struct {
 	VoxelSize float64
 	// FlateLevel must match the sender's entropy setting.
 	FlateLevel int
-	// Telemetry receives frame-path metrics and stage spans (DESIGN.md §6);
-	// nil uses telemetry.Default.
+	// Telemetry receives frame-path counters and gauges (DESIGN.md §6); nil
+	// uses telemetry.Default.
 	Telemetry *telemetry.Registry
 	// Trace, when non-nil, receives decode and reconstruct hop stamps for
-	// the cross-hop frame ledger (DESIGN.md §6); nil disables tracing.
+	// the cross-hop frame ledger (DESIGN.md §6), the receiver's only stage
+	// timer; nil disables tracing.
 	Trace *frametrace.Ledger
 	// Rungs describes the sender's quality ladder so quarter-resolution
 	// rungs can be recognized and routed through the superres path; nil
@@ -96,7 +96,6 @@ type Receiver struct {
 	voxed     pointcloud.Cloud
 
 	// Telemetry handles, resolved once in NewReceiver (DESIGN.md §6).
-	stages        *telemetry.StageSet
 	mPaired       *telemetry.Counter
 	mDecodeErrors *telemetry.Counter
 	mMismatches   *telemetry.Counter
@@ -145,7 +144,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		pendingDepth: make(map[uint32]*frame.DepthImage),
 		markersOK:    tw >= frame.MarkerWidth && th >= frame.MarkerHeight,
 
-		stages:        telemetry.NewStageSet(tel),
 		mPaired:       tel.Counter("livo_frames_paired_total"),
 		mDecodeErrors: tel.Counter("livo_decode_errors_total"),
 		mMismatches:   tel.Counter("livo_seq_mismatch_total"),
@@ -289,7 +287,6 @@ func upsampleColor2x(src *frame.ColorImage, outW, outH int) *frame.ColorImage {
 // PushColor decodes one color packet; if its depth counterpart has already
 // arrived, the paired frame is returned.
 func (r *Receiver) PushColor(pkt *vcodec.Packet) (*PairedFrame, error) {
-	t0 := time.Now()
 	var im *frame.ColorImage
 	var seq uint32
 	if int(pkt.Rung) < len(r.quarterRung) && r.quarterRung[pkt.Rung] {
@@ -317,11 +314,10 @@ func (r *Receiver) PushColor(pkt *vcodec.Packet) (*PairedFrame, error) {
 			}
 		}
 	}
-	r.stages.Done(seq, telemetry.StageDecodeColor, t0)
 	r.cfg.Trace.StampNow(frametrace.HopDecodeColor, 0, seq, frametrace.NoSub)
 	if d, ok := r.pendingDepth[seq]; ok {
 		delete(r.pendingDepth, seq)
-		return r.pairCounted(seq, im, d), nil
+		return r.pair(seq, im, d), nil
 	}
 	r.pendingColor[seq] = im
 	r.gc(seq)
@@ -331,7 +327,6 @@ func (r *Receiver) PushColor(pkt *vcodec.Packet) (*PairedFrame, error) {
 // PushDepth decodes one depth packet; if its color counterpart has already
 // arrived, the paired frame is returned.
 func (r *Receiver) PushDepth(pkt *vcodec.Packet) (*PairedFrame, error) {
-	t0 := time.Now()
 	var im *frame.DepthImage
 	var seq uint32
 	if int(pkt.Rung) < len(r.quarterRung) && r.quarterRung[pkt.Rung] {
@@ -359,25 +354,14 @@ func (r *Receiver) PushDepth(pkt *vcodec.Packet) (*PairedFrame, error) {
 			}
 		}
 	}
-	r.stages.Done(seq, telemetry.StageDecodeDepth, t0)
 	r.cfg.Trace.StampNow(frametrace.HopDecodeDepth, 0, seq, frametrace.NoSub)
 	if c, ok := r.pendingColor[seq]; ok {
 		delete(r.pendingColor, seq)
-		return r.pairCounted(seq, c, im), nil
+		return r.pair(seq, c, im), nil
 	}
 	r.pendingDepth[seq] = im
 	r.gc(seq)
 	return nil, nil
-}
-
-// pairCounted wraps pair with pairing telemetry.
-func (r *Receiver) pairCounted(seq uint32, c *frame.ColorImage, d *frame.DepthImage) *PairedFrame {
-	t0 := time.Now()
-	pf := r.pair(seq, c, d)
-	r.mPaired.Inc()
-	r.gPendingPairs.SetInt(int64(len(r.pendingColor) + len(r.pendingDepth)))
-	r.stages.Done(seq, telemetry.StagePair, t0)
-	return pf
 }
 
 // pair zeroes the marker strip (it is codec payload, not scene content)
@@ -393,6 +377,8 @@ func (r *Receiver) pair(seq uint32, c *frame.ColorImage, d *frame.DepthImage) *P
 	}
 	pf := &PairedFrame{Seq: seq, TiledColor: c, TiledDepth: d}
 	r.lastGood = pf
+	r.mPaired.Inc()
+	r.gPendingPairs.SetInt(int64(len(r.pendingColor) + len(r.pendingDepth)))
 	return pf
 }
 
@@ -436,11 +422,7 @@ func (r *Receiver) SeqMismatches() int { return r.mismatches }
 // call — the steady-state path does not allocate. Callers that retain a
 // cloud across frames must Clone it.
 func (r *Receiver) Reconstruct(pf *PairedFrame, frustum *geom.Frustum) (*pointcloud.Cloud, error) {
-	t0 := time.Now()
-	defer func() {
-		r.stages.Done(pf.Seq, telemetry.StageReconstruct, t0)
-		r.cfg.Trace.StampNow(frametrace.HopReconstruct, 0, pf.Seq, frametrace.NoSub)
-	}()
+	defer r.cfg.Trace.StampNow(frametrace.HopReconstruct, 0, pf.Seq, frametrace.NoSub)
 	n := r.cfg.Array.N()
 	if r.views == nil {
 		r.views = make([]frame.RGBDFrame, n)

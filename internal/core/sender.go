@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"livo/internal/camera"
 	"livo/internal/codec/depth"
@@ -104,11 +103,12 @@ type SenderConfig struct {
 	// and reports it in EncodedFrame (the Fig 4 instrumentation; normally
 	// the probe only runs every k-th frame inside the splitter).
 	ProbeRMSE bool
-	// Telemetry receives frame-path metrics and stage spans (DESIGN.md §6);
-	// nil uses telemetry.Default.
+	// Telemetry receives frame-path counters and gauges (DESIGN.md §6); nil
+	// uses telemetry.Default.
 	Telemetry *telemetry.Registry
-	// Trace, when non-nil, receives capture and encode hop stamps for the
-	// cross-hop frame ledger (DESIGN.md §6); nil disables tracing.
+	// Trace, when non-nil, receives capture, cull, tile and encode hop
+	// stamps for the cross-hop frame ledger (DESIGN.md §6), the sender's
+	// only stage timer; nil disables tracing.
 	Trace *frametrace.Ledger
 }
 
@@ -211,8 +211,6 @@ type Sender struct {
 	depthViews []*frame.DepthImage
 
 	// Telemetry handles, resolved once in NewSender (DESIGN.md §6).
-	tel        *telemetry.Registry
-	stages     *telemetry.StageSet
 	mFrames    *telemetry.Counter
 	mKeyFrames *telemetry.Counter
 	mBytes     *telemetry.Counter
@@ -312,8 +310,6 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	if tel == nil {
 		tel = telemetry.Default
 	}
-	s.tel = tel
-	s.stages = telemetry.NewStageSet(tel)
 	s.mFrames = tel.Counter("livo_frames_encoded_total")
 	s.mKeyFrames = tel.Counter("livo_keyframes_total")
 	s.mBytes = tel.Counter("livo_sender_encoded_bytes_total")
@@ -395,20 +391,18 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 	var st cull.Stats
 	var err error
 	if s.cullsViews() {
-		t0 := time.Now()
 		views, st, err = cull.Views(s.cfg.Array, views, s.predictor.PredictFrustum())
 		if err != nil {
 			return nil, err
 		}
-		s.stages.Done(s.seq, telemetry.StageCull, t0)
 		if st.Total > 0 {
 			s.gCullKept.Set(float64(st.Kept) / float64(st.Total))
 		}
 	}
+	s.cfg.Trace.StampNow(frametrace.HopCull, 0, s.seq, frametrace.NoSub)
 
 	// 2. Stream composition: tile N views into one color + one depth frame
 	// (§3.2).
-	tileStart := time.Now()
 	colorViews := s.colorViews
 	depthViews := s.depthViews
 	for i, v := range views {
@@ -430,7 +424,7 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 	if err != nil {
 		return nil, err
 	}
-	s.stages.Done(s.seq, telemetry.StageTile, tileStart)
+	s.cfg.Trace.StampNow(frametrace.HopTile, 0, s.seq, frametrace.NoSub)
 
 	// 3. In-band sequence markers (§A.1). The quarter rung's staging images
 	// are downsampled from the *unstamped* tiles first — downsampling a
@@ -473,7 +467,6 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 	var colorPkts, depthPkts []*vcodec.Packet
 	var depthErr error
 	var wg sync.WaitGroup
-	encStart := time.Now()
 	fixedQP := !s.adapts()
 	var depthBudget, colorBudget int
 	if !fixedQP {
@@ -492,7 +485,6 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 		default:
 			depthPkt, depthErr = s.depthEnc.Encode(tiledDepth, depthBudget)
 		}
-		s.stages.Done(s.seq, telemetry.StageEncodeDepth, encStart)
 		s.cfg.Trace.StampNow(frametrace.HopEncodeDepth, 0, s.seq, frametrace.NoSub)
 	}()
 	switch {
@@ -505,7 +497,6 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 	default:
 		colorPkt, err = s.colorEnc.Encode(srcColor, colorBudget)
 	}
-	s.stages.Done(s.seq, telemetry.StageEncodeColor, encStart)
 	s.cfg.Trace.StampNow(frametrace.HopEncodeColor, 0, s.seq, frametrace.NoSub)
 	wg.Wait()
 	if err != nil {

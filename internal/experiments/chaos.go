@@ -104,7 +104,7 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 
 	// A private registry isolates this run's counters from telemetry.Default
 	// (several chaos runs execute per test binary).
-	reg := telemetry.NewRegistry(256)
+	reg := telemetry.NewRegistry()
 	sender, err := core.NewSender(core.SenderConfig{
 		Variant:    core.LiVoNoCull,
 		Array:      w.Array(),
@@ -246,10 +246,10 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 		}
 		// Sender-side hops all share the capture instant: the replay models
 		// transport time, not encode time, so these stages are zero-width.
-		tr.Stamp(frametrace.HopCapture, 0, enc.Seq, frametrace.NoSub, simNs(now))
-		tr.Stamp(frametrace.HopEncodeColor, 0, enc.Seq, frametrace.NoSub, simNs(now))
-		tr.Stamp(frametrace.HopEncodeDepth, 0, enc.Seq, frametrace.NoSub, simNs(now))
-		tr.Stamp(frametrace.HopPacketize, 0, enc.Seq, frametrace.NoSub, simNs(now))
+		for _, hop := range []frametrace.Hop{frametrace.HopCapture, frametrace.HopCull, frametrace.HopTile,
+			frametrace.HopEncodeColor, frametrace.HopEncodeDepth, frametrace.HopPacketize} {
+			tr.Stamp(hop, 0, enc.Seq, frametrace.NoSub, simNs(now))
+		}
 		var pkts []transport.Packet
 		for _, s := range []struct {
 			stream uint8

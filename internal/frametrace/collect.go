@@ -131,16 +131,18 @@ const (
 // any frame with a complete timeline the stage durations telescope to
 // exactly the end-to-end latency.
 var Stages = []stageDef{
-	{"encode", HopCapture, vEncode},
+	{"cull", HopCapture, HopCull},
+	{"tile", HopCull, HopTile},
+	{"encode", HopTile, vEncode}, // marker stamp + color/depth encode
 	{"packetize", vEncode, HopPacketize},
-	{"uplink", HopPacketize, HopRelayIngest},       // pacing + sender→relay wire
+	{"uplink", HopPacketize, HopRelayIngest},       // pacer hand-off, pacing + sender→relay wire
 	{"shard_route", HopRelayIngest, HopShardRoute}, // ingest ring wait
 	{"fanout", HopShardRoute, HopSubEnqueue},
 	{"queue_wait", HopSubEnqueue, HopSubDrain}, // subscriber queue residency
 	{"downlink", HopSubDrain, HopWire},         // batch write + relay→receiver wire
-	{"jitter_wait", HopWire, HopJitter},        // assembly + playout delay
+	{"jitter_wait", HopWire, HopJitter},        // depacketize, assembly + playout delay
 	{"decode", HopJitter, vDecode},
-	{"reconstruct", vDecode, HopReconstruct},
+	{"reconstruct", vDecode, HopReconstruct}, // color/depth pairing + reconstruction
 }
 
 // chainPoint resolves a (possibly virtual) chain endpoint on a timeline.

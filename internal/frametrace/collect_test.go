@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,8 @@ func stampChain(send, relay, recv *Ledger, seq uint32, baseNs, stepNs, relayOff,
 	t := baseNs
 	next := func() int64 { t += stepNs; return t }
 	send.Stamp(HopCapture, 0, seq, NoSub, t)
+	send.Stamp(HopCull, 0, seq, NoSub, next())
+	send.Stamp(HopTile, 0, seq, NoSub, next())
 	send.Stamp(HopEncodeColor, 0, seq, NoSub, next())
 	send.Stamp(HopEncodeDepth, 0, seq, NoSub, next())
 	send.Stamp(HopPacketize, 0, seq, NoSub, next())
@@ -64,7 +67,7 @@ func TestMergeDecompose(t *testing.T) {
 	if !okC || !okR {
 		t.Fatal("capture/reconstruct missing after merge")
 	}
-	if want := int64(12) * step; rec-cap0 != want {
+	if want := int64(14) * step; rec-cap0 != want {
 		t.Fatalf("e2e for frame 0: got %d ns, want %d", rec-cap0, want)
 	}
 
@@ -75,7 +78,7 @@ func TestMergeDecompose(t *testing.T) {
 	if len(rep.Stages) != len(Stages) {
 		t.Fatalf("got %d stages, want %d", len(rep.Stages), len(Stages))
 	}
-	// Every chain gap is one step except encode (capture→max encode = 2
+	// Every chain gap is one step except encode (tile→max encode = 2
 	// steps) and decode (jitter→max decode = 2 steps).
 	for _, st := range rep.Stages {
 		want := float64(step) / 1e6
@@ -89,7 +92,7 @@ func TestMergeDecompose(t *testing.T) {
 			t.Fatalf("stage %s: p50=%g mean=%g, want %g", st.Name, st.P50Ms, st.MeanMs, want)
 		}
 	}
-	if want := float64(12*step) / 1e6; math.Abs(rep.EndToEnd.MeanMs-want) > 1e-9 {
+	if want := float64(14*step) / 1e6; math.Abs(rep.EndToEnd.MeanMs-want) > 1e-9 {
 		t.Fatalf("e2e mean: got %g, want %g", rep.EndToEnd.MeanMs, want)
 	}
 	if rep.ReconcilePct > 1e-9 {
@@ -143,6 +146,8 @@ func TestEstimateOffset(t *testing.T) {
 func TestIncompleteTimelines(t *testing.T) {
 	led := NewLedger("x", 64)
 	led.Stamp(HopCapture, 0, 1, NoSub, 0)
+	led.Stamp(HopCull, 0, 1, NoSub, 0) // a non-culling variant: zero-width
+	led.Stamp(HopTile, 0, 1, NoSub, 1e6)
 	led.Stamp(HopEncodeColor, 0, 1, NoSub, 2e6)
 	led.Stamp(HopEncodeDepth, 0, 1, NoSub, 3e6)
 	// no further hops: frame was dropped downstream
@@ -152,9 +157,10 @@ func TestIncompleteTimelines(t *testing.T) {
 	if rep.Frames != 1 || rep.Complete != 0 {
 		t.Fatalf("frames=%d complete=%d", rep.Frames, rep.Complete)
 	}
-	if rep.Stages[0].Name != "encode" || rep.Stages[0].Count != 1 ||
-		math.Abs(rep.Stages[0].MeanMs-3) > 1e-9 {
-		t.Fatalf("encode stage: %+v", rep.Stages[0])
+	for i, want := range []float64{0, 1, 2} { // cull, tile, encode
+		if st := rep.Stages[i]; st.Name != Stages[i].Name || st.Count != 1 || math.Abs(st.MeanMs-want) > 1e-9 {
+			t.Fatalf("stage %d: %+v, want %s of %g ms", i, st, Stages[i].Name, want)
+		}
 	}
 	if rep.EndToEnd.Count != 0 || rep.ReconcilePct != 0 {
 		t.Fatalf("incomplete frame leaked into e2e: %+v", rep.EndToEnd)
@@ -192,8 +198,8 @@ func TestJSONLAndHandlers(t *testing.T) {
 		if len(obj.Hops) != NumHops {
 			t.Fatalf("line %d: %d hops, want %d", lines, len(obj.Hops), NumHops)
 		}
-		if math.Abs(obj.E2EMs-12) > 1e-9 {
-			t.Fatalf("line %d: e2e %g, want 12", lines, obj.E2EMs)
+		if math.Abs(obj.E2EMs-14) > 1e-9 {
+			t.Fatalf("line %d: e2e %g, want 14", lines, obj.E2EMs)
 		}
 		lines++
 	}
@@ -202,7 +208,7 @@ func TestJSONLAndHandlers(t *testing.T) {
 	}
 
 	fh := httptest.NewRecorder()
-	MergedFramesHandler(send, relay, recv).ServeHTTP(fh, httptest.NewRequest("GET", "/debugz/frames?n=2&sub=0", nil))
+	FramesHandler(send, relay, recv).ServeHTTP(fh, httptest.NewRequest("GET", "/debugz/frames?n=2&sub=0", nil))
 	if fh.Code != 200 || strings.Count(fh.Body.String(), "\n") != 2 {
 		t.Fatalf("frames handler: code=%d body=%q", fh.Code, fh.Body.String())
 	}
@@ -213,5 +219,38 @@ func TestJSONLAndHandlers(t *testing.T) {
 	EventsHandler(ring).ServeHTTP(eh, httptest.NewRequest("GET", "/debugz/events", nil))
 	if eh.Code != 200 || !strings.Contains(eh.Body.String(), "\"evict_key\"") {
 		t.Fatalf("events handler: code=%d body=%q", eh.Code, eh.Body.String())
+	}
+}
+
+// TestStagesHandlerIsDecompose checks that /debugz/stages serves exactly
+// Decompose of the window /debugz/frames reads, for every ?sub= choice.
+func TestStagesHandlerIsDecompose(t *testing.T) {
+	send, relay, recv := NewLedger("sender", 1024), NewLedger("relay", 1024), NewLedger("receiver", 1024)
+	for i := 0; i < 40; i++ {
+		base, step := int64(i)*40e6, int64(1e6)+int64(i%7)*1e5 // spread, so p50 ≠ p99
+		stampChain(send, relay, recv, uint32(i), base, step, 0, 0)
+		// A second subscriber, enqueued as soon as the shard reaches it.
+		relay.Stamp(HopSubEnqueue, 1, uint32(i), 1, base+7*step)
+		relay.Stamp(HopSubDrain, 1, uint32(i), 1, base+9*step)
+	}
+	h := StagesHandler(send, relay, recv)
+	for _, q := range []struct {
+		arg string
+		sub int32
+	}{{"", NoSub}, {"?sub=0", 0}, {"?sub=1", 1}} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", "/debugz/stages"+q.arg, nil))
+		var got Report
+		if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%q: %v in %s", q.arg, err, rr.Body.String())
+		}
+		c := NewCollector()
+		c.Add(send, 0)
+		c.Add(relay, 0)
+		c.Add(recv, 0)
+		want := Decompose(c.Merge(q.sub))
+		if !reflect.DeepEqual(got, want) || want.Complete != 40 {
+			t.Fatalf("%q: handler served %+v, Decompose gives %+v", q.arg, got, want)
+		}
 	}
 }

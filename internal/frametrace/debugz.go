@@ -1,6 +1,7 @@
 package frametrace
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -83,44 +84,48 @@ func queryN(r *http.Request, def int) int {
 	return def
 }
 
-// FramesHandler serves the ledger's retained stamps merged into
-// per-frame timelines as JSONL (?n= caps the number of frames, newest
-// kept; ?sub= follows one subscriber through the per-subscriber hops).
-// Intended to be mounted as /debugz/frames.
-func FramesHandler(l *Ledger) http.Handler {
-	return framesHandler(func() *Collector {
-		c := NewCollector()
+// merged is the retained window both handlers read: every stamp the
+// ledgers (sharing one clock) still hold, merged into per-frame timelines
+// that follow the subscriber named by ?sub= (any, when absent).
+func merged(r *http.Request, ledgers []*Ledger) []FrameTimeline {
+	sub := NoSub
+	if v := r.URL.Query().Get("sub"); v != "" {
+		if p, err := strconv.Atoi(v); err == nil {
+			sub = int32(p)
+		}
+	}
+	c := NewCollector()
+	for _, l := range ledgers {
 		c.Add(l, 0)
-		return c
-	})
+	}
+	return c.Merge(sub)
 }
 
-// MergedFramesHandler is FramesHandler over several ledgers sharing one
-// clock (in-process sender + relay + receiver).
-func MergedFramesHandler(ledgers ...*Ledger) http.Handler {
-	return framesHandler(func() *Collector {
-		c := NewCollector()
-		for _, l := range ledgers {
-			c.Add(l, 0)
-		}
-		return c
-	})
-}
-
-func framesHandler(mk func() *Collector) http.Handler {
+// FramesHandler serves the ledgers' retained window as JSONL timelines
+// (?n= caps the number of frames, newest kept; ?sub= follows one
+// subscriber through the per-subscriber hops). Intended to be mounted as
+// /debugz/frames.
+func FramesHandler(ledgers ...*Ledger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sub := NoSub
-		if v := r.URL.Query().Get("sub"); v != "" {
-			if p, err := strconv.Atoi(v); err == nil {
-				sub = int32(p)
-			}
-		}
-		tls := mk().Merge(sub)
+		tls := merged(r, ledgers)
 		if n := queryN(r, 64); len(tls) > n {
 			tls = tls[len(tls)-n:]
 		}
 		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
 		_ = WriteTimelinesJSONL(w, tls)
+	})
+}
+
+// StagesHandler serves Decompose of the whole retained window as one
+// JSON Report: per-stage count/p50/p99/mean, end-to-end, and the
+// reconciliation of the two (?sub= as for FramesHandler). Intended to be
+// mounted as /debugz/stages.
+func StagesHandler(ledgers ...*Ledger) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(Decompose(merged(r, ledgers)))
 	})
 }
 

@@ -1,17 +1,19 @@
 // Package frametrace is a cross-process frame lifecycle ledger: every
-// layer a frame passes through — capture, encode, packetize, relay
-// ingest, shard route, subscriber queue, wire, jitter buffer, decode,
-// reconstruct — stamps the frame's arrival at that hop into a fixed-size
-// lock-free ring, and a collector merges the sender, relay, and receiver
-// ledgers into one timeline per frame. The decomposition report built
-// from those timelines (per-stage p50/p99, stage sums reconciled against
-// end-to-end) is the latency breakdown the paper's evaluation hinges on.
+// layer a frame passes through — capture, cull, tile, encode, packetize,
+// relay ingest, shard route, subscriber queue, wire, jitter buffer,
+// decode, reconstruct — stamps the frame's arrival at that hop into a
+// fixed-size lock-free ring, and a collector merges the sender, relay, and
+// receiver ledgers into one timeline per frame. The decomposition report
+// built from those timelines (per-stage p50/p99, stage sums reconciled
+// against end-to-end) is the latency breakdown the paper's evaluation
+// hinges on, and the only per-frame stage timer in the system: each stage
+// boundary is one stamp.
 //
 // The hot path is allocation-free and never blocks, and a nil *Ledger is
 // a no-op so call sites need no enable branches of their own. Storage is
-// internal/ring, shared with telemetry.SpanRing: exclusive slot ownership,
-// a record dropped (and counted) rather than torn when two writers a full
-// lap apart collide.
+// internal/ring, shared with EventRing: exclusive slot ownership, a record
+// dropped (and counted) rather than torn when two writers a full lap
+// apart collide.
 package frametrace
 
 import (
@@ -27,6 +29,8 @@ type Hop uint8
 
 const (
 	HopCapture Hop = iota
+	HopCull        // view culling done; stamped by non-culling variants too (zero-width)
+	HopTile        // views tiled into the color and depth frames
 	HopEncodeColor
 	HopEncodeDepth
 	HopPacketize
@@ -43,7 +47,7 @@ const (
 )
 
 var hopNames = [NumHops]string{
-	"capture", "encode_color", "encode_depth", "packetize",
+	"capture", "cull", "tile", "encode_color", "encode_depth", "packetize",
 	"relay_ingest", "shard_route", "sub_enqueue", "sub_drain",
 	"wire", "jitter", "decode_color", "decode_depth", "reconstruct",
 }

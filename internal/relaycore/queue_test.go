@@ -10,7 +10,7 @@ import (
 )
 
 func testCounter() *telemetry.Counter {
-	return telemetry.NewRegistry(0).Counter("test_drops_total")
+	return telemetry.NewRegistry().Counter("test_drops_total")
 }
 
 func udp(i int) *net.UDPAddr {

@@ -11,7 +11,7 @@ import (
 )
 
 func testRetxCache(capacity int, age time.Duration) *retxCache {
-	return newRetxCache(capacity, age.Nanoseconds(), telemetry.NewRegistry(0).Counter("evict"))
+	return newRetxCache(capacity, age.Nanoseconds(), telemetry.NewRegistry().Counter("evict"))
 }
 
 // TestRetxCacheRefcounts walks the cache through insert, hit, size and age

@@ -27,7 +27,7 @@ func mediaWire(stream uint8, seq uint32, frag, count uint16, key bool, payload [
 func senderAddr() *net.UDPAddr { return &net.UDPAddr{IP: net.IPv4(10, 9, 9, 9), Port: 31000} }
 
 func testConfig() Config {
-	return Config{Telemetry: telemetry.NewRegistry(0)}
+	return Config{Telemetry: telemetry.NewRegistry()}
 }
 
 // fakeClock is an injectable Config.Now.

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// WrapUser adapts one typed ring (a Ring, or a SpanRing, Ledger or
-// EventRing built on one) to ConformWrap.
+// WrapUser adapts one typed ring (a Ring, or a Ledger or EventRing built
+// on one) to ConformWrap.
 type WrapUser struct {
 	Cap int
 	// Write records one entry whose other fields are all derived from seq.

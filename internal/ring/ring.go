@@ -1,7 +1,7 @@
 // Package ring is the one lock-free "most recent N records" ring behind
-// telemetry.SpanRing, frametrace.Ledger and frametrace.EventRing. Those
-// types pack and unpack their records into payload words; the slot
-// protocol lives here and nowhere else.
+// frametrace.Ledger and frametrace.EventRing. Those types pack and unpack
+// their records into payload words; the slot protocol lives here and
+// nowhere else.
 //
 // A slot is a ticket word plus Words payload words, all atomics. Writers
 // take a ticket with one atomic increment; ticket i belongs to slot

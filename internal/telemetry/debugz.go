@@ -7,22 +7,19 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"time"
 )
 
 // Handler returns an http.Handler exposing reg:
 //
-//	/debugz             human-readable overview: metrics, per-stage
-//	                    latency quantiles, recent spans
+//	/debugz             human-readable overview: counters and gauges
 //	/debugz/metrics     Prometheus text exposition
-//	/debugz/spans.jsonl recent spans as JSONL (?n=COUNT, default 512)
 //	/debug/vars         expvar
 //	/debug/pprof/       pprof index (profile, heap, goroutine, ...)
 func Handler(reg *Registry) http.Handler { return HandlerWith(reg, nil) }
 
 // HandlerWith is Handler plus extra endpoints mounted at their map keys
-// (e.g. "/debugz/frames", "/debugz/subscribers"); callers use it to hang
+// (e.g. "/debugz/stages", "/debugz/subscribers"); callers use it to hang
 // subsystem-specific debug pages off one server without this package
 // importing them. Extra paths are listed on the /debugz overview.
 func HandlerWith(reg *Registry, extra map[string]http.Handler) http.Handler {
@@ -41,16 +38,6 @@ func HandlerWith(reg *Registry, extra map[string]http.Handler) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WriteMetrics(w)
 	})
-	mux.HandleFunc("/debugz/spans.jsonl", func(w http.ResponseWriter, r *http.Request) {
-		n := 512
-		if v := r.URL.Query().Get("n"); v != "" {
-			if p, err := strconv.Atoi(v); err == nil && p > 0 {
-				n = p
-			}
-		}
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		_ = reg.Spans.WriteJSONL(w, n)
-	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -63,26 +50,14 @@ func HandlerWith(reg *Registry, extra map[string]http.Handler) http.Handler {
 // writeDebugz renders the human overview page.
 func writeDebugz(w http.ResponseWriter, reg *Registry, extraPaths []string) {
 	fmt.Fprintf(w, "livo /debugz — %s\n", time.Now().Format(time.RFC3339))
-	fmt.Fprintf(w, "see also: /debugz/metrics /debugz/spans.jsonl /debug/vars /debug/pprof/")
+	fmt.Fprintf(w, "see also: /debugz/metrics /debug/vars /debug/pprof/")
 	for _, p := range extraPaths {
 		fmt.Fprintf(w, " %s", p)
 	}
 	fmt.Fprintf(w, "\n\n")
 
-	fmt.Fprintf(w, "== stage latencies (s) ==\n")
-	fmt.Fprintf(w, "%-16s %10s %10s %10s %10s\n", "stage", "count", "p50", "p99", "mean")
+	fmt.Fprintf(w, "== counters & gauges ==\n")
 	m := reg.load()
-	for st := Stage(0); st < numStages; st++ {
-		h, ok := m["livo_stage_"+st.String()+"_seconds"].(*Histogram)
-		if !ok || h.Count() == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-16s %10d %10.4g %10.4g %10.4g\n",
-			st.String(), h.Count(), h.Quantile(0.5), h.Quantile(0.99),
-			h.Sum()/float64(h.Count()))
-	}
-
-	fmt.Fprintf(w, "\n== counters & gauges ==\n")
 	names := make([]string, 0, len(m))
 	for name := range m {
 		names = append(names, name)
@@ -95,14 +70,6 @@ func writeDebugz(w http.ResponseWriter, reg *Registry, extraPaths []string) {
 		case *Gauge:
 			fmt.Fprintf(w, "%-40s %g\n", name, v.Value())
 		}
-	}
-
-	fmt.Fprintf(w, "\n== recent spans (newest last, %d recorded) ==\n", reg.Spans.Recorded())
-	for _, sp := range reg.Spans.Recent(64) {
-		fmt.Fprintf(w, "seq=%-6d %-14s start=%s dur=%s\n",
-			sp.Seq, sp.Stage.String(),
-			time.Unix(0, sp.StartNs).Format("15:04:05.000"),
-			time.Duration(sp.DurNs).Round(time.Microsecond))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func fetch(t *testing.T, srv *httptest.Server, path string) string {
@@ -27,17 +26,16 @@ func fetch(t *testing.T, srv *httptest.Server, path string) string {
 }
 
 func TestDebugzEndpoint(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	reg.Counter("livo_pli_sent_total").Add(2)
 	reg.Gauge("livo_split_s").Set(0.85)
-	ss := NewStageSet(reg)
-	ss.Done(3, StageEncodeColor, time.Now().Add(-5*time.Millisecond))
+	reg.Histogram("livo_relay_read_batch_pkts", []float64{1, 2, 4}).Observe(3)
 
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
 	page := fetch(t, srv, "/debugz")
-	for _, want := range []string{"livo_pli_sent_total", "livo_split_s", "encode_color", "recent spans", "seq=3"} {
+	for _, want := range []string{"livo_pli_sent_total", "livo_split_s"} {
 		if !strings.Contains(page, want) {
 			t.Errorf("/debugz missing %q:\n%s", want, page)
 		}
@@ -47,13 +45,8 @@ func TestDebugzEndpoint(t *testing.T) {
 	if !strings.Contains(metrics, "livo_pli_sent_total 2") {
 		t.Errorf("/debugz/metrics missing counter:\n%s", metrics)
 	}
-	if !strings.Contains(metrics, "livo_stage_encode_color_seconds_bucket") {
+	if !strings.Contains(metrics, "livo_relay_read_batch_pkts_bucket") {
 		t.Errorf("/debugz/metrics missing histogram buckets:\n%s", metrics)
-	}
-
-	spans := fetch(t, srv, "/debugz/spans.jsonl?n=10")
-	if !strings.Contains(spans, "\"stage\":\"encode_color\"") {
-		t.Errorf("/debugz/spans.jsonl missing span:\n%s", spans)
 	}
 
 	if vars := fetch(t, srv, "/debug/vars"); !strings.Contains(vars, "cmdline") {
@@ -65,7 +58,7 @@ func TestDebugzEndpoint(t *testing.T) {
 }
 
 func TestServeDebug(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	srv, addr, err := ServeDebug("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,33 +7,28 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Registry holds named metrics and the span ring. Metric handles are
-// registered once (GetOrCreate semantics, guarded by a mutex) and then
-// updated lock-free; the name→metric map is copy-on-write so handle
-// lookups and the exposition path never block updates.
+// Registry holds named metrics. Metric handles are registered once
+// (GetOrCreate semantics, guarded by a mutex) and then updated lock-free;
+// the name→metric map is copy-on-write so handle lookups and the
+// exposition path never block updates.
 type Registry struct {
 	enabled atomic.Bool
 	mu      sync.Mutex   // guards registration (map copy) only
 	metrics atomic.Value // map[string]any — *Counter, *Gauge, or *Histogram
-	// Spans is the frame-path span ring (span.go).
-	Spans *SpanRing
 }
 
-// NewRegistry creates an enabled registry whose span ring holds spanCap
-// entries (rounded up to a power of two; 0 picks a small default).
-func NewRegistry(spanCap int) *Registry {
-	r := &Registry{Spans: NewSpanRing(spanCap)}
+// NewRegistry creates an empty, enabled registry.
+func NewRegistry() *Registry {
+	r := &Registry{}
 	r.metrics.Store(map[string]any{})
 	r.enabled.Store(true)
-	r.Spans.on = &r.enabled
 	return r
 }
 
 // SetEnabled turns all updates on or off. Disabled, every metric update
-// and span record is one atomic load plus a branch.
+// is one atomic load plus a branch.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
 // Enabled reports whether updates are recorded.
@@ -192,9 +187,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // Count returns how many values were observed.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
@@ -301,34 +293,3 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 }
 
 func formatBound(b float64) string { return fmt.Sprintf("%g", b) }
-
-// StageSet bundles per-stage latency histograms with span recording: one
-// Done call per stage observes the stage's histogram
-// (livo_stage_<name>_seconds) and appends a span to the registry's ring.
-type StageSet struct {
-	reg  *Registry
-	hist [numStages]*Histogram
-}
-
-// NewStageSet registers (or re-resolves) the per-stage histograms on reg.
-func NewStageSet(reg *Registry) *StageSet {
-	ss := &StageSet{reg: reg}
-	for st := Stage(0); st < numStages; st++ {
-		ss.hist[st] = reg.Histogram("livo_stage_"+st.String()+"_seconds", LatencyBuckets)
-	}
-	return ss
-}
-
-// Done records that stage st of frame seq started at start and just
-// finished: its latency lands in the stage histogram and the span ring.
-func (ss *StageSet) Done(seq uint32, st Stage, start time.Time) {
-	if !ss.reg.enabled.Load() {
-		return
-	}
-	d := time.Since(start)
-	ss.hist[st].Observe(d.Seconds())
-	ss.reg.Spans.Record(seq, st, start.UnixNano(), int64(d))
-}
-
-// Hist returns the latency histogram for one stage (reporting).
-func (ss *StageSet) Hist(st Stage) *Histogram { return ss.hist[st] }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	c := reg.Counter("livo_test_total")
 	c.Inc()
 	c.Add(4)
@@ -35,7 +35,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 }
 
 func TestRegisterKindMismatchPanics(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	reg.Counter("livo_mismatch")
 	defer func() {
 		if recover() == nil {
@@ -49,7 +49,7 @@ func TestRegisterKindMismatchPanics(t *testing.T) {
 // uniform distribution: with per-unit buckets the linear interpolation is
 // exact up to one bucket width.
 func TestHistogramQuantileUniform(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	bounds := make([]float64, 100)
 	for i := range bounds {
 		bounds[i] = float64(i + 1) // 1..100
@@ -78,7 +78,7 @@ func TestHistogramQuantileUniform(t *testing.T) {
 // TestHistogramQuantileExponential checks quantiles of a (scaled)
 // exponential distribution against its analytic inverse CDF.
 func TestHistogramQuantileExponential(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	bounds := make([]float64, 200)
 	for i := range bounds {
 		bounds[i] = 0.05 * float64(i+1) // 0.05..10
@@ -99,7 +99,7 @@ func TestHistogramQuantileExponential(t *testing.T) {
 }
 
 func TestHistogramEdgeCases(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	h := reg.Histogram("livo_edge", []float64{1, 2})
 	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Error("empty histogram quantile should be NaN")
@@ -122,7 +122,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 // any quantile estimate would be fabricated — the sentinel is NaN even
 // after observations arrive.
 func TestHistogramQuantileNoFiniteBuckets(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	h := reg.Histogram("livo_nobounds", nil)
 	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Error("empty no-bounds histogram should be NaN")
@@ -145,7 +145,7 @@ func TestHistogramQuantileNoFiniteBuckets(t *testing.T) {
 // TestRegistryConcurrent hammers registration and updates from many
 // goroutines; run under -race this validates the lock-free paths.
 func TestRegistryConcurrent(t *testing.T) {
-	reg := NewRegistry(256)
+	reg := NewRegistry()
 	names := []string{"livo_a_total", "livo_b_total", "livo_c_total", "livo_d_total"}
 	const workers = 8
 	const iters = 2000
@@ -157,7 +157,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				reg.Counter(names[i%len(names)]).Inc()
 				reg.Gauge("livo_g").Set(float64(i))
-				reg.Histogram("livo_h", LatencyBuckets).Observe(float64(i%100) / 1000)
+				reg.Histogram("livo_h", []float64{1e-3, 10e-3, 0.1}).Observe(float64(i%100) / 1000)
 				if i%100 == 0 {
 					var sb strings.Builder
 					reg.WriteMetrics(&sb) // exposition concurrent with updates
@@ -179,7 +179,7 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestWriteMetricsFormat(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	reg.Counter("livo_frames_total").Add(3)
 	reg.Gauge("livo_split_s").Set(0.8)
 	h := reg.Histogram("livo_lat_seconds", []float64{0.1, 1})
@@ -200,19 +200,5 @@ func TestWriteMetricsFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
-	}
-}
-
-func TestStageSet(t *testing.T) {
-	reg := NewRegistry(64)
-	ss := NewStageSet(reg)
-	start := nowForTest()
-	ss.Done(7, StageEncodeColor, start)
-	if got := ss.Hist(StageEncodeColor).Count(); got != 1 {
-		t.Fatalf("stage histogram count = %d, want 1", got)
-	}
-	spans := reg.Spans.Recent(10)
-	if len(spans) != 1 || spans[0].Seq != 7 || spans[0].Stage != StageEncodeColor {
-		t.Fatalf("unexpected spans: %+v", spans)
 	}
 }

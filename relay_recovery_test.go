@@ -300,7 +300,7 @@ func TestRelayRetxRecovery(t *testing.T) {
 		QueueDepth:       2048,
 		RetxCachePackets: 4096,
 		RetxCacheAge:     10 * time.Second,
-		Telemetry:        telemetry.NewRegistry(0),
+		Telemetry:        telemetry.NewRegistry(),
 	})
 	for _, s := range conn.order {
 		relay.Subscribe(s.addr)
@@ -410,7 +410,7 @@ func TestRelayLivenessEviction(t *testing.T) {
 			evicted = append(evicted, a.String())
 			evictMu.Unlock()
 		},
-		Telemetry: telemetry.NewRegistry(0),
+		Telemetry: telemetry.NewRegistry(),
 	})
 	relay.Subscribe(silent.addr)
 	relay.Subscribe(live.addr)
@@ -450,7 +450,7 @@ func TestRelayReadError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sender, _ := net.ResolveUDPAddr("udp", "127.0.0.1:1")
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	relay := NewRelayWith(c, sender, relaycore.Config{Telemetry: reg})
 
 	done := make(chan struct{})

@@ -61,7 +61,7 @@ func TestRelayUDPBatchWirePath(t *testing.T) {
 
 	relay := NewRelayGroup(conns, senderConn.LocalAddr(), relaycore.Config{
 		Shards:    2,
-		Telemetry: telemetry.NewRegistry(0),
+		Telemetry: telemetry.NewRegistry(),
 	})
 	for _, sc := range subs {
 		relay.Subscribe(sc.LocalAddr())

@@ -58,7 +58,6 @@ type SendSession struct {
 	plisRecv  atomic.Int64
 
 	// Telemetry handles, resolved once in NewSendSession (DESIGN.md §6).
-	stages                                   *telemetry.StageSet
 	mPkts, mBytes, mPaceDrops, mRetx, mPLIRx *telemetry.Counter
 	gRate                                    *telemetry.Gauge
 }
@@ -114,7 +113,6 @@ func NewSendSession(conn net.PacketConn, remote net.Addr, cfg SendSessionConfig)
 	if tel == nil {
 		tel = telemetry.Default
 	}
-	s.stages = telemetry.NewStageSet(tel)
 	s.mPkts = tel.Counter("livo_send_packets_total")
 	s.mBytes = tel.Counter("livo_send_bytes_total")
 	s.mPaceDrops = tel.Counter("livo_pace_drops_total")
@@ -205,7 +203,6 @@ func (s *SendSession) SendViews(views []RGBDFrame) (*EncodedFrame, error) {
 		s.pliArmed.Store(false)
 	}
 	ts := uint64(s.now() * 1e6)
-	tPkt := time.Now()
 	var pkts []transport.Packet
 	if enc.ColorRungs != nil {
 		// Ladder mode: every rung of both streams goes on the wire once; the
@@ -234,17 +231,13 @@ func (s *SendSession) SendViews(views []RGBDFrame) (*EncodedFrame, error) {
 			pkts = append(pkts, transport.BuildParity(depthPkts)...)
 		}
 	}
-	s.stages.Done(enc.Seq, telemetry.StagePacketize, tPkt)
 	s.trace.StampNow(frametrace.HopPacketize, 0, enc.Seq, frametrace.NoSub)
-	tSend := time.Now()
+	// Handing the frame to the pacer is part of the trace's uplink stage.
 	for i := range pkts {
 		if err := s.sendPacket(&pkts[i]); err != nil {
 			return nil, err
 		}
 	}
-	// StageSend covers handing the frame to the pacer, not the paced wire
-	// time (that is rate-limited by design and would dwarf real stage costs).
-	s.stages.Done(enc.Seq, telemetry.StageSend, tSend)
 	s.frames.Add(1)
 	return enc, nil
 }
@@ -494,7 +487,6 @@ type RecvSession struct {
 	rttUs     atomic.Int64 // smoothed RTT, microseconds (0 before the first pong)
 
 	// Telemetry handles, resolved once in NewRecvSession (DESIGN.md §6).
-	stages                               *telemetry.StageSet
 	mRx, mNACKSent, mPLISent, mConceal   *telemetry.Counter
 	gEstRate, gJitterColor, gJitterDepth *telemetry.Gauge
 }
@@ -562,7 +554,6 @@ func NewRecvSession(conn net.PacketConn, remote net.Addr, cfg RecvSessionConfig)
 	if tel == nil {
 		tel = telemetry.Default
 	}
-	r.stages = telemetry.NewStageSet(tel)
 	r.mRx = tel.Counter("livo_recv_packets_total")
 	r.mNACKSent = tel.Counter("livo_nack_sent_total")
 	r.mPLISent = tel.Counter("livo_pli_sent_total")
@@ -650,12 +641,10 @@ func (r *RecvSession) handleDatagram(buf []byte, now float64) bool {
 	if buf[0] != mediaMagic {
 		return false // other feedback types or junk: not ours
 	}
-	t0 := time.Now()
 	pkt, err := transport.Unmarshal(buf[1:])
 	if err != nil {
 		return false
 	}
-	r.stages.Done(pkt.FrameSeq, telemetry.StageDepacketize, t0)
 	if pkt.FragIndex == 0 && !pkt.Parity {
 		r.trace.StampNow(frametrace.HopWire, pkt.Stream, pkt.FrameSeq, frametrace.NoSub)
 	}
@@ -754,20 +743,14 @@ func (r *RecvSession) drain(now float64) (next float64, pending bool) {
 			next, pending = at, true
 		}
 	}
-	r.gJitterColor.SetInt(int64(r.jb[0][0].Stats().Pending))
-	r.gJitterDepth.SetInt(int64(r.jb[1][0].Stats().Pending))
+	r.gJitterColor.SetInt(int64(r.streamStats(0).Pending))
+	r.gJitterDepth.SetInt(int64(r.streamStats(1).Pending))
 	return next, pending
 }
 
 // deliver decodes one frame leaving the jitter buffers and, when it
 // completes a pair, reconstructs and hands over the cloud.
 func (r *RecvSession) deliver(stream uint8, af transport.AssembledFrame, now float64) {
-	// Record jitter-buffer residency (first fragment arrival → delivery) as
-	// the jitter stage: reassembly plus the playout wait.
-	if res := now - af.FirstArrival; res > 0 {
-		r.stages.Done(af.FrameSeq, telemetry.StageJitter,
-			time.Now().Add(-time.Duration(res*float64(time.Second))))
-	}
 	r.trace.StampNow(frametrace.HopJitter, stream, af.FrameSeq, frametrace.NoSub)
 	pkt := &vcodec.Packet{Data: af.Data, Key: af.Key, Seq: af.FrameSeq, Rung: af.Rung}
 	var pf *PairedFrame
@@ -884,7 +867,8 @@ type RecvStats struct {
 	// EstRateBps is the congestion estimator's current bandwidth estimate
 	// (as last advertised via REMB).
 	EstRateBps float64
-	// Color and Depth are the per-stream jitter-buffer snapshots.
+	// Color and Depth are the per-stream jitter-buffer snapshots, summed
+	// over the stream's rung buffers.
 	Color, Depth transport.Stats
 	// Err is the session's terminal async error, nil while healthy.
 	Err error
@@ -901,10 +885,24 @@ func (r *RecvSession) Stats() RecvStats {
 		PLIsSent:   r.plisSent.Load(),
 		RTT:        float64(r.rttUs.Load()) / 1e6,
 		EstRateBps: float64(r.estRate.Load()),
-		Color:      r.jb[0][0].Stats(),
-		Depth:      r.jb[1][0].Stats(),
+		Color:      r.streamStats(0),
+		Depth:      r.streamStats(1),
 		Err:        r.Err(),
 	}
+}
+
+// streamStats sums one stream's jitter-buffer counters over its rungs: a
+// ladder subscriber's frames sit in whichever rung's buffer it is served.
+func (r *RecvSession) streamStats(si int) (sum transport.Stats) {
+	for _, jb := range r.jb[si] {
+		st := jb.Stats()
+		sum.Pending += st.Pending
+		sum.Delivered += st.Delivered
+		sum.Skipped += st.Skipped
+		sum.Nacked += st.Nacked
+		sum.FECRecovered += st.FECRecovered
+	}
+	return sum
 }
 
 // Decoded returns how many paired frames were reconstructed.

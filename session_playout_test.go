@@ -4,6 +4,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -437,46 +438,40 @@ func TestSessionLossNoWorseThanFixedDelay(t *testing.T) {
 	}
 }
 
-// TestSessionRungSwitchKeepsOrder: a relay moving a subscriber between rungs
-// sends it the new rung from a key frame on, and around that boundary the two
-// rungs' packets interleave. Frames must still come out in sequence: the old
-// rung's last frame, though it completes after the new rung's key frame,
-// leaves first.
-func TestSessionRungSwitchKeepsOrder(t *testing.T) {
-	// Dancers: delta frames with something in them, on every rung.
+// frameRung names one rung's encoding of one frame.
+type frameRung struct {
+	seq  uint32
+	rung uint8
+}
+
+// wirePkt is one media datagram as the sender put it on the wire.
+type wirePkt struct {
+	b    []byte
+	tail bool // the last of several fragments
+}
+
+// ladderWires encodes frames of v (dancers: delta frames with something in
+// them, on every rung) with a ladder SendSession aimed at relay, a stand-in
+// for the relay on nw, and collects every frame's packets there per rung.
+func ladderWires(t *testing.T, nw *memNet, relay *memConn, frames, gop int) (*scene.Video, map[frameRung][]wirePkt) {
+	t.Helper()
 	v, err := scene.OpenVideo("band2", manyPacketCapture())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		frames = 24
-		gop    = 6
-	)
-	nw := newMemNet()
-	sConn, relay, rConn := nw.listen(t), nw.listen(t), nw.listen(t)
-
-	// Encode a ladder and collect every frame's packets per rung at the
-	// stand-in relay.
-	send, err := NewSendSession(sConn, relay.LocalAddr(), SendSessionConfig{
+	send, err := NewSendSession(nw.listen(t), relay.LocalAddr(), SendSessionConfig{
 		Sender: SenderConfig{Array: v.Array, ViewParams: DefaultViewParams(), Ladder: true, GOP: gop},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer send.Close()
 	for i := 0; i < frames; i++ {
 		if _, err := send.SendViews(v.Frame(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want := int(send.Stats().Packets)
-	type frameRung struct {
-		seq  uint32
-		rung uint8
-	}
-	type wirePkt struct {
-		b    []byte
-		tail bool // the last of several fragments
-	}
 	wires := map[frameRung][]wirePkt{}
 	for got := 0; got < want; got++ {
 		b, ok := relay.recv(5 * time.Second)
@@ -490,7 +485,22 @@ func TestSessionRungSwitchKeepsOrder(t *testing.T) {
 		k := frameRung{p.FrameSeq, p.Rung}
 		wires[k] = append(wires[k], wirePkt{b, p.FragCount > 1 && p.FragIndex == p.FragCount-1})
 	}
-	_ = send.Close()
+	return v, wires
+}
+
+// TestSessionRungSwitchKeepsOrder: a relay moving a subscriber between rungs
+// sends it the new rung from a key frame on, and around that boundary the two
+// rungs' packets interleave. Frames must still come out in sequence: the old
+// rung's last frame, though it completes after the new rung's key frame,
+// leaves first.
+func TestSessionRungSwitchKeepsOrder(t *testing.T) {
+	const (
+		frames = 24
+		gop    = 6
+	)
+	nw := newMemNet()
+	relay, rConn := nw.listen(t), nw.listen(t)
+	v, wires := ladderWires(t, nw, relay, frames, gop)
 
 	recv, err := NewRecvSession(rConn, relay.LocalAddr(), RecvSessionConfig{Receiver: ReceiverConfig{Array: v.Array}})
 	if err != nil {
@@ -564,6 +574,37 @@ func TestSessionRungSwitchKeepsOrder(t *testing.T) {
 	}
 	if st := recv.Stats(); st.Concealed != 0 {
 		t.Fatalf("%d frames concealed across clean rung switches", st.Concealed)
+	}
+}
+
+// TestRecvStatsCountEveryRung: a subscriber the relay serves rung 2 alone
+// reports that rung's frames in Stats().Color and .Depth, which sum each
+// stream's rung buffers rather than reading rung 0's.
+func TestRecvStatsCountEveryRung(t *testing.T) {
+	const frames = 8
+	nw := newMemNet()
+	relay, rConn := nw.listen(t), nw.listen(t)
+	v, wires := ladderWires(t, nw, relay, frames, 30)
+
+	recv, err := NewRecvSession(rConn, relay.LocalAddr(), RecvSessionConfig{Receiver: ReceiverConfig{Array: v.Array}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	var delivered atomic.Int64
+	recv.OnCloud = func(uint32, *PointCloud) { delivered.Add(1) }
+	go recv.Run()
+	for seq := 0; seq < frames; seq++ {
+		for _, w := range wires[frameRung{uint32(seq), 2}] {
+			_, _ = relay.WriteTo(w.b, rConn.LocalAddr())
+		}
+	}
+	for deadline := time.Now().Add(3 * time.Second); delivered.Load() < frames && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	st := recv.Stats()
+	if n := delivered.Load(); n != frames || st.Color.Delivered != n || st.Depth.Delivered != n || st.Color.Pending+st.Depth.Pending != 0 {
+		t.Fatalf("%d of %d rung-2 frames delivered, stats color %+v depth %+v", n, frames, st.Color, st.Depth)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestSessionTraceReconciles(t *testing.T) {
 	ledSend := frametrace.NewLedger("sender", 1<<12)
 	ledRelay := frametrace.NewLedger("relay", 1<<12)
 	ledRecv := frametrace.NewLedger("recv", 1<<12)
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 
 	relay := NewRelayWith(relayConn, sConn.LocalAddr(), relaycore.Config{Telemetry: reg, Trace: ledRelay})
 	relay.Subscribe(rConn.LocalAddr())
