@@ -15,16 +15,15 @@ import (
 )
 
 // ReceiverConfig configures a LiVo receiver. Camera calibration and tiling
-// geometry are exchanged once at connection setup (§A.1).
+// geometry are exchanged once at connection setup (§A.1); everything else
+// the decoders must agree on with the sender is fixed: the depth scaling
+// range is depth.DefaultMaxMM on both ends, and quarter-resolution rungs
+// are recognized from vcodec.DefaultLadder(), the sender's only ladder.
 type ReceiverConfig struct {
-	Array      camera.Array
-	GOP        int
-	MaxDepthMM uint16
+	Array camera.Array
 	// VoxelSize controls receiver-side voxelization before rendering
 	// (§A.1); 0 disables it.
 	VoxelSize float64
-	// FlateLevel must match the sender's entropy setting.
-	FlateLevel int
 	// Telemetry receives frame-path counters and gauges (DESIGN.md §6); nil
 	// uses telemetry.Default.
 	Telemetry *telemetry.Registry
@@ -32,21 +31,6 @@ type ReceiverConfig struct {
 	// the cross-hop frame ledger (DESIGN.md §6), the receiver's only stage
 	// timer; nil disables tracing.
 	Trace *frametrace.Ledger
-	// Rungs describes the sender's quality ladder so quarter-resolution
-	// rungs can be recognized and routed through the superres path; nil
-	// selects vcodec.DefaultLadder(). Legacy single-rung streams mark every
-	// packet rung 0 and never touch the ladder path.
-	Rungs []vcodec.Rung
-}
-
-func (c ReceiverConfig) withDefaults() ReceiverConfig {
-	if c.MaxDepthMM == 0 {
-		c.MaxDepthMM = depth.DefaultMaxMM
-	}
-	if c.GOP <= 0 {
-		c.GOP = 30
-	}
-	return c
 }
 
 // PairedFrame is a decoded, sequence-matched pair of tiled frames ready
@@ -104,7 +88,6 @@ type Receiver struct {
 
 // NewReceiver builds a receiver matching the sender's configuration.
 func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Array.N() == 0 {
 		return nil, fmt.Errorf("core: receiver needs at least one camera")
 	}
@@ -114,20 +97,11 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		return nil, err
 	}
 	tw, th := tiler.FrameSize()
-	colorCfg := vcodec.ColorConfig(tw, th)
-	colorCfg.GOP = cfg.GOP
-	colorCfg.FlateLevel = cfg.FlateLevel
-	colorDec, err := vcodec.NewDecoder(colorCfg)
+	colorDec, err := vcodec.NewDecoder(vcodec.ColorConfig(tw, th))
 	if err != nil {
 		return nil, err
 	}
-	depthDec, err := depth.NewDecoder(depth.Config{
-		Scheme: depth.Scaled16,
-		Width:  tw, Height: th,
-		MaxMM:      cfg.MaxDepthMM,
-		GOP:        cfg.GOP,
-		FlateLevel: cfg.FlateLevel,
-	})
+	depthDec, err := depth.NewDecoder(depth.Config{Scheme: depth.Scaled16, Width: tw, Height: th})
 	if err != nil {
 		return nil, err
 	}
@@ -149,11 +123,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		mMismatches:   tel.Counter("livo_seq_mismatch_total"),
 		gPendingPairs: tel.Gauge("livo_pending_unpaired_frames"),
 	}
-	rungs := cfg.Rungs
-	if rungs == nil {
-		rungs = vcodec.DefaultLadder()
-	}
-	for _, rung := range rungs {
+	for _, rung := range vcodec.DefaultLadder() {
 		if rung.Quarter && int(rung.ID) < len(r.quarterRung) {
 			r.quarterRung[rung.ID] = true
 		}
@@ -176,11 +146,7 @@ func (r *Receiver) quarterDims() (int, int) {
 func (r *Receiver) decodeQuarterColor(pkt *vcodec.Packet) (*frame.ColorImage, uint32, error) {
 	tw, th := r.tiler.FrameSize()
 	if r.qColorDec == nil {
-		qw, qh := r.quarterDims()
-		qcfg := vcodec.ColorConfig(qw, qh)
-		qcfg.GOP = r.cfg.GOP
-		qcfg.FlateLevel = r.cfg.FlateLevel
-		dec, err := vcodec.NewDecoder(qcfg)
+		dec, err := vcodec.NewDecoder(vcodec.ColorConfig(r.quarterDims()))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -211,13 +177,7 @@ func (r *Receiver) decodeQuarterDepth(pkt *vcodec.Packet) (*frame.DepthImage, ui
 	tw, th := r.tiler.FrameSize()
 	if r.qDepthDec == nil {
 		qw, qh := r.quarterDims()
-		dec, err := depth.NewDecoder(depth.Config{
-			Scheme: depth.Scaled16,
-			Width:  qw, Height: qh,
-			MaxMM:      r.cfg.MaxDepthMM,
-			GOP:        r.cfg.GOP,
-			FlateLevel: r.cfg.FlateLevel,
-		})
+		dec, err := depth.NewDecoder(depth.Config{Scheme: depth.Scaled16, Width: qw, Height: qh})
 		if err != nil {
 			return nil, 0, err
 		}

@@ -41,7 +41,7 @@ const (
 	// §4.1, but keeps bandwidth adaptation).
 	LiVoNoCull
 	// LiVoNoAdapt disables bandwidth adaptation and culling, encoding at
-	// fixed quality (color QP 22, depth QP 14 — Starline's settings, §4.5).
+	// fixed quality (fixedColorQP/fixedDepthQP — Starline's settings, §4.5).
 	LiVoNoAdapt
 	// LiVoStaticSplit keeps adaptation and culling but uses a fixed
 	// bandwidth split (the Fig 18/19 comparison).
@@ -64,6 +64,23 @@ func (v Variant) String() string {
 	}
 }
 
+// Parameters the paper fixes by design or by measurement. The encoders run
+// at the codec's default entropy effort and zero-motion search (§3.2), and
+// the depth stream is scaled over depth.DefaultMaxMM, which the receiver
+// shares.
+const (
+	// fps is the capture frame rate; the per-frame byte budget is the
+	// bandwidth estimate divided by it.
+	fps = 30
+	// initialSplit is s_i, the empirical starting split from the Fig 4
+	// profile (§3.3): 0.85.
+	initialSplit = 0.85
+	// fixedColorQP and fixedDepthQP are LiVoNoAdapt's quality settings,
+	// Starline's 22 and 14 (§4.5).
+	fixedColorQP = 22
+	fixedDepthQP = 14
+)
+
 // SenderConfig configures a LiVo sender.
 type SenderConfig struct {
 	Variant Variant
@@ -72,25 +89,12 @@ type SenderConfig struct {
 	// ViewParams are the receiver headset's viewing parameters, exchanged
 	// at session setup (§3.4).
 	ViewParams geom.ViewParams
-	// FPS is the capture frame rate (30).
-	FPS int
-	// GOP is the key-frame interval for both encoders.
+	// GOP is the key-frame interval for both encoders (default 30).
 	GOP int
 	// GuardBand is the culling guard band ε in meters (default 0.20).
 	GuardBand float64
-	// InitialSplit is s_i (default 0.8).
-	InitialSplit float64
-	// StaticSplit is the fixed split for LiVoStaticSplit.
+	// StaticSplit is the fixed split for LiVoStaticSplit (default 0.8).
 	StaticSplit float64
-	// FixedColorQP/FixedDepthQP are the LiVoNoAdapt quality settings
-	// (defaults 22 and 14, §4.5).
-	FixedColorQP, FixedDepthQP int
-	// SearchRadius is the codec motion search radius (default 0).
-	SearchRadius int
-	// MaxDepthMM is the depth scaling range (default 6000).
-	MaxDepthMM uint16
-	// FlateLevel tunes the entropy coder (default 4).
-	FlateLevel int
 	// Ladder enables the encode-once quality ladder (DESIGN.md §8): each
 	// frame is encoded at vcodec.DefaultLadder()'s rungs — full quality, a
 	// requantized cheaper copy, and a quarter-resolution copy — and
@@ -113,30 +117,14 @@ type SenderConfig struct {
 }
 
 func (c SenderConfig) withDefaults() SenderConfig {
-	if c.FPS <= 0 {
-		c.FPS = 30
-	}
 	if c.GOP <= 0 {
 		c.GOP = 30
 	}
 	if c.GuardBand == 0 {
 		c.GuardBand = 0.20
 	}
-	if c.InitialSplit == 0 {
-		// The empirical s_i from the Fig 4 profile (§3.3).
-		c.InitialSplit = 0.85
-	}
 	if c.StaticSplit == 0 {
 		c.StaticSplit = 0.8
-	}
-	if c.FixedColorQP == 0 {
-		c.FixedColorQP = 22
-	}
-	if c.FixedDepthQP == 0 {
-		c.FixedDepthQP = 14
-	}
-	if c.MaxDepthMM == 0 {
-		c.MaxDepthMM = depth.DefaultMaxMM
 	}
 	return c
 }
@@ -241,15 +229,7 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 
 	colorCfg := vcodec.ColorConfig(tw, th)
 	colorCfg.GOP = cfg.GOP
-	colorCfg.SearchRadius = cfg.SearchRadius
-	colorCfg.FlateLevel = cfg.FlateLevel
-	depthCfg := depth.Config{
-		Scheme: depth.Scaled16,
-		Width:  tw, Height: th,
-		MaxMM:      cfg.MaxDepthMM,
-		GOP:        cfg.GOP,
-		FlateLevel: cfg.FlateLevel,
-	}
+	depthCfg := depth.Config{Scheme: depth.Scaled16, Width: tw, Height: th, GOP: cfg.GOP}
 	var colorEnc *vcodec.Encoder
 	var depthEnc *depth.Encoder
 	var colorLad *vcodec.LadderEncoder
@@ -274,7 +254,7 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 		}
 	}
 
-	initial := cfg.InitialSplit
+	initial := initialSplit
 	if cfg.Variant == LiVoStaticSplit {
 		initial = cfg.StaticSplit
 	}
@@ -455,7 +435,7 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 	// 4. Bandwidth split + encoding (§3.3). The two streams go through
 	// independent encoders, so they encode concurrently (the split is
 	// decided before either starts); packet bytes are unaffected.
-	targetBytes := int(bandwidthBps / 8 / float64(s.cfg.FPS))
+	targetBytes := int(bandwidthBps / 8 / fps)
 	if targetBytes < 64 {
 		targetBytes = 64
 	}
@@ -477,11 +457,11 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 		defer wg.Done()
 		switch {
 		case s.cfg.Ladder && fixedQP:
-			depthPkts, depthErr = s.depthLad.EncodeLadderQP(tiledDepth, s.qDepth, s.cfg.FixedDepthQP)
+			depthPkts, depthErr = s.depthLad.EncodeLadderQP(tiledDepth, s.qDepth, fixedDepthQP)
 		case s.cfg.Ladder:
 			depthPkts, depthErr = s.depthLad.EncodeLadder(tiledDepth, s.qDepth, depthBudget)
 		case fixedQP:
-			depthPkt, depthErr = s.depthEnc.EncodeQP(tiledDepth, s.cfg.FixedDepthQP)
+			depthPkt, depthErr = s.depthEnc.EncodeQP(tiledDepth, fixedDepthQP)
 		default:
 			depthPkt, depthErr = s.depthEnc.Encode(tiledDepth, depthBudget)
 		}
@@ -489,11 +469,11 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 	}()
 	switch {
 	case s.cfg.Ladder && fixedQP:
-		colorPkts, err = s.colorLad.EncodeLadderQP(srcColor, s.qsrcColor, s.cfg.FixedColorQP)
+		colorPkts, err = s.colorLad.EncodeLadderQP(srcColor, s.qsrcColor, fixedColorQP)
 	case s.cfg.Ladder:
 		colorPkts, err = s.colorLad.EncodeLadder(srcColor, s.qsrcColor, colorBudget)
 	case fixedQP:
-		colorPkt, err = s.colorEnc.EncodeQP(srcColor, s.cfg.FixedColorQP)
+		colorPkt, err = s.colorEnc.EncodeQP(srcColor, fixedColorQP)
 	default:
 		colorPkt, err = s.colorEnc.Encode(srcColor, colorBudget)
 	}
@@ -524,9 +504,9 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 		}
 		if colorRecon != nil && depthRecon != nil {
 			colorRMSE = vcodec.PlaneRMSE(srcColor, colorRecon)
-			normDepth := depthRMSENorm(tiledDepth, depthRecon, float64(s.cfg.MaxDepthMM))
+			normDepth := depthRMSENorm(tiledDepth, depthRecon, depth.DefaultMaxMM)
 			if normDepth >= 0 { // negative: recon geometry mismatch, skip the probe
-				depthRMSE = normDepth * float64(s.cfg.MaxDepthMM)
+				depthRMSE = normDepth * depth.DefaultMaxMM
 				if evaluate {
 					s.splitter.Observe(normDepth, colorRMSE/255)
 				}

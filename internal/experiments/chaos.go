@@ -115,7 +115,7 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	receiver, err := core.NewReceiver(core.ReceiverConfig{Array: w.Array(), GOP: cc.GOP, Telemetry: reg})
+	receiver, err := core.NewReceiver(core.ReceiverConfig{Array: w.Array(), Telemetry: reg})
 	if err != nil {
 		return nil, err
 	}

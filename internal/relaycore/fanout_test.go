@@ -52,7 +52,7 @@ type fanoutRig struct {
 func newFanoutRig(subs, rungs int, cfg Config) *fanoutRig {
 	g := &fanoutRig{out: &discardWriter{}, clk: &fakeClock{}}
 	g.clk.Advance(time.Second)
-	cfg.Now = g.clk.Now
+	cfg.now = g.clk.Now
 	g.r = NewRouter(g.out, senderAddr(), cfg)
 	for rung := 0; rung < rungs; rung++ {
 		g.tmpl = append(g.tmpl, mediaWireRung(transport.StreamColor, 0, 0, fanoutFrags[rung], false, uint8(rung), make([]byte, 1000)))

@@ -1,5 +1,7 @@
 package relaycore
 
+import "time"
+
 // Feedback aggregation state. Unlike the media path, which is sharded
 // across cores, the reverse path stays centralized: its job is global
 // deduplication (one PLI per window, one NACK per fragment, one REMB
@@ -115,6 +117,10 @@ type nackCoalescer struct {
 	inserts int
 }
 
+// nackWindow is how long duplicate requests for one fragment are coalesced:
+// about one retransmission round trip.
+const nackWindow = 50 * time.Millisecond
+
 // nackSweepEvery bounds staleness-sweep frequency; nackMapMax forces a
 // sweep when the map outgrows the plausible in-window working set.
 const (
@@ -144,6 +150,11 @@ func (c *nackCoalescer) ShouldForward(k nackKey, now int64) bool {
 	}
 	return true
 }
+
+// pliWindow is the PLI refresh window. It matches transport.PLITracker's
+// resend interval: the sender-side storm guard admits one refresh per
+// window anyway.
+const pliWindow = 250 * time.Millisecond
 
 // pliGate forwards at most one PLI per refresh window — the relay-side
 // mirror of Sender.RequestKeyFrame's refresh-in-flight guard. A

@@ -34,7 +34,7 @@ func FuzzRouteFeedback(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, who uint8) {
 		rec := newRecWriter()
 		cfg := testConfig()
-		cfg.Shards, cfg.WritersPerShard = 1, 1
+		cfg.Shards = 1
 		r := NewRouter(rec, senderAddr(), cfg)
 		primary, other, stranger := udp(1), udp(2), udp(500)
 		r.Subscribe(primary)

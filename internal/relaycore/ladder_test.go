@@ -106,7 +106,7 @@ func TestLadderSwitchAtKeyBoundary(t *testing.T) {
 			rec := newRecWriter()
 			cfg := testConfig()
 			cfg.Shards = shards
-			cfg.Now = clk.Now
+			cfg.now = clk.Now
 			r := NewRouter(rec, senderAddr(), cfg)
 			h := &ladderHarness{t: t, r: r, clk: clk}
 
@@ -235,7 +235,7 @@ func TestLadderClassesConverge(t *testing.T) {
 	clk := &fakeClock{}
 	rec := newRecWriter()
 	cfg := testConfig()
-	cfg.Now = clk.Now
+	cfg.now = clk.Now
 	r := NewRouter(rec, senderAddr(), cfg)
 	defer r.Close()
 	h := &ladderHarness{t: t, r: r, clk: clk}
@@ -318,7 +318,7 @@ func TestRouterRandomSchedule(t *testing.T) {
 				rec := newRecWriter()
 				cfg := testConfig()
 				cfg.Shards = shards
-				cfg.Now = clk.Now
+				cfg.now = clk.Now
 				r := NewRouter(rec, senderAddr(), cfg)
 				addrs := make([]net.Addr, subs)
 				for i := range addrs {

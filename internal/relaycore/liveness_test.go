@@ -2,47 +2,41 @@ package relaycore
 
 import (
 	"fmt"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
+	"livo/internal/frametrace"
 	"livo/internal/transport"
 )
 
-// TestLivenessEviction: a subscriber whose reverse path goes silent past
-// the window is evicted in full — queue torn down with every pooled buffer
-// released (gets == puts across all shards), primary repointed, REMB entry
-// evicted so the forwarded minimum rises — and the OnEvict hook and
-// LivenessEvicted counter both fire. Runs at shards=1 and shards=4 (under
-// -race via the tier-1 relaycore race list).
+// TestLivenessEviction: a subscriber that has spoken and then stays silent
+// past silenceWindow is evicted in full — queue torn down with every pooled
+// buffer released (gets == puts across all shards), primary repointed, REMB
+// entry evicted so the forwarded minimum rises — and the eviction shows in
+// Stats, the telemetry counter and the event ring. A subscriber that never
+// spoke stays. Runs at shards=1 and shards=4 (under -race via the tier-1
+// relaycore race list).
 func TestLivenessEviction(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			clk := &fakeClock{}
 			rec := newRecWriter()
-			silent, live := udp(1), udp(2)
+			silent, live, mute := udp(1), udp(2), udp(3)
 			// The silent subscriber's socket also stalls, so its queue holds
 			// a backlog of pooled buffers at eviction time — the teardown
 			// must release them all.
 			stall := &stallWriter{rec: rec, stalled: silent.String(), release: make(chan struct{})}
-
-			var evictMu sync.Mutex
-			var evicted []string
+			events := frametrace.NewEventRing(64)
 			cfg := testConfig()
 			cfg.Shards = shards
-			cfg.QueueDepth = 256
-			cfg.SilenceWindow = 500 * time.Millisecond
-			cfg.Now = clk.Now
-			cfg.OnEvict = func(a net.Addr) {
-				evictMu.Lock()
-				evicted = append(evicted, a.String())
-				evictMu.Unlock()
-			}
+			cfg.queueDepth = 256
+			cfg.now = clk.Now
+			cfg.Events = events
 			r := NewRouter(stall, senderAddr(), cfg)
 
 			r.Subscribe(silent)
 			r.Subscribe(live)
+			r.Subscribe(mute)
 			if r.Primary().String() != silent.String() {
 				t.Fatalf("primary = %v, want the first subscriber %v", r.Primary(), silent)
 			}
@@ -60,27 +54,38 @@ func TestLivenessEviction(t *testing.T) {
 				r.RouteMedia(pool.Load(mediaWire(1, uint32(i/8), uint16(i%8), 8, false, []byte{byte(i)})))
 			}
 
-			// The live subscriber stays active inside the window; the other
-			// goes quiet.
-			clk.Advance(400 * time.Millisecond)
+			// Inside the window nobody goes; just past it the subscriber that
+			// spoke and fell silent does, while the live one (quiet for 200
+			// ms) and the one that never spoke stay.
+			clk.Advance(silenceWindow - 100*time.Millisecond)
 			r.RouteFeedback(transport.AppendREMB(nil, 8e6), live)
-			clk.Advance(200 * time.Millisecond) // silent: 600 ms quiet; live: 200 ms
-
-			r.EvictStale()
-			if got := r.Subscribers(); got != 1 {
-				t.Fatalf("subscribers = %d after eviction, want 1", got)
+			if n := r.EvictStale(); n != 0 {
+				t.Fatalf("EvictStale evicted %d inside the window, want 0", n)
+			}
+			clk.Advance(200 * time.Millisecond)
+			if n := r.EvictStale(); n != 1 {
+				t.Fatalf("EvictStale evicted %d past the window, want 1", n)
+			}
+			if got := r.Subscribers(); got != 2 {
+				t.Fatalf("subscribers = %d after eviction, want 2", got)
 			}
 			if r.Primary().String() != live.String() {
 				t.Fatalf("primary = %v after eviction, want %v", r.Primary(), live)
 			}
-			evictMu.Lock()
-			hooks := append([]string(nil), evicted...)
-			evictMu.Unlock()
-			if len(hooks) != 1 || hooks[0] != silent.String() {
-				t.Fatalf("OnEvict calls = %v, want [%s]", hooks, silent)
-			}
 			if st := r.Stats(); st.LivenessEvicted != 1 {
 				t.Fatalf("LivenessEvicted = %d, want 1", st.LivenessEvicted)
+			}
+			if got := cfg.Telemetry.Counter("livo_relay_liveness_evictions_total").Value(); got != 1 {
+				t.Fatalf("livo_relay_liveness_evictions_total = %d, want 1", got)
+			}
+			var evicted []int32
+			for _, ev := range events.Recent(64) {
+				if ev.Kind == frametrace.EvLivenessEvict {
+					evicted = append(evicted, ev.Sub)
+				}
+			}
+			if len(evicted) != 1 || evicted[0] != 0 {
+				t.Fatalf("liveness events for subs %v, want [0] (the silent subscriber)", evicted)
 			}
 
 			// With the slow subscriber's REMB entry gone, the forwarded
@@ -105,21 +110,57 @@ func TestLivenessEviction(t *testing.T) {
 	}
 }
 
-// TestLivenessSweepBackground: the background sweep (real ticker) evicts a
-// silent subscriber without an explicit EvictStale call.
+// TestLivenessSparesWhoCannotBeJudged: silence is only evidence against a
+// subscriber with a reverse path. One that never sent feedback (a sink)
+// survives ten windows of it, and one that keeps speaking at the feedback
+// cadence is never evicted, however often the sweep runs.
+func TestLivenessSparesWhoCannotBeJudged(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			clk := &fakeClock{}
+			cfg := testConfig()
+			cfg.Shards = shards
+			cfg.now = clk.Now
+			r := NewRouter(newRecWriter(), senderAddr(), cfg)
+			defer r.Close()
+			mute, chatty := udp(1), udp(2)
+			r.Subscribe(mute)
+			r.Subscribe(chatty)
+			for elapsed := time.Duration(0); elapsed < 10*silenceWindow; elapsed += 33 * time.Millisecond {
+				clk.Advance(33 * time.Millisecond)
+				r.RouteFeedback(transport.AppendREMB(nil, 5e6), chatty)
+				if n := r.EvictStale(); n != 0 {
+					t.Fatalf("EvictStale evicted %d after %v, want 0", n, elapsed)
+				}
+			}
+			if got := r.Subscribers(); got != 2 {
+				t.Fatalf("subscribers = %d, want 2", got)
+			}
+			if st := r.Stats(); st.LivenessEvicted != 0 {
+				t.Fatalf("LivenessEvicted = %d, want 0", st.LivenessEvicted)
+			}
+		})
+	}
+}
+
+// TestLivenessSweepBackground: the background sweep (real ticker, every
+// silenceWindow/4) evicts a subscriber that spoke and fell silent without
+// an explicit EvictStale call.
 func TestLivenessSweepBackground(t *testing.T) {
-	rec := newRecWriter()
+	clk := &fakeClock{}
 	cfg := testConfig()
 	cfg.Shards = 1
-	cfg.SilenceWindow = 60 * time.Millisecond
-	r := NewRouter(rec, senderAddr(), cfg)
+	cfg.now = clk.Now
+	r := NewRouter(newRecWriter(), senderAddr(), cfg)
 	defer r.Close()
 
 	silent, live := udp(1), udp(2)
 	r.Subscribe(silent)
 	r.Subscribe(live)
+	r.RouteFeedback(transport.AppendREMB(nil, 5e6), silent)
+	clk.Advance(2 * silenceWindow)
 
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(4 * silenceWindow)
 	for time.Now().Before(deadline) {
 		r.RouteFeedback(transport.AppendREMB(nil, 5e6), live)
 		if r.Subscribers() == 1 {
@@ -132,25 +173,6 @@ func TestLivenessSweepBackground(t *testing.T) {
 	}
 	if r.Primary().String() != live.String() {
 		t.Fatalf("primary = %v, want %v", r.Primary(), live)
-	}
-}
-
-// TestLivenessDisabledByDefault: the zero config never evicts — benchmark
-// and test subscribers send no feedback at all.
-func TestLivenessDisabledByDefault(t *testing.T) {
-	clk := &fakeClock{}
-	cfg := testConfig()
-	cfg.Shards = 1
-	cfg.Now = clk.Now
-	r := NewRouter(newRecWriter(), senderAddr(), cfg)
-	defer r.Close()
-	r.Subscribe(udp(1))
-	clk.Advance(time.Hour)
-	if n := r.EvictStale(); n != 0 {
-		t.Fatalf("EvictStale evicted %d with liveness disabled, want 0", n)
-	}
-	if got := r.Subscribers(); got != 1 {
-		t.Fatalf("subscribers = %d, want 1", got)
 	}
 }
 

@@ -96,7 +96,6 @@ type SubQueue struct {
 	size        int
 	limit       int     // adaptive effective depth (≤ len(ring))
 	minLimit    int     // adaptive floor
-	window      float64 // seconds of traffic the limit targets (BDP window)
 	avgBytes    int     // EMA of enqueued packet size
 	inFlight    frameID // frame of the most recently popped entry
 	hasInFlight bool
@@ -114,7 +113,21 @@ type SubQueue struct {
 	telDrops *telemetry.Counter
 }
 
-func newSubQueue(addr net.Addr, depth, minDepth int, window time.Duration, telDrops *telemetry.Counter) *SubQueue {
+const (
+	// defaultQueueDepth is the per-subscriber ring capacity in packets
+	// (about a second of 4K media), the ceiling of the adaptive limit.
+	defaultQueueDepth = 1024
+	// minQueueDepth floors the adaptive limit: a few frames of headroom
+	// however slow the subscriber's REMB.
+	minQueueDepth = 64
+	// depthWindow is the bandwidth-delay window the adaptive limit targets:
+	// a queue holds about this much traffic at its subscriber's REMB rate.
+	depthWindow = 250 * time.Millisecond
+)
+
+// newSubQueue allocates a ring of depth packets (rounded up to a power of
+// two) whose adaptive limit never falls below minDepth.
+func newSubQueue(addr net.Addr, depth, minDepth int, telDrops *telemetry.Counter) *SubQueue {
 	cap := 1
 	for cap < depth {
 		cap <<= 1
@@ -129,7 +142,6 @@ func newSubQueue(addr net.Addr, depth, minDepth int, window time.Duration, telDr
 		mask:     cap - 1,
 		limit:    cap,
 		minLimit: minDepth,
-		window:   window.Seconds(),
 		avgBytes: transport.MTU,
 		telDrops: telDrops,
 	}
@@ -272,7 +284,7 @@ func (q *SubQueue) dropFrameLocked(incomingKey bool) bool {
 }
 
 // UpdateBandwidth retargets the effective ring depth to the subscriber's
-// bandwidth-delay product: window seconds of traffic at bps, in packets of
+// bandwidth-delay product: depthWindow of traffic at bps, in packets of
 // the observed average size, clamped to [minLimit, capacity]. Shrinking
 // does not discard queued packets; the next over-limit Enqueue runs the
 // drop policy down to the new bound.
@@ -282,7 +294,7 @@ func (q *SubQueue) UpdateBandwidth(bps float64) {
 	if avg <= 0 {
 		avg = transport.MTU
 	}
-	pkts := int(bps * q.window / 8 / float64(avg))
+	pkts := int(bps * depthWindow.Seconds() / 8 / float64(avg))
 	if pkts < q.minLimit {
 		pkts = q.minLimit
 	}

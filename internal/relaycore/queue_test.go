@@ -28,7 +28,7 @@ func tag(frame, frag int) []byte { return []byte(fmt.Sprintf("f%d.%d", frame, fr
 // testQueue builds an unscheduled queue (no shard): tests drive drains with
 // drainOnce, exactly the pop/write/release sequence writer workers run.
 func testQueue(addr net.Addr, depth int) *SubQueue {
-	return newSubQueue(addr, depth, 0, 250*time.Millisecond, testCounter())
+	return newSubQueue(addr, depth, 0, testCounter())
 }
 
 // drainAll pumps drainOnce until the queue idles.
@@ -331,7 +331,7 @@ func TestQueueInterleavedRunNeverSplit(t *testing.T) {
 // low ones — and enqueues beyond the shrunken limit trigger the drop policy.
 func TestQueueAdaptiveDepth(t *testing.T) {
 	addr := udp(8)
-	q := newSubQueue(addr, 1024, 16, 250*time.Millisecond, testCounter())
+	q := newSubQueue(addr, 1024, 16, testCounter())
 	bp := NewBufPool(2048)
 
 	if st := q.stats(); st.Limit != 1024 {

@@ -2,8 +2,18 @@ package relaycore
 
 import (
 	"sync"
+	"time"
 
 	"livo/internal/telemetry"
+)
+
+const (
+	// retxCachePackets bounds the relay-wide cache. The router splits it
+	// evenly across shards, floored at 64 packets per shard.
+	retxCachePackets = 1024
+	// retxCacheAge bounds how old a cached packet may be and still serve a
+	// NACK: past it the receiver has skipped the frame.
+	retxCacheAge = time.Second
 )
 
 // retxCache is a bounded FIFO of recently routed media packets, keyed by
@@ -19,12 +29,12 @@ import (
 // caller — the pool's Live() leak invariant keeps holding through any
 // interleaving of route, NACK, eviction, and shutdown.
 //
-// Sizing: capacity is packets, age is wall time; with the defaults
-// (1024 packets / 1 s) the cache holds about one GOP of 4K media — the
-// window inside which a receiver's NACK (NackAfter 15 ms, re-request
-// 250 ms) can still arrive. Duplicate keys (a rare sender retransmission
-// passing through) overwrite in place: the newer copy wins and the older
-// slot is released immediately.
+// Sizing: capacity is packets, age is wall time; the router's caches hold
+// retxCachePackets / retxCacheAge, about one GOP of 4K media — the window
+// inside which a receiver's NACK (NackAfter 15 ms, re-request 250 ms) can
+// still arrive. Duplicate keys (a rare sender retransmission passing
+// through) overwrite in place: the newer copy wins and the older slot is
+// released immediately.
 type retxCache struct {
 	mu     sync.Mutex
 	closed bool

@@ -209,8 +209,7 @@ func TestNACKCacheExpiry(t *testing.T) {
 	rec := newRecWriter()
 	cfg := testConfig()
 	cfg.Shards = 1
-	cfg.Now = clk.Now
-	cfg.RetxCacheAge = 500 * time.Millisecond
+	cfg.now = clk.Now
 	r := NewRouter(rec, senderAddr(), cfg)
 	defer r.Close()
 
@@ -220,7 +219,7 @@ func TestNACKCacheExpiry(t *testing.T) {
 	if !r.WaitIdle(2 * time.Second) {
 		t.Fatal("router did not drain")
 	}
-	clk.Advance(time.Second)
+	clk.Advance(2 * retxCacheAge)
 	r.RouteFeedback(transport.MarshalNACK(1, 1, 0), sub)
 	if got := rec.count(senderAddr()); got != 1 {
 		t.Fatalf("expired entry should escalate to the sender, got %d sender packets", got)

@@ -70,58 +70,14 @@ func WriteBatch(w Writer, ps [][]byte, addr net.Addr) (n int, err error) {
 	return n, nil
 }
 
-// Config parameterizes a Router. The zero value picks production defaults.
+// Config parameterizes a Router. The zero value picks production defaults;
+// every other size and window of the data plane is a constant beside the
+// code that reads it.
 type Config struct {
 	// Shards is the number of data-plane shards — subscriber-registry
 	// partitions with their own ingest goroutine, buffer pool, and writer
 	// workers (default GOMAXPROCS).
 	Shards int
-	// WritersPerShard sizes each shard's writer-worker pool (default 4).
-	// Workers steal across shards, so the pool is a per-core drain budget,
-	// not a per-subscriber one.
-	WritersPerShard int
-	// QueueDepth is the per-subscriber ring capacity in packets (rounded
-	// up to a power of two; default 1024 ≈ a second of 4K media). It is the
-	// ceiling of the adaptive depth limit.
-	QueueDepth int
-	// MinQueueDepth floors the adaptive depth limit (default 64 — a few
-	// frames of headroom however slow the subscriber's REMB).
-	MinQueueDepth int
-	// DepthWindow is the bandwidth-delay window the adaptive limit targets:
-	// a subscriber's queue holds about DepthWindow seconds of traffic at
-	// its REMB-estimated rate (default 250 ms).
-	DepthWindow time.Duration
-	// BufClass is the pooled packet-buffer size (default 2048 bytes).
-	BufClass int
-	// PLIWindow is the PLI dedup window (default 250 ms, matching
-	// transport.PLITracker's resend interval — the sender-side storm guard
-	// admits one refresh per window anyway).
-	PLIWindow time.Duration
-	// NACKWindow coalesces duplicate fragment requests (default 50 ms,
-	// about one retransmission RTT).
-	NACKWindow time.Duration
-	// REMBInterval rate-limits forwarding of an unchanged REMB minimum
-	// (default 33 ms, the receivers' own feedback cadence).
-	REMBInterval time.Duration
-	// RetxCachePackets bounds the relay-wide retransmission cache (default
-	// 1024 packets ≈ one GOP of 4K media — the window a receiver's NACK can
-	// still usefully arrive in). The budget is split evenly across shards,
-	// floored at 64 packets per shard.
-	RetxCachePackets int
-	// RetxCacheAge bounds how old a cached packet may be and still serve a
-	// NACK (default 1 s — past that the receiver has skipped the frame).
-	RetxCacheAge time.Duration
-	// SilenceWindow evicts a subscriber whose reverse path has been silent
-	// (no feedback of any kind) for this long: its queue is torn down, its
-	// REMB entry leaves the forwarded minimum, and the primary is
-	// repointed. Zero disables liveness eviction (the default — receivers
-	// send feedback every 33 ms, so even one second is generous in
-	// production, but benchmarks and tests drive media with no reverse
-	// path at all).
-	SilenceWindow time.Duration
-	// OnEvict, when set, is called off the hot path with the address of
-	// each liveness-evicted subscriber.
-	OnEvict func(addr net.Addr)
 	// Telemetry receives the livo_relay_* series (default
 	// telemetry.Default).
 	Telemetry *telemetry.Registry
@@ -136,43 +92,34 @@ type Config struct {
 	// drops with reason, PLI forwards, retransmission-cache hits/misses,
 	// REMB minimum changes, and liveness evictions.
 	Events *frametrace.EventRing
-	// Now overrides the clock (tests).
-	Now func() time.Time
+
+	// queueDepth overrides defaultQueueDepth and now the wall clock; only
+	// this package's tests set them.
+	queueDepth int
+	now        func() time.Time
 }
+
+const (
+	// writersPerShard sizes each shard's writer-worker pool. Workers steal
+	// across shards, so the pool is a per-core drain budget, not a
+	// per-subscriber one.
+	writersPerShard = 4
+	// rembInterval rate-limits forwarding of an unchanged REMB aggregate to
+	// the receivers' own feedback cadence.
+	rembInterval = 33 * time.Millisecond
+	// silenceWindow is how long a subscriber that has spoken may go without
+	// any reverse-path packet before the liveness sweep evicts it: about 60
+	// feedback intervals, and above the 10–700 ms host stalls a shared host
+	// shows (benchmark/README.md). The sweep runs every silenceWindow/4.
+	silenceWindow = 2 * time.Second
+)
 
 func (c *Config) fill() {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
-	if c.WritersPerShard <= 0 {
-		c.WritersPerShard = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.MinQueueDepth <= 0 {
-		c.MinQueueDepth = 64
-	}
-	if c.DepthWindow <= 0 {
-		c.DepthWindow = 250 * time.Millisecond
-	}
-	if c.BufClass <= 0 {
-		c.BufClass = DefaultBufClass
-	}
-	if c.PLIWindow <= 0 {
-		c.PLIWindow = 250 * time.Millisecond
-	}
-	if c.NACKWindow <= 0 {
-		c.NACKWindow = 50 * time.Millisecond
-	}
-	if c.REMBInterval <= 0 {
-		c.REMBInterval = 33 * time.Millisecond
-	}
-	if c.RetxCachePackets <= 0 {
-		c.RetxCachePackets = 1024
-	}
-	if c.RetxCacheAge <= 0 {
-		c.RetxCacheAge = time.Second
+	if c.queueDepth <= 0 {
+		c.queueDepth = defaultQueueDepth
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.Default
@@ -190,9 +137,12 @@ type Subscriber struct {
 	shard int
 
 	// lastActive is the ns timestamp of the newest reverse-path packet from
-	// this subscriber (stamped at subscribe and on every RouteFeedback);
-	// the liveness sweep evicts subscribers silent past the window.
+	// this subscriber (stamped at subscribe and on every RouteFeedback), and
+	// spoke is set by the first one. Only a subscriber that has spoken has a
+	// reverse path whose silence means anything, so the liveness sweep
+	// judges only those.
 	lastActive atomic.Int64
+	spoke      atomic.Bool
 }
 
 // Addr returns the subscriber's address.
@@ -310,10 +260,10 @@ func NewRouter(out Writer, sender net.Addr, cfg Config) *Router {
 		sender:    sender,
 		senderKey: KeyOf(sender),
 		remb:      newREMBMin(),
-		nacks:     newNACKCoalescer(cfg.NACKWindow.Nanoseconds()),
+		nacks:     newNACKCoalescer(nackWindow.Nanoseconds()),
 		closedCh:  make(chan struct{}),
 	}
-	r.pli.window = cfg.PLIWindow.Nanoseconds()
+	r.pli.window = pliWindow.Nanoseconds()
 	r.snap.Store(&subSnapshot{byKey: map[Key]*Subscriber{}})
 	reg := cfg.Telemetry
 	r.telMedia = reg.Counter("livo_relay_media_packets_total")
@@ -339,21 +289,21 @@ func NewRouter(out Writer, sender net.Addr, cfg Config) *Router {
 
 	// Each shard's cache share; floored so a many-shard router still holds
 	// a useful window per shard.
-	retxPerShard := cfg.RetxCachePackets / cfg.Shards
+	retxPerShard := retxCachePackets / cfg.Shards
 	if retxPerShard < 64 {
 		retxPerShard = 64
 	}
 	r.shards = make([]*shard, cfg.Shards)
 	r.pools = make([]*BufPool, cfg.Shards)
 	for i := range r.shards {
-		r.pools[i] = NewBufPool(cfg.BufClass)
+		r.pools[i] = NewBufPool(DefaultBufClass)
 		r.shards[i] = newShard(i, r.pools[i],
 			reg.Counter(fmt.Sprintf("livo_relay_shard_%d_routed_total", i)),
 			reg.Counter(fmt.Sprintf("livo_relay_shard_%d_stolen_total", i)))
 		r.shards[i].trace = cfg.Trace
 		r.shards[i].rungSwitches = &r.rungSwitches
 		r.shards[i].telRungSwitch = r.telRungSwitch
-		r.shards[i].retx = newRetxCache(retxPerShard, cfg.RetxCacheAge.Nanoseconds(), r.telRetxEvict)
+		r.shards[i].retx = newRetxCache(retxPerShard, retxCacheAge.Nanoseconds(), r.telRetxEvict)
 		r.shards[i].now = r.now
 	}
 	r.ingestWg.Add(len(r.shards))
@@ -361,15 +311,13 @@ func NewRouter(out Writer, sender net.Addr, cfg Config) *Router {
 		go s.runIngest(&r.ingestWg)
 	}
 	for i := range r.shards {
-		r.writerWg.Add(cfg.WritersPerShard)
-		for w := 0; w < cfg.WritersPerShard; w++ {
+		r.writerWg.Add(writersPerShard)
+		for w := 0; w < writersPerShard; w++ {
 			go r.runWriter(i)
 		}
 	}
-	if cfg.SilenceWindow > 0 {
-		r.liveWg.Add(1)
-		go r.runLiveness()
-	}
+	r.liveWg.Add(1)
+	go r.runLiveness()
 	return r
 }
 
@@ -390,8 +338,8 @@ func (r *Router) Shards() int { return len(r.shards) }
 func (r *Router) Sender() net.Addr { return r.sender }
 
 func (r *Router) now() int64 {
-	if r.cfg.Now != nil {
-		return r.cfg.Now().UnixNano()
+	if r.cfg.now != nil {
+		return r.cfg.now().UnixNano()
 	}
 	return time.Now().UnixNano()
 }
@@ -413,7 +361,7 @@ func (r *Router) Subscribe(addr net.Addr) {
 		key:   k,
 		id:    r.subSeq.Add(1) - 1,
 		shard: shardIdx,
-		q:     newSubQueue(addr, r.cfg.QueueDepth, r.cfg.MinQueueDepth, r.cfg.DepthWindow, r.telDrops),
+		q:     newSubQueue(addr, r.cfg.queueDepth, minQueueDepth, r.telDrops),
 	}
 	sub.q.sub = sub.id
 	sub.q.events = r.cfg.Events
@@ -661,6 +609,7 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 	if sub != nil {
 		// Any reverse-path packet proves the subscriber alive.
 		sub.lastActive.Store(r.now())
+		sub.spoke.Store(true)
 	}
 	switch b[0] {
 	case transport.FBREMB:
@@ -688,7 +637,7 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 			target = r.remb.Max()
 		}
 		downswitch := sub != nil && sub.q.retarget(&r.rates, bps)
-		fwd := !r.rembSent || target != r.lastREMBMin || now-r.lastREMBFwd >= r.cfg.REMBInterval.Nanoseconds()
+		fwd := !r.rembSent || target != r.lastREMBMin || now-r.lastREMBFwd >= rembInterval.Nanoseconds()
 		if fwd {
 			r.rembSent = true
 			r.lastREMBMin = target
@@ -820,22 +769,19 @@ func (r *Router) serveRetx(k nackKey, sub *Subscriber, from net.Addr) bool {
 	return true
 }
 
-// EvictStale removes every subscriber whose reverse path has been silent
-// for at least the configured SilenceWindow, returning how many were
-// evicted. Each eviction is a full Unsubscribe — queue teardown, REMB
+// EvictStale removes every subscriber that has spoken and then stayed
+// silent for at least silenceWindow, returning how many were evicted. A
+// subscriber that never sent feedback has no reverse path to judge and is
+// never evicted. Each eviction is a full Unsubscribe — queue teardown, REMB
 // entry release (a vanished receiver's stale estimate no longer pins the
-// forwarded minimum), primary repoint — plus the OnEvict hook. The
-// background sweep calls this on a SilenceWindow/4 cadence; tests with a
-// fake clock may call it directly.
+// forwarded minimum), primary repoint. The background sweep calls this
+// every silenceWindow/4; tests with a fake clock may call it directly.
 func (r *Router) EvictStale() int {
-	if r.cfg.SilenceWindow <= 0 {
-		return 0
-	}
 	now := r.now()
-	cutoff := now - r.cfg.SilenceWindow.Nanoseconds()
+	cutoff := now - silenceWindow.Nanoseconds()
 	var stale []*Subscriber
 	for _, s := range r.snap.Load().subs {
-		if s.lastActive.Load() < cutoff {
+		if s.spoke.Load() && s.lastActive.Load() < cutoff {
 			stale = append(stale, s)
 		}
 	}
@@ -846,18 +792,15 @@ func (r *Router) EvictStale() int {
 			r.liveEvicted.Add(1)
 			r.telLiveEvict.Inc()
 			r.cfg.Events.Add(frametrace.EvLivenessEvict, 0, 0, s.id, now-s.lastActive.Load())
-			if r.cfg.OnEvict != nil {
-				r.cfg.OnEvict(s.addr)
-			}
 		}
 	}
 	return n
 }
 
-// runLiveness is the background liveness sweep (SilenceWindow > 0).
+// runLiveness is the background liveness sweep.
 func (r *Router) runLiveness() {
 	defer r.liveWg.Done()
-	tick := time.NewTicker(r.cfg.SilenceWindow / 4)
+	tick := time.NewTicker(silenceWindow / 4)
 	defer tick.Stop()
 	for {
 		select {

@@ -30,7 +30,7 @@ func testConfig() Config {
 	return Config{Telemetry: telemetry.NewRegistry()}
 }
 
-// fakeClock is an injectable Config.Now.
+// fakeClock is an injectable Config.now.
 type fakeClock struct{ ns atomic.Int64 }
 
 func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
@@ -121,7 +121,7 @@ func TestStalledSubscriberIsolation(t *testing.T) {
 			w := &stallWriter{rec: newRecWriter(), stalled: stalled.String(), release: make(chan struct{})}
 			const depth = 64
 			cfg := testConfig()
-			cfg.QueueDepth = depth
+			cfg.queueDepth = depth
 			cfg.Shards = shards
 			r := NewRouter(w, senderAddr(), cfg)
 
@@ -290,7 +290,7 @@ func TestPLIBurst64(t *testing.T) {
 	sender := senderAddr()
 	clk := &fakeClock{}
 	cfg := testConfig()
-	cfg.Now = clk.Now
+	cfg.now = clk.Now
 	r := NewRouter(rec, sender, cfg)
 	defer r.Close()
 
@@ -342,7 +342,7 @@ func TestNACKCoalesceAcrossSubscribers(t *testing.T) {
 	sender := senderAddr()
 	clk := &fakeClock{}
 	cfg := testConfig()
-	cfg.Now = clk.Now
+	cfg.now = clk.Now
 	r := NewRouter(rec, sender, cfg)
 	defer r.Close()
 
@@ -419,7 +419,7 @@ func TestRouterChaos64(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			rec := newRecWriter()
 			cfg := testConfig()
-			cfg.QueueDepth = 256
+			cfg.queueDepth = 256
 			cfg.Shards = shards
 			r := NewRouter(rec, senderAddr(), cfg)
 
@@ -520,7 +520,7 @@ func TestUnsubscribeMidFrameReleasesBuffers(t *testing.T) {
 	leaving := udp(99)
 	w := &stallWriter{rec: newRecWriter(), stalled: leaving.String(), release: make(chan struct{})}
 	cfg := testConfig()
-	cfg.QueueDepth = 64
+	cfg.queueDepth = 64
 	cfg.Shards = 4
 	r := NewRouter(w, senderAddr(), cfg)
 
@@ -577,7 +577,7 @@ func TestUnsubscribeMidFrameReleasesBuffers(t *testing.T) {
 // shard leaks buffers; run under -race.
 func TestRouterShardedAccounting64(t *testing.T) {
 	cfg := testConfig()
-	cfg.QueueDepth = 32 // shallow: force the drop policy to engage
+	cfg.queueDepth = 32 // shallow: force the drop policy to engage
 	cfg.Shards = 4
 	rec := newRecWriter()
 	r := NewRouter(rec, senderAddr(), cfg)
@@ -688,12 +688,8 @@ func TestRouterBatchWriterPath(t *testing.T) {
 // TestREMBAdaptsQueueDepth: a subscriber's REMB flows through RouteFeedback
 // into its queue's adaptive limit (SubStats.Limit tracks the BDP estimate).
 func TestREMBAdaptsQueueDepth(t *testing.T) {
-	cfg := testConfig()
-	cfg.QueueDepth = 1024
-	cfg.MinQueueDepth = 16
-	cfg.DepthWindow = 250 * time.Millisecond
 	rec := newRecWriter()
-	r := NewRouter(rec, senderAddr(), cfg)
+	r := NewRouter(rec, senderAddr(), testConfig())
 	defer r.Close()
 
 	sub := udp(1)
@@ -711,8 +707,9 @@ func TestREMBAdaptsQueueDepth(t *testing.T) {
 	if got := limitOf(); got != 1024 {
 		t.Fatalf("initial limit = %d, want full depth 1024", got)
 	}
-	// Starve the estimate: at 1 Mbps over a 250 ms window and MTU-sized
-	// packets (the initial size EMA) the BDP is ~26 packets.
+	// Starve the estimate: at 1 Mbps over the 250 ms depth window and
+	// MTU-sized packets (the initial size EMA) the BDP is ~26 packets, so
+	// the limit drops to its minQueueDepth floor.
 	r.RouteFeedback(transport.AppendREMB(nil, 1e6), sub)
 	lo := limitOf()
 	if lo >= 1024 || lo < 16 {

@@ -14,25 +14,16 @@ import (
 // the name→metric map is copy-on-write so handle lookups and the
 // exposition path never block updates.
 type Registry struct {
-	enabled atomic.Bool
 	mu      sync.Mutex   // guards registration (map copy) only
 	metrics atomic.Value // map[string]any — *Counter, *Gauge, or *Histogram
 }
 
-// NewRegistry creates an empty, enabled registry.
+// NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	r := &Registry{}
 	r.metrics.Store(map[string]any{})
-	r.enabled.Store(true)
 	return r
 }
-
-// SetEnabled turns all updates on or off. Disabled, every metric update
-// is one atomic load plus a branch.
-func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// Enabled reports whether updates are recorded.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
 
 func (r *Registry) load() map[string]any { return r.metrics.Load().(map[string]any) }
 
@@ -62,7 +53,7 @@ func (r *Registry) register(name string, mk func() any) any {
 // needed. Registering the same name as a different metric kind panics
 // (programmer error, caught at startup).
 func (r *Registry) Counter(name string) *Counter {
-	m := r.register(name, func() any { return &Counter{on: &r.enabled} })
+	m := r.register(name, func() any { return &Counter{} })
 	c, ok := m.(*Counter)
 	if !ok {
 		panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
@@ -72,7 +63,7 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the gauge registered under name, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
-	m := r.register(name, func() any { return &Gauge{on: &r.enabled} })
+	m := r.register(name, func() any { return &Gauge{} })
 	g, ok := m.(*Gauge)
 	if !ok {
 		panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
@@ -85,7 +76,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // appended). Buckets are fixed at registration; later calls ignore the
 // argument and return the existing histogram.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	m := r.register(name, func() any { return newHistogram(&r.enabled, bounds) })
+	m := r.register(name, func() any { return newHistogram(bounds) })
 	h, ok := m.(*Histogram)
 	if !ok {
 		panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
@@ -95,15 +86,14 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
-	on *atomic.Bool
-	v  atomic.Int64
+	v atomic.Int64
 }
 
 // Add increments the counter by n.
 // A nil *Counter is a valid no-op handle, so optionally instrumented
 // components can leave their handles nil instead of branching at each site.
 func (c *Counter) Add(n int64) {
-	if c != nil && c.on.Load() {
+	if c != nil {
 		c.v.Add(n)
 	}
 }
@@ -121,16 +111,11 @@ func (c *Counter) Value() int64 {
 
 // Gauge is an atomically settable float64 value.
 type Gauge struct {
-	on   *atomic.Bool
 	bits atomic.Uint64
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g.on.Load() {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // SetInt stores an integer value.
 func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
@@ -139,21 +124,19 @@ func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram with atomic per-bucket counts.
-// Observations must be non-negative (latencies, sizes); quantile
-// estimation interpolates linearly within the bucket containing the
-// target rank.
+// Observations must be non-negative (latencies, sizes); /debugz serves the
+// cumulative buckets, and readers estimate quantiles from them.
 type Histogram struct {
-	on     *atomic.Bool
 	bounds []float64 // ascending upper bounds; counts has one extra +Inf slot
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-func newHistogram(on *atomic.Bool, bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
-	return &Histogram{on: on, bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
+	return &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
 }
 
 // bucketIndex is the index of the first bound >= v (binary search; the
@@ -173,9 +156,6 @@ func (h *Histogram) bucketIndex(v float64) int {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if !h.on.Load() {
-		return
-	}
 	h.counts[h.bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	for {
@@ -192,50 +172,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Quantile estimates the q-th quantile (0..1) of the observed
-// distribution by linear interpolation inside the bucket holding the
-// target rank. When no finite estimate exists it returns a sentinel
-// rather than a fabricated number: NaN for an empty histogram or one
-// with no finite buckets (nothing to interpolate inside), and +Inf when
-// the target rank lands in the +Inf overflow bucket (the true value is
-// beyond the largest bound; reporting that bound would silently
-// underestimate). Callers should math.IsNaN/math.IsInf-check before
-// feeding the result into arithmetic.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			if i == len(h.bounds) {
-				// +Inf bucket: no finite upper bound to interpolate toward.
-				return math.Inf(1)
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			frac := (rank - cum) / n
-			return lower + frac*(h.bounds[i]-lower)
-		}
-		cum += n
-	}
-	return math.Inf(1)
-}
 
 // HistSnapshot is a consistent-enough copy of a histogram for reporting
 // (individual loads are atomic; the snapshot as a whole is not).

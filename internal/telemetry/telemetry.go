@@ -5,13 +5,15 @@
 // stage boundary, so a metric and a trace stage never time the same thing
 // twice.
 //
+// The registry keeps only what /debugz serves: current counter and gauge
+// values and cumulative histogram buckets, in Prometheus text format.
+// Quantiles are the reader's to estimate from the buckets.
+//
 // Everything is stdlib-only and allocation-free on the hot path: metric
 // handles are resolved once at construction time (copy-on-write name map,
 // so lookups during registration never block readers), and every update is
-// a handful of atomic operations. A registry can be disabled
-// (SetEnabled(false)), which turns every update into one atomic load and a
-// branch. No update sits inside an encode or decode: the frame path pays a
-// few counter and gauge updates per frame.
+// a handful of atomic operations. No update sits inside an encode or
+// decode: the frame path pays a few counter and gauge updates per frame.
 //
 // The package-level Default registry is what the library instruments
 // unless a component is handed a private registry (experiments use private

@@ -45,13 +45,13 @@ type JitterBuffer struct {
 	// NackAfter is how long a frame may go without a new fragment, while
 	// incomplete, before its missing fragments are NACK-ed.
 	NackAfter float64
-	// RenackAfter is the longest a NACK may stay unanswered before the
+	// renackAfter is the longest a NACK may stay unanswered before the
 	// still-missing fragments are requested again — a lost retransmission
 	// (or a lost NACK) would otherwise leave the frame waiting for the skip
 	// deadline. Once the repair round trip is known the re-request goes out
 	// as soon as the answer is overdue (Playout.RepairTimeout). Zero or
 	// negative disables re-requests.
-	RenackAfter float64
+	renackAfter float64
 
 	frames  map[uint32]*partialFrame
 	nextSeq uint32
@@ -127,7 +127,7 @@ func NewJitterBuffer() *JitterBuffer {
 		Playout:     &PlayoutEstimator{},
 		SkipAfter:   0.120,
 		NackAfter:   0.015,
-		RenackAfter: 0.250,
+		renackAfter: 0.250,
 		frames:      make(map[uint32]*partialFrame),
 	}
 }
@@ -317,13 +317,13 @@ func (jb *JitterBuffer) due(f *partialFrame) float64 {
 }
 
 // retryAfter is how long a NACK round waits for its answer before the next
-// one: the measured repair timeout, between NackAfter and RenackAfter. ok is
+// one: the measured repair timeout, between NackAfter and renackAfter. ok is
 // false when re-requests are disabled.
 func (jb *JitterBuffer) retryAfter() (d float64, ok bool) {
-	if jb.RenackAfter <= 0 {
+	if jb.renackAfter <= 0 {
 		return 0, false
 	}
-	d = jb.RenackAfter
+	d = jb.renackAfter
 	if rto, measured := jb.Playout.RepairTimeout(); measured && rto < d {
 		d = rto
 		if d < jb.NackAfter {
@@ -335,7 +335,7 @@ func (jb *JitterBuffer) retryAfter() (d float64, ok bool) {
 
 // repairDeadline is when an incomplete frame stops blocking delivery:
 // MaxPlayoutDelay + SkipAfter past its first fragment, or — if that is sooner,
-// which takes a measured round trip well under RenackAfter — the moment its
+// which takes a measured round trip well under renackAfter — the moment its
 // repairRounds-th request has gone unanswered.
 func (jb *JitterBuffer) repairDeadline(f *partialFrame) float64 {
 	at := f.firstArrival + MaxPlayoutDelay + jb.SkipAfter
@@ -415,7 +415,7 @@ func assemble(f *partialFrame) []byte {
 // of every incomplete frame that has gone NackAfter without a new fragment.
 // Fragments still missing when the answer is overdue (retryAfter) are
 // requested again — a lost retransmission must not wait out the repair
-// deadline; with RenackAfter disabled each fragment is NACK-ed at most once.
+// deadline; with renackAfter disabled each fragment is NACK-ed at most once.
 func (jb *JitterBuffer) Nacks(now float64) []NackRequest {
 	var out []NackRequest
 	for seq, f := range jb.frames {

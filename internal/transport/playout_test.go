@@ -277,7 +277,7 @@ func TestJitterBufferRepairDeadline(t *testing.T) {
 			t.Fatalf("releases %+v, want frames 6 and 7 at %v", out, want)
 		}
 		if jb.Skipped() != 1 || len(nacks) != 1 {
-			t.Fatalf("skipped %d, %d NACK rounds; want 1 and 1 (re-request is %v s away)", jb.Skipped(), len(nacks), jb.RenackAfter)
+			t.Fatalf("skipped %d, %d NACK rounds; want 1 and 1 (re-request is %v s away)", jb.Skipped(), len(nacks), jb.renackAfter)
 		}
 	})
 

@@ -240,7 +240,7 @@ func TestNacks(t *testing.T) {
 	}
 }
 
-// TestRenacks: a fragment still missing RenackAfter past its NACK (the
+// TestRenacks: a fragment still missing renackAfter past its NACK (the
 // retransmission itself was lost) is requested again; with re-requests
 // disabled the old NACK-once behavior holds.
 func TestRenacks(t *testing.T) {
@@ -253,11 +253,11 @@ func TestRenacks(t *testing.T) {
 		t.Fatalf("first NACK round: %+v", n)
 	}
 	// Inside the retry interval: no repeat.
-	if n := jb.Nacks(1.05 + jb.RenackAfter - 0.01); len(n) != 0 {
+	if n := jb.Nacks(1.05 + jb.renackAfter - 0.01); len(n) != 0 {
 		t.Fatalf("premature re-NACK: %+v", n)
 	}
 	// Retry interval elapsed, fragment still missing: re-requested.
-	n := jb.Nacks(1.05 + jb.RenackAfter)
+	n := jb.Nacks(1.05 + jb.renackAfter)
 	if len(n) != 1 || n[0].FragIndex != 1 || n[0].FrameSeq != 5 {
 		t.Fatalf("re-NACK round: %+v", n)
 	}
@@ -272,7 +272,7 @@ func TestRenacks(t *testing.T) {
 
 	// Disabled: each fragment is NACK-ed at most once, ever.
 	once := NewJitterBuffer()
-	once.RenackAfter = 0
+	once.renackAfter = 0
 	once.SkipAfter = 10
 	pkts = Packetize(StreamColor, 6, false, 0, make([]byte, 3*MTU))
 	once.Push(pkts[0], 1.0)

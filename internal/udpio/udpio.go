@@ -37,9 +37,6 @@ const (
 
 // Config parameterizes a Socket. The zero value picks production defaults.
 type Config struct {
-	// Batch is the packets-per-syscall cap (default DefaultBatch, capped
-	// at MaxBatch).
-	Batch int
 	// RecvBuf / SendBuf request SO_RCVBUF / SO_SNDBUF in bytes. Zero
 	// requests DefaultBufferBytes; negative leaves the kernel default
 	// untouched. The kernel may grant less (see SocketStats).
@@ -49,6 +46,10 @@ type Config struct {
 	// is available — the A/B baseline the tests hold the batched path
 	// against and a portability escape hatch (-udp-batch=false).
 	DisableBatch bool
+
+	// batch is the packets-per-syscall cap (default DefaultBatch, capped at
+	// MaxBatch); only tests lower it.
+	batch int
 }
 
 // Message is one datagram slot in a ReadBatch call. The caller provides
@@ -115,7 +116,7 @@ func Wrap(c *net.UDPConn, cfg Config) (*Socket, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := cfg.Batch
+	b := cfg.batch
 	if b <= 0 {
 		b = DefaultBatch
 	}
@@ -204,7 +205,7 @@ func (s *Socket) WriteTo(p []byte, addr net.Addr) (int, error) {
 }
 
 // WriteBatch sends every packet in ps to one destination, one sendmmsg
-// per Batch-sized chunk where supported. The contract is all-or-prefix:
+// per batch-sized chunk where supported. The contract is all-or-prefix:
 // on error, exactly the first n packets reached the kernel and the rest
 // were not attempted (relaycore.BatchWriter).
 func (s *Socket) WriteBatch(ps [][]byte, addr net.Addr) (int, error) {

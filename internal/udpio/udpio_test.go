@@ -79,7 +79,7 @@ func TestConformLoopback(t *testing.T) {
 }
 
 func TestReadBatch(t *testing.T) {
-	s := listenT(t, Config{Batch: 8})
+	s := listenT(t, Config{batch: 8})
 	peer := plainConn(t)
 
 	const total = 20

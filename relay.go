@@ -51,19 +51,10 @@ type Relay struct {
 	telSyscall *telemetry.Gauge
 }
 
-// NewRelay creates a relay on conn, forwarding the given sender's media to
-// subscribers added with Subscribe.
-func NewRelay(conn net.PacketConn, sender net.Addr) *Relay {
-	return NewRelayWith(conn, sender, relaycore.Config{})
-}
-
-// NewRelayWith creates a relay with an explicit data-plane configuration
-// (shard count, queue depth, feedback windows, retransmission cache size).
-func NewRelayWith(conn net.PacketConn, sender net.Addr, cfg relaycore.Config) *Relay {
-	return NewRelayGroup([]net.PacketConn{conn}, sender, cfg)
-}
-
-// NewRelayGroup creates a relay over a socket group — typically
+// NewRelayGroup creates a relay over conns, forwarding the given sender's
+// media to subscribers added with Subscribe; cfg sets the data plane's
+// shard count and observability hooks (its zero value is the production
+// relay). conns is one socket or a socket group — typically
 // udpio.ListenGroup's SO_REUSEPORT set, one socket per data-plane shard,
 // so the kernel steers inbound flows across ingest loops instead of one
 // reader feeding every shard. Ingest loop i fills router.ShardPool(i);

@@ -295,12 +295,9 @@ func TestRelayRetxRecovery(t *testing.T) {
 	)
 	sender := &net.UDPAddr{IP: net.IPv4(10, 3, 0, 1), Port: 41000}
 	conn := newLossyRelayConn(sender, nSubs, 0.02)
-	relay := NewRelayWith(conn, sender, relaycore.Config{
-		Shards:           2,
-		QueueDepth:       2048,
-		RetxCachePackets: 4096,
-		RetxCacheAge:     10 * time.Second,
-		Telemetry:        telemetry.NewRegistry(),
+	relay := NewRelayGroup([]net.PacketConn{conn}, sender, relaycore.Config{
+		Shards:    2,
+		Telemetry: telemetry.NewRegistry(),
 	})
 	for _, s := range conn.order {
 		relay.Subscribe(s.addr)
@@ -388,56 +385,48 @@ func TestRelayRetxRecovery(t *testing.T) {
 	conn.Close()
 }
 
-// TestRelayLivenessEviction drives the subscriber-liveness machinery
-// through the public Relay API: a subscriber that stops sending feedback
-// past the silence window is evicted by the background sweep, surfacing
-// through OnEvict, Stats, and the subscriber count.
+// TestRelayLivenessEviction drives the subscriber-liveness rule through the
+// public Relay API on the real clock: a subscriber that spoke once and then
+// fell silent is evicted by the background sweep once the 2 s window has
+// passed, while one that keeps speaking and one that never spoke stay —
+// surfacing through Stats, the subscriber count and the primary viewer.
 func TestRelayLivenessEviction(t *testing.T) {
 	sender := &net.UDPAddr{IP: net.IPv4(10, 3, 0, 1), Port: 41000}
-	conn := newLossyRelayConn(sender, 2, 0)
-	silent, live := conn.order[0], conn.order[1]
-
-	var evictMu sync.Mutex
-	var evicted []string
-	relay := NewRelayWith(conn, sender, relaycore.Config{
-		Shards: 1,
-		// Wide against the 5 ms refresh below: under -race on a busy
-		// 2-core host the process itself stalls for tens of ms, and a
-		// stall longer than the window evicts the live subscriber too.
-		SilenceWindow: 400 * time.Millisecond,
-		OnEvict: func(a net.Addr) {
-			evictMu.Lock()
-			evicted = append(evicted, a.String())
-			evictMu.Unlock()
-		},
+	conn := newLossyRelayConn(sender, 3, 0)
+	silent, live, mute := conn.order[0], conn.order[1], conn.order[2]
+	relay := NewRelayGroup([]net.PacketConn{conn}, sender, relaycore.Config{
+		Shards:    1,
 		Telemetry: telemetry.NewRegistry(),
 	})
 	relay.Subscribe(silent.addr)
 	relay.Subscribe(live.addr)
+	relay.Subscribe(mute.addr)
 	go relay.Run()
 	defer relay.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
+	conn.inject(transport.AppendREMB(nil, 5e6), silent.addr)
+	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		conn.inject(transport.AppendREMB(nil, 5e6), live.addr)
-		if relay.Subscribers() == 1 {
+		if relay.Subscribers() == 2 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := relay.Subscribers(); got != 1 {
-		t.Fatalf("subscribers = %d after silence window, want 1", got)
+	if got := relay.Subscribers(); got != 2 {
+		t.Fatalf("subscribers = %d after the silence window, want 2", got)
 	}
 	if p := relay.Primary(); p == nil || p.String() != live.addr.String() {
 		t.Fatalf("primary = %v after eviction, want %v", p, live.addr)
 	}
-	if st := relay.Stats(); st.LivenessEvicted != 1 {
+	st := relay.Stats()
+	if st.LivenessEvicted != 1 {
 		t.Fatalf("LivenessEvicted = %d, want 1", st.LivenessEvicted)
 	}
-	evictMu.Lock()
-	defer evictMu.Unlock()
-	if len(evicted) != 1 || evicted[0] != silent.addr.String() {
-		t.Fatalf("OnEvict calls = %v, want [%s]", evicted, silent.addr)
+	for _, s := range st.Subs {
+		if s.Addr == silent.addr.String() {
+			t.Fatalf("the silent subscriber %s is still subscribed", s.Addr)
+		}
 	}
 }
 
@@ -451,7 +440,7 @@ func TestRelayReadError(t *testing.T) {
 	}
 	sender, _ := net.ResolveUDPAddr("udp", "127.0.0.1:1")
 	reg := telemetry.NewRegistry()
-	relay := NewRelayWith(c, sender, relaycore.Config{Telemetry: reg})
+	relay := NewRelayGroup([]net.PacketConn{c}, sender, relaycore.Config{Telemetry: reg})
 
 	done := make(chan struct{})
 	go func() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"livo/internal/relaycore"
 	"livo/internal/scene"
 )
 
@@ -29,7 +30,7 @@ func TestRelayFanOut(t *testing.T) {
 	defer r1Conn.Close()
 	defer r2Conn.Close()
 
-	relay := NewRelay(relayConn, sConn.LocalAddr())
+	relay := NewRelayGroup([]net.PacketConn{relayConn}, sConn.LocalAddr(), relaycore.Config{})
 	relay.Subscribe(r1Conn.LocalAddr())
 	relay.Subscribe(r2Conn.LocalAddr())
 	go relay.Run()
@@ -106,7 +107,7 @@ func TestRelayUnsubscribe(t *testing.T) {
 	sender, _ := net.ResolveUDPAddr("udp", "127.0.0.1:1")
 	s1, _ := net.ResolveUDPAddr("udp", "127.0.0.1:2001")
 	s2, _ := net.ResolveUDPAddr("udp", "127.0.0.1:2002")
-	r := NewRelay(c, sender)
+	r := NewRelayGroup([]net.PacketConn{c}, sender, relaycore.Config{})
 	defer r.Close()
 
 	r.Subscribe(s1)
@@ -138,7 +139,7 @@ func TestRelayDoubleClose(t *testing.T) {
 	}
 	defer c.Close()
 	addr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:1")
-	r := NewRelay(c, addr)
+	r := NewRelayGroup([]net.PacketConn{c}, addr, relaycore.Config{})
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ type SendSession struct {
 	sender *core.Sender
 	conn   net.PacketConn
 	remote net.Addr
-	fps    int
 	fec    bool
 	ladder bool
 	trace  *frametrace.Ledger // cfg.Sender.Trace (nil disables stamps)
@@ -75,8 +74,6 @@ type SendSessionConfig struct {
 	// InitialRateBps seeds the send rate before the first REMB (default
 	// 20 Mbps).
 	InitialRateBps float64
-	// FPS is the capture rate (default 30).
-	FPS int
 	// EnableFEC adds one XOR parity packet per group of 8 fragments, so
 	// single losses are repaired at the receiver without a NACK round
 	// trip (transport/fec.go; loss-robustness beyond the paper's
@@ -94,14 +91,10 @@ func NewSendSession(conn net.PacketConn, remote net.Addr, cfg SendSessionConfig)
 	if cfg.InitialRateBps <= 0 {
 		cfg.InitialRateBps = 20e6
 	}
-	if cfg.FPS <= 0 {
-		cfg.FPS = 30
-	}
 	s := &SendSession{
 		sender:  sender,
 		conn:    conn,
 		remote:  remote,
-		fps:     cfg.FPS,
 		fec:     cfg.EnableFEC,
 		ladder:  cfg.Sender.Ladder,
 		trace:   cfg.Sender.Trace,
@@ -498,11 +491,6 @@ type RecvSessionConfig struct {
 	InitialRateBps float64
 	// MinRateBps/MaxRateBps bound the estimator (defaults 1 Mbps / 1 Gbps).
 	MinRateBps, MaxRateBps float64
-	// NackRetry overrides the jitter buffers' 250 ms ceiling on the re-NACK
-	// interval (how long a NACK-ed fragment may stay missing before it is
-	// requested again; once the round trip is measured the re-request goes
-	// out as soon as the answer is overdue). Negative disables re-requests.
-	NackRetry float64
 }
 
 // NewRecvSession builds a receiving session bound to conn; feedback goes to
@@ -544,9 +532,6 @@ func NewRecvSession(conn net.PacketConn, remote net.Addr, cfg RecvSessionConfig)
 		for rung := range r.jb[si] {
 			jb := transport.NewJitterBuffer()
 			jb.Playout = r.playout
-			if cfg.NackRetry != 0 {
-				jb.RenackAfter = math.Max(cfg.NackRetry, 0) // ≤ 0 means NACK-once
-			}
 			r.jb[si][rung] = jb
 		}
 	}

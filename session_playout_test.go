@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"livo/internal/netem"
+	"livo/internal/relaycore"
 	"livo/internal/scene"
 	"livo/internal/transport"
 )
@@ -614,7 +615,7 @@ func TestRecvStatsCountEveryRung(t *testing.T) {
 func TestRelayPingAnsweredToPingerOnly(t *testing.T) {
 	nw := newMemNet()
 	relayConn, sender := nw.listen(t), nw.listen(t)
-	relay := NewRelay(relayConn, sender.LocalAddr())
+	relay := NewRelayGroup([]net.PacketConn{relayConn}, sender.LocalAddr(), relaycore.Config{})
 	subs := make([]*memConn, 8)
 	for i := range subs {
 		subs[i] = nw.listen(t)

@@ -55,7 +55,6 @@ func TestSendSessionErrPoisonedSocket(t *testing.T) {
 
 	conn := &faultConn{PacketConn: raw}
 	reg := telemetry.NewRegistry()
-	reg.SetEnabled(true)
 	s, err := NewSendSession(conn, peer.LocalAddr(), SendSessionConfig{
 		Sender: SenderConfig{Array: v.Array, ViewParams: DefaultViewParams(), Telemetry: reg},
 	})
@@ -113,7 +112,6 @@ func TestRecvSessionErrPoisonedSocket(t *testing.T) {
 	conn := &faultConn{PacketConn: raw}
 	conn.failRead.Store(true)
 	reg := telemetry.NewRegistry()
-	reg.SetEnabled(true)
 	r, err := NewRecvSession(conn, peer.LocalAddr(), RecvSessionConfig{
 		Receiver: ReceiverConfig{Array: v.Array, Telemetry: reg},
 	})

@@ -1,6 +1,7 @@
 package livo
 
 import (
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func TestSessionTraceReconciles(t *testing.T) {
 	ledRecv := frametrace.NewLedger("recv", 1<<12)
 	reg := telemetry.NewRegistry()
 
-	relay := NewRelayWith(relayConn, sConn.LocalAddr(), relaycore.Config{Telemetry: reg, Trace: ledRelay})
+	relay := NewRelayGroup([]net.PacketConn{relayConn}, sConn.LocalAddr(), relaycore.Config{Telemetry: reg, Trace: ledRelay})
 	relay.Subscribe(rConn.LocalAddr())
 	go relay.Run()
 	defer relay.Close()
