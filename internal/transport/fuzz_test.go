@@ -14,8 +14,8 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	full := pkt.Marshal()
 	f.Add(full)
-	f.Add(full[:headerSize])
-	f.Add(full[:headerSize-1])
+	f.Add(full[:HeaderSize])
+	f.Add(full[:HeaderSize-1])
 	f.Add([]byte{})
 	parity := BuildParity(Packetize(StreamDepth, 9, false, 1, bytes.Repeat([]byte{0x5A}, 3*MTU)))
 	f.Add(parity[0].Marshal())

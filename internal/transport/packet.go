@@ -51,31 +51,40 @@ type Packet struct {
 	Payload    []byte
 }
 
-const headerSize = 1 + 4 + 2 + 2 + 1 + 8 + 2 // ... + payload length
+// HeaderSize is the marshalled packet's size without its payload: a
+// packet's wire size is HeaderSize+len(Payload).
+const HeaderSize = 1 + 4 + 2 + 2 + 1 + 8 + 2 // ... + payload length
 
-// Marshal serializes the packet.
+// Marshal serializes the packet into a buffer of its own.
 func (p *Packet) Marshal() []byte {
-	out := make([]byte, headerSize+len(p.Payload))
-	out[0] = p.Stream
-	binary.BigEndian.PutUint32(out[1:], p.FrameSeq)
-	binary.BigEndian.PutUint16(out[5:], p.FragIndex)
-	binary.BigEndian.PutUint16(out[7:], p.FragCount)
+	return p.AppendMarshal(make([]byte, 0, HeaderSize+len(p.Payload)))
+}
+
+// AppendMarshal appends the serialized packet to dst and returns the
+// extended slice, so a caller sizing dst for a whole frame marshals every
+// packet of it without another allocation.
+func (p *Packet) AppendMarshal(dst []byte) []byte {
+	var flags byte
 	if p.Key {
-		out[9] |= 1
+		flags |= FlagKey
 	}
 	if p.Parity {
-		out[9] |= parityFlag
+		flags |= FlagParity
 	}
-	out[9] |= (p.Rung << FlagRungShift) & FlagRungMask
-	binary.BigEndian.PutUint64(out[10:], p.SendTimeUs)
-	binary.BigEndian.PutUint16(out[18:], uint16(len(p.Payload)))
-	copy(out[headerSize:], p.Payload)
-	return out
+	flags |= (p.Rung << FlagRungShift) & FlagRungMask
+	dst = append(dst, p.Stream)
+	dst = binary.BigEndian.AppendUint32(dst, p.FrameSeq)
+	dst = binary.BigEndian.AppendUint16(dst, p.FragIndex)
+	dst = binary.BigEndian.AppendUint16(dst, p.FragCount)
+	dst = append(dst, flags)
+	dst = binary.BigEndian.AppendUint64(dst, p.SendTimeUs)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Payload)))
+	return append(dst, p.Payload...)
 }
 
 // Unmarshal parses a packet.
 func Unmarshal(b []byte) (Packet, error) {
-	if len(b) < headerSize {
+	if len(b) < HeaderSize {
 		return Packet{}, fmt.Errorf("transport: packet too short (%d)", len(b))
 	}
 	p := Packet{
@@ -89,10 +98,10 @@ func Unmarshal(b []byte) (Packet, error) {
 		SendTimeUs: binary.BigEndian.Uint64(b[10:]),
 	}
 	n := int(binary.BigEndian.Uint16(b[18:]))
-	if len(b) < headerSize+n {
-		return Packet{}, fmt.Errorf("transport: payload truncated (%d < %d)", len(b)-headerSize, n)
+	if len(b) < HeaderSize+n {
+		return Packet{}, fmt.Errorf("transport: payload truncated (%d < %d)", len(b)-HeaderSize, n)
 	}
-	p.Payload = append([]byte(nil), b[headerSize:headerSize+n]...)
+	p.Payload = append([]byte(nil), b[HeaderSize:HeaderSize+n]...)
 	if p.FragCount == 0 || p.FragIndex >= p.FragCount {
 		return Packet{}, fmt.Errorf("transport: bad fragment %d/%d", p.FragIndex, p.FragCount)
 	}

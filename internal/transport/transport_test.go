@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,7 +21,12 @@ func TestPacketMarshalRoundTrip(t *testing.T) {
 		}
 		p := Packet{Stream: stream, FrameSeq: seq, FragIndex: idx, FragCount: count,
 			Key: key, SendTimeUs: ts, Payload: payload}
-		got, err := Unmarshal(p.Marshal())
+		// AppendMarshal behind a prefix writes exactly Marshal's bytes.
+		wire := p.AppendMarshal([]byte{MediaMagic})
+		if len(wire) != 1+HeaderSize+len(payload) || wire[0] != MediaMagic || !bytes.Equal(wire[1:], p.Marshal()) {
+			return false
+		}
+		got, err := Unmarshal(wire[1:])
 		if err != nil {
 			return false
 		}
@@ -311,6 +317,49 @@ func TestGCCBacksOffOnQueueGrowth(t *testing.T) {
 	// Should land near the receive rate (3000 B / 10 ms = 2.4 Mbps).
 	if g.Rate() > 10e6 {
 		t.Errorf("rate %v still far above receive rate", g.Rate())
+	}
+}
+
+// TestGCCFrameBursts: the sender stamps every packet of a frame with the
+// frame's timestamp and may send the frame as one burst instead of spread
+// at twice the rate. On a virtual clock at a constant 2 Mbps, 30 fps,
+// neither arrival pattern may read as over-use over 10 s; with the queue
+// growing 5 ms a frame, both must.
+func TestGCCFrameBursts(t *testing.T) {
+	const (
+		rate, fps = 2e6, 30.0
+		pktBytes  = 1200
+	)
+	perFrame := int(math.Ceil(rate / fps / 8 / pktBytes))
+	backoffs := func(spread, buildUp float64) int {
+		g := NewGCC(rate, 1e6, 1e9)
+		n := 0
+		for f := 0; f < 10*fps; f++ {
+			ts := float64(f) / fps
+			first := ts + 0.001 + buildUp*float64(f)
+			for k := 0; k < perFrame; k++ {
+				last := g.lastBackoff
+				g.OnArrival(ts, first+float64(k)*spread, pktBytes)
+				if g.lastBackoff != last {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for _, p := range []struct {
+		name   string
+		spread float64 // seconds between a frame's packets at the receiver
+	}{
+		{"spread at 2x the rate", pktBytes * 8 / (2 * rate)},
+		{"one burst", 20e-6},
+	} {
+		if n := backoffs(p.spread, 0); n != 0 {
+			t.Errorf("%s: %d over-use backoffs on a link that is not queueing", p.name, n)
+		}
+		if n := backoffs(p.spread, 0.005); n == 0 {
+			t.Errorf("%s: no backoff while the queue grows 5 ms a frame", p.name)
+		}
 	}
 }
 

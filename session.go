@@ -11,6 +11,7 @@ import (
 	"livo/internal/codec/vcodec"
 	"livo/internal/core"
 	"livo/internal/frametrace"
+	"livo/internal/relaycore"
 	"livo/internal/telemetry"
 	"livo/internal/transport"
 	"livo/internal/udpio"
@@ -33,18 +34,19 @@ type SendSession struct {
 	trace  *frametrace.Ledger // cfg.Sender.Trace (nil disables stamps)
 
 	rateBps atomic.Uint64 // current send rate from receiver REMB
-	paceQ   chan []byte
+	paceQ   chan [][]byte // one frame's wire packets per entry, in send order
 	// pliArmed guards against PLI storms: once a PLI forces a key frame,
 	// further PLIs are ignored until that IDR is actually encoded (§A.1).
 	pliArmed atomic.Bool
 
-	mu      sync.Mutex
-	history map[retxKey][]byte // recent packets for NACK retransmission
-	order   []retxKey
-	start   time.Time
-	closed  chan struct{}
-	wg      sync.WaitGroup
-	err     atomic.Value
+	mu        sync.Mutex
+	history   map[retxKey][]byte // recent packets for NACK retransmission
+	order     []retxKey
+	start     time.Time
+	closed    chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
+	err       atomic.Value
 
 	// Session-local counters back Stats() exactly (registry counters are
 	// process-wide and may aggregate several sessions).
@@ -114,24 +116,50 @@ func NewSendSession(conn net.PacketConn, remote net.Addr, cfg SendSessionConfig)
 	s.gRate = tel.Gauge("livo_send_rate_bps")
 	s.rateBps.Store(uint64(cfg.InitialRateBps))
 	s.gRate.Set(cfg.InitialRateBps)
-	s.paceQ = make(chan []byte, 4096)
+	// About a second of frames at 30 fps: a pacer that far behind is not
+	// catching up, and the frames after it are dropped whole.
+	s.paceQ = make(chan [][]byte, 32)
 	s.wg.Add(2)
 	go s.feedbackLoop()
 	go s.paceLoop()
 	return s, nil
 }
 
-// paceCatchUp bounds how far behind its schedule the pacer may be and still
-// make the time up by sending early: a late timer or a scheduling stall of a
-// few milliseconds is absorbed, a longer one is not turned into a burst.
-const paceCatchUp = 2 * time.Millisecond
+// paceCredit is how far the pacer's schedule may lag the clock: after an
+// idle gap a frame of up to paceCredit × 2·rate leaves in one batch, and a
+// late timer or a scheduling stall longer than that is not turned into a
+// bigger burst. It is time, not bytes or packets, so the burst is bounded
+// in time at any rate: a bottleneck running at the REMB rate drains it in
+// 2·paceCredit. 16 ms is the smallest of 8, 16, 24 and 33 ms that sends a
+// 2 Mbps call's frames whole; the sweep is in CHANGES.md.
+const paceCredit = 16 * time.Millisecond
 
-// paceLoop transmits queued packets at the current rate instead of
-// bursting whole frames — WebRTC-style pacing keeps queues (and the
-// receiver's delay-gradient estimator) sane. It keeps a schedule rather than
-// sleeping after each packet: every packet has an absolute send time one
-// serialisation interval after the previous one's, so a timer that fires
-// late shortens the next wait instead of adding to the frame's wire time.
+// paceDue is the pacer's schedule step. next is the send time of wires[0],
+// now the clock; it returns how many packets are due — the head packets
+// whose send times have come, all sent as one batch — and the send time of
+// the packet after them. Packets are spaced at their serialisation time at
+// twice the media rate, so feedback and overhead fit, and the schedule is
+// first pulled up to within paceCredit of now.
+func paceDue(next, now time.Time, rate float64, wires [][]byte) (n int, after time.Time) {
+	if rate < 1e5 {
+		rate = 1e5
+	}
+	if earliest := now.Add(-paceCredit); next.Before(earliest) {
+		next = earliest
+	}
+	for n < len(wires) && !next.After(now) {
+		next = next.Add(time.Duration(float64(len(wires[n])) * 8 / (2 * rate) * float64(time.Second)))
+		n++
+	}
+	return n, next
+}
+
+// paceLoop transmits queued frames at twice the current rate, WebRTC-style,
+// so queues (and the receiver's delay-gradient estimator) stay sane. It
+// keeps an absolute schedule rather than sleeping after each send, so a
+// timer that fires late shortens the next wait instead of adding to the
+// frame's wire time, and every packet due at a wake-up leaves in one
+// WriteBatch: one sendmmsg on a udpio socket.
 func (s *SendSession) paceLoop() {
 	defer s.wg.Done()
 	// One timer for the life of the loop. It is re-armed only after its
@@ -141,37 +169,31 @@ func (s *SendSession) paceLoop() {
 	<-timer.C
 	var next time.Time // the queue head's send time
 	for {
-		var wire []byte
+		var wires [][]byte
 		select {
 		case <-s.closed:
 			return
-		case wire = <-s.paceQ:
+		case wires = <-s.paceQ:
 		}
-		now := time.Now()
-		if wait := next.Sub(now); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-s.closed:
-				return
-			case <-timer.C:
+		for len(wires) > 0 {
+			now := time.Now()
+			var n int
+			n, next = paceDue(next, now, s.Rate(), wires)
+			if n == 0 {
+				timer.Reset(next.Sub(now))
+				select {
+				case <-s.closed:
+					return
+				case <-timer.C:
+				}
+				continue
 			}
-			now = time.Now()
+			if _, err := relaycore.WriteBatch(s.conn, wires[:n], s.remote); err != nil {
+				s.err.Store(fmt.Errorf("livo: send: %w", err))
+				return
+			}
+			wires = wires[n:]
 		}
-		if _, err := s.conn.WriteTo(wire, s.remote); err != nil {
-			s.err.Store(fmt.Errorf("livo: send: %w", err))
-			return
-		}
-		rate := s.Rate()
-		if rate < 1e5 {
-			rate = 1e5
-		}
-		// Serialize time of this packet at the target rate, halved:
-		// pace at 2x the media rate so feedback/overhead fits.
-		d := time.Duration(float64(len(wire)) * 8 / (2 * rate) * float64(time.Second))
-		if earliest := now.Add(-paceCatchUp); next.Before(earliest) {
-			next = earliest // idle queue or a long stall: no credit beyond the bound
-		}
-		next = next.Add(d)
 	}
 }
 
@@ -184,8 +206,8 @@ func (s *SendSession) Rate() float64 { return float64(s.rateBps.Load()) }
 // SendViews runs the sender pipeline on one set of camera views and
 // transmits the encoded frame.
 func (s *SendSession) SendViews(views []RGBDFrame) (*EncodedFrame, error) {
-	if e := s.err.Load(); e != nil {
-		return nil, e.(error)
+	if err := s.sendable(); err != nil {
+		return nil, err
 	}
 	enc, err := s.sender.ProcessFrame(views, s.Rate())
 	if err != nil {
@@ -226,48 +248,77 @@ func (s *SendSession) SendViews(views []RGBDFrame) (*EncodedFrame, error) {
 	}
 	s.trace.StampNow(frametrace.HopPacketize, 0, enc.Seq, frametrace.NoSub)
 	// Handing the frame to the pacer is part of the trace's uplink stage.
-	for i := range pkts {
-		if err := s.sendPacket(&pkts[i]); err != nil {
-			return nil, err
-		}
+	if err := s.enqueue(pkts); err != nil {
+		return nil, err
 	}
 	s.frames.Add(1)
 	return enc, nil
 }
 
-func (s *SendSession) sendPacket(p *transport.Packet) error {
-	if e := s.err.Load(); e != nil {
-		return e.(error)
-	}
-	wire := append([]byte{mediaMagic}, p.Marshal()...)
+// errSendClosed is what SendViews returns once Close has been called.
+var errSendClosed = fmt.Errorf("livo: send session: %w", net.ErrClosed)
+
+// sendable reports why the session can take no more frames: Close was
+// called, or a background goroutine hit a terminal error.
+func (s *SendSession) sendable() error {
 	select {
-	case s.paceQ <- wire:
-		s.pkts.Add(1)
-		s.bytesSent.Add(int64(len(wire)))
-		s.mPkts.Inc()
-		s.mBytes.Add(int64(len(wire)))
+	case <-s.closed:
+		return errSendClosed
 	default:
-		// Pacer backlogged a full second of packets: drop-oldest semantics
-		// are the receiver's job (jitter buffer); here we drop the new
-		// packet and let NACK/FEC recover if it mattered.
-		s.paceDrops.Add(1)
-		s.mPaceDrops.Inc()
+	}
+	return s.Err()
+}
+
+// enqueue marshals one frame's packets — every rung, parity included —
+// MediaMagic prefix in place, into a single frame-sized slab, hands them to
+// the pacer as one queue entry and records them in the retransmission
+// history, which keeps sub-slices of the slab.
+func (s *SendSession) enqueue(pkts []transport.Packet) error {
+	if err := s.sendable(); err != nil {
+		return err
+	}
+	size := 0
+	for i := range pkts {
+		size += 1 + transport.HeaderSize + len(pkts[i].Payload)
+	}
+	slab := make([]byte, 0, size)
+	wires := make([][]byte, len(pkts))
+	for i := range pkts {
+		start := len(slab)
+		slab = pkts[i].AppendMarshal(append(slab, mediaMagic))
+		wires[i] = slab[start:len(slab):len(slab)]
+	}
+	select {
+	case s.paceQ <- wires:
+		s.pkts.Add(int64(len(pkts)))
+		s.bytesSent.Add(int64(size))
+		s.mPkts.Add(int64(len(pkts)))
+		s.mBytes.Add(int64(size))
+	default:
+		// The pacer is a second of frames behind. Part of a frame is of no
+		// use to the receiver, so the new frame is dropped whole; NACKs can
+		// still be answered from history if it mattered.
+		s.paceDrops.Add(int64(len(pkts)))
+		s.mPaceDrops.Add(int64(len(pkts)))
+	}
+	// Keep roughly one second of history for NACKs (a ladder triples the
+	// packet rate, so it gets a proportionally deeper window).
+	limit := 4096
+	if s.ladder {
+		limit = 8192
 	}
 	s.mu.Lock()
-	k := retxKey{p.Stream, p.FrameSeq, p.FragIndex, p.Rung}
-	if _, exists := s.history[k]; !exists {
-		s.history[k] = wire
-		s.order = append(s.order, k)
-		// Keep roughly one second of history for NACKs (a ladder triples the
-		// packet rate, so it gets a proportionally deeper window).
-		limit := 4096
-		if s.ladder {
-			limit = 8192
+	for i := range pkts {
+		p := &pkts[i]
+		k := retxKey{p.Stream, p.FrameSeq, p.FragIndex, p.Rung}
+		if _, exists := s.history[k]; !exists {
+			s.history[k] = wires[i]
+			s.order = append(s.order, k)
 		}
-		for len(s.order) > limit {
-			delete(s.history, s.order[0])
-			s.order = s.order[1:]
-		}
+	}
+	for len(s.order) > limit {
+		delete(s.history, s.order[0])
+		s.order = s.order[1:]
 	}
 	s.mu.Unlock()
 	return nil
@@ -377,6 +428,8 @@ type SendStats struct {
 	Packets int64
 	Bytes   int64
 	// PaceDrops counts packets discarded because the pacer queue was full.
+	// A frame is dropped whole — part of one is of no use to the receiver —
+	// so this is the packet count of the frames dropped.
 	PaceDrops int64
 	// Retransmits counts NACK-triggered retransmissions served from history.
 	Retransmits int64
@@ -406,11 +459,14 @@ func (s *SendSession) Stats() SendStats {
 
 // Close stops the session. The connection is not closed (the caller owns
 // it; a conference shares one socket between send and receive sessions on
-// separate ports in the examples).
+// separate ports in the examples). Frames still queued for the pacer are
+// not sent. Close is idempotent, and SendViews after it returns an error.
 func (s *SendSession) Close() error {
-	close(s.closed)
-	_ = s.conn.SetReadDeadline(time.Now())
-	s.wg.Wait()
+	s.closeOnce.Do(func() {
+		close(s.closed)
+		_ = s.conn.SetReadDeadline(time.Now())
+		s.wg.Wait()
+	})
 	return nil
 }
 
@@ -461,6 +517,7 @@ type RecvSession struct {
 
 	start     time.Time
 	closed    chan struct{}
+	closeOnce sync.Once
 	wg        sync.WaitGroup
 	err       atomic.Value
 	decoded   atomic.Int64
@@ -897,10 +954,13 @@ func (r *RecvSession) Decoded() int64 { return r.decoded.Load() }
 // good frame while awaiting a PLI-requested key frame.
 func (r *RecvSession) Concealed() int64 { return r.concealed.Load() }
 
-// Close stops the session (the caller owns the connection).
+// Close stops the session (the caller owns the connection). It is
+// idempotent.
 func (r *RecvSession) Close() error {
-	close(r.closed)
-	_ = r.conn.SetReadDeadline(time.Now())
-	r.wg.Wait()
+	r.closeOnce.Do(func() {
+		close(r.closed)
+		_ = r.conn.SetReadDeadline(time.Now())
+		r.wg.Wait()
+	})
 	return nil
 }
