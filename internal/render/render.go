@@ -60,21 +60,23 @@ type Image struct {
 	Drawn int
 }
 
-// Splat renders the cloud from the viewer pose.
+// Splat renders the cloud from the viewer pose. Each point that lands in
+// the viewport covers a square of 2k+1 pixels a side centred on its
+// projection, k = round(max(PointSize/z, 0.5)); a pixel keeps the nearest
+// point, and of points at equal depth the first in cloud order. A point
+// with a NaN or infinite coordinate is never drawn.
 func Splat(cloud *pointcloud.Cloud, viewer geom.Pose, opts Options) *Image {
 	opts = opts.withDefaults()
 	w, h := opts.Width, opts.Height
 	img := image.NewRGBA(image.Rect(0, 0, w, h))
 	z := make([]float64, w*h)
-	for i := range z {
-		z[i] = math.Inf(1)
-	}
-	// Clear.
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			img.SetRGBA(x, y, opts.Background)
-		}
-	}
+	pix := img.Pix // Stride is 4·w: pixel idx is pix[4·idx : 4·idx+4]
+	bg := opts.Background
+	pix[0], pix[1], pix[2], pix[3] = bg.R, bg.G, bg.B, bg.A
+	repeat(pix, 4)
+	z[0] = math.Inf(1)
+	repeat(z, 1)
+
 	// Projection constants: focal length in pixels from the vertical FoV.
 	fy := float64(h) / 2 / math.Tan(opts.View.FovY/2)
 	fx := fy // square pixels; aspect handled by the viewport itself
@@ -84,38 +86,51 @@ func Splat(cloud *pointcloud.Cloud, viewer geom.Pose, opts Options) *Image {
 	out := &Image{RGBA: img, Z: z}
 	for i, p := range cloud.Positions {
 		lc := worldToCam.TransformPoint(p)
-		if lc.Z < opts.View.Near || lc.Z > opts.View.Far {
+		// Accept forms: every comparison with NaN is false, so a
+		// non-finite point fails here instead of landing on pixel (0,0).
+		if !(lc.Z >= opts.View.Near && lc.Z <= opts.View.Far) {
 			continue
 		}
 		u := lc.X/lc.Z*fx + cx
 		v := lc.Y/lc.Z*fy + cy
-		if u < 0 || u >= float64(w) || v < 0 || v >= float64(h) {
+		if !(u >= 0 && u < float64(w) && v >= 0 && v < float64(h)) {
 			continue
 		}
 		out.Drawn++
-		col := cloud.Colors[i]
 		r := opts.PointSize / lc.Z
 		if r < 0.5 {
 			r = 0.5
 		}
 		ir := int(r + 0.5)
 		ui, vi := int(u), int(v)
-		for dy := -ir; dy <= ir; dy++ {
-			for dx := -ir; dx <= ir; dx++ {
-				x, y := ui+dx, vi+dy
-				if x < 0 || x >= w || y < 0 || y >= h {
+		x0, x1 := max(ui-ir, 0), min(ui+ir, w-1)
+		y0, y1 := max(vi-ir, 0), min(vi+ir, h-1)
+		if x0 > x1 { // only when int(r+0.5) overflowed: draw nothing
+			continue
+		}
+		col := cloud.Colors[i]
+		for y := y0; y <= y1; y++ {
+			lo, hi := y*w+x0, y*w+x1+1
+			zs, ps := z[lo:hi], pix[4*lo:4*hi]
+			for j, d := range zs {
+				if lc.Z >= d {
 					continue
 				}
-				idx := y*w + x
-				if lc.Z >= z[idx] {
-					continue
-				}
-				z[idx] = lc.Z
-				img.SetRGBA(x, y, color.RGBA{R: col[0], G: col[1], B: col[2], A: 255})
+				zs[j] = lc.Z
+				px := ps[4*j : 4*j+4 : 4*j+4]
+				px[0], px[1], px[2], px[3] = col[0], col[1], col[2], 255
 			}
 		}
 	}
 	return out
+}
+
+// repeat fills s with copies of its first n elements, doubling the copied
+// span each pass.
+func repeat[E any](s []E, n int) {
+	for ; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
+	}
 }
 
 // Coverage returns the fraction of pixels covered by points (not
