@@ -70,10 +70,10 @@ func main() {
 
 	// Frame-trace ledgers for the A→B direction: one per process hop
 	// (sender pipeline, relay data plane, receiver pipeline). Everything is
-	// in-process, so the collector merges them with zero clock offset.
-	traceSend := frametrace.NewLedger("sender-a", 4096)
-	traceRelay := frametrace.NewLedger("relay", 8192)
-	traceRecv := frametrace.NewLedger("recv-b", 4096)
+	// in-process, so all three stamp on the one clock the collector needs.
+	traceSend := frametrace.NewLedger(4096)
+	traceRelay := frametrace.NewLedger(8192)
+	traceRecv := frametrace.NewLedger(4096)
 	traceEvents := frametrace.NewEventRing(1024)
 
 	cfg := scene.DefaultCaptureConfig()
@@ -287,9 +287,9 @@ func main() {
 	// Merge the A→B ledgers into per-frame timelines: hops stamped on the
 	// primary viewer's path (sub 0) when relaying, every hop otherwise.
 	col := frametrace.NewCollector()
-	col.Add(traceSend, 0)
-	col.Add(traceRelay, 0)
-	col.Add(traceRecv, 0)
+	col.Add(traceSend)
+	col.Add(traceRelay)
+	col.Add(traceRecv)
 	sub := frametrace.NoSub
 	if relay != nil {
 		sub = 0 // primary viewer (site B) was the first subscriber

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"math/rand"
 	"time"
 
 	"livo/internal/codec/draco"
@@ -102,27 +101,4 @@ func (o *DracoOracle) ProcessFrame(gt *pointcloud.Cloud, actual geom.Frustum, bu
 		EncodeTime:   encodeTime,
 		Decoded:      decoded,
 	}, nil
-}
-
-// EstimateStallRate replays n synthetic frames of the given size through
-// the oracle at the target bandwidth and returns the stall fraction — a
-// quick probe used by tests and the Table 2-style comparisons.
-func (o *DracoOracle) EstimateStallRate(points, n, budgetBytes int, rng *rand.Rand) (float64, error) {
-	stalls := 0
-	wide := geom.NewFrustum(geom.PoseIdentity, geom.ViewParams{FovY: 3, Aspect: 1, Near: 0.001, Far: 100})
-	for i := 0; i < n; i++ {
-		c := pointcloud.New(points)
-		for j := 0; j < points; j++ {
-			c.Add(geom.V3(rng.Float64()*3, rng.Float64()*3, rng.Float64()*3+0.1),
-				[3]uint8{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))})
-		}
-		res, err := o.ProcessFrame(c, wide, budgetBytes)
-		if err != nil {
-			return 0, err
-		}
-		if res.Stalled {
-			stalls++
-		}
-	}
-	return float64(stalls) / float64(n), nil
 }

@@ -43,9 +43,6 @@ func NewLadderEncoder(cfg Config, rungs []vcodec.Rung) (*LadderEncoder, error) {
 	return &LadderEncoder{cfg: cfg, lenc: lenc}, nil
 }
 
-// Rungs returns the ladder description.
-func (e *LadderEncoder) Rungs() []vcodec.Rung { return e.lenc.Rungs() }
-
 // QuarterConfig returns the depth configuration a quarter rung's decoder
 // needs; ok is false when the ladder has no quarter rung.
 func (e *LadderEncoder) QuarterConfig() (Config, bool) {
@@ -84,7 +81,7 @@ func (e *LadderEncoder) mapInto(im *frame.DepthImage, fp **vcodec.Frame) *vcodec
 }
 
 // stage validates and maps the full and quarter sources. A nil quarter is
-// derived with the edge-aware Downsample2x (which, unlike a box filter,
+// derived with the edge-aware Downsample2xInto (which, unlike a box filter,
 // does not invent geometry between surfaces). Callers that stamp in-band
 // markers must supply an explicitly stamped quarter image.
 func (e *LadderEncoder) stage(im, quarter *frame.DepthImage) (*vcodec.Frame, *vcodec.Frame, error) {
@@ -141,9 +138,11 @@ func (e *LadderEncoder) LastReconDepth() *frame.DepthImage {
 	return e.reconDepth
 }
 
-// Downsample2xInto is the allocation-reusing form of Downsample2x: out is
-// reused when its geometry matches, else (re)allocated. The filter is
-// identical (nearest-valid, discontinuity-preserving).
+// Downsample2xInto halves a depth image into out, reused when its geometry
+// matches, else (re)allocated. Each 2x2 block keeps the midpoint of its
+// valid samples on a smooth surface and the nearest one across a
+// discontinuity: averaging across depth edges would invent geometry
+// between surfaces.
 func Downsample2xInto(im *frame.DepthImage, out *frame.DepthImage) *frame.DepthImage {
 	w, h := (im.W+1)/2, (im.H+1)/2
 	if out == nil || out.W != w || out.H != h {

@@ -8,50 +8,6 @@ import "livo/internal/frame"
 // helpers implement that alternative so the trade-off can be measured
 // (TestSuperResolutionLosesToNative).
 
-// Downsample2x halves a depth image (picking the nearest valid sample in
-// each 2x2 block — averaging across depth discontinuities would invent
-// geometry between surfaces).
-func Downsample2x(im *frame.DepthImage) *frame.DepthImage {
-	w, h := (im.W+1)/2, (im.H+1)/2
-	out := frame.NewDepthImage(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			// Median-of-valid within the block, approximated by the
-			// min-max midpoint of valid samples when all close, else the
-			// first valid (avoids inventing mid-air points).
-			var vals []uint16
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					sx, sy := 2*x+dx, 2*y+dy
-					if sx < im.W && sy < im.H {
-						if v := im.At(sx, sy); v != 0 {
-							vals = append(vals, v)
-						}
-					}
-				}
-			}
-			if len(vals) == 0 {
-				continue
-			}
-			mn, mx := vals[0], vals[0]
-			for _, v := range vals {
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-			if int(mx)-int(mn) < 100 { // smooth region: midpoint
-				out.Set(x, y, (mn+mx)/2)
-			} else { // discontinuity: keep the nearest surface
-				out.Set(x, y, mn)
-			}
-		}
-	}
-	return out
-}
-
 // SuperResolve2x upsamples a depth image 2x with edge-aware bilinear
 // interpolation: interpolation only happens between samples on the same
 // surface (within jumpMM); across discontinuities the nearest sample wins.

@@ -14,7 +14,7 @@ func TestDownsampleUpsampleSmooth(t *testing.T) {
 			src.Set(x, y, uint16(1000+x*20+y*10))
 		}
 	}
-	low := Downsample2x(src)
+	low := Downsample2xInto(src, nil)
 	if low.W != 16 || low.H != 16 {
 		t.Fatalf("low res %dx%d", low.W, low.H)
 	}
@@ -36,7 +36,7 @@ func TestSuperResolvePreservesEdges(t *testing.T) {
 			}
 		}
 	}
-	up := SuperResolve2x(Downsample2x(src), 32, 32, 300)
+	up := SuperResolve2x(Downsample2xInto(src, nil), 32, 32, 300)
 	for y := 0; y < 32; y++ {
 		for x := 0; x < 32; x++ {
 			v := up.At(x, y)
@@ -53,7 +53,7 @@ func TestSuperResolvePreservesEdges(t *testing.T) {
 func TestSuperResolveHoles(t *testing.T) {
 	src := frame.NewDepthImage(8, 8)
 	src.Set(2, 2, 2000) // one isolated valid sample
-	low := Downsample2x(src)
+	low := Downsample2xInto(src, nil)
 	up := SuperResolve2x(low, 8, 8, 300)
 	// The valid region extends but no fabricated far-field values appear.
 	for y := 0; y < 8; y++ {
@@ -108,7 +108,7 @@ func TestSuperResolutionLosesToNative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		low := Downsample2x(src)
+		low := Downsample2xInto(src, nil)
 		ps, err := encS.Encode(low, budget)
 		if err != nil {
 			t.Fatal(err)

@@ -687,10 +687,6 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 // picture (i.e. a delta frame could be decoded next).
 func (d *Decoder) HasReference() bool { return d.prev != nil }
 
-// RefSeq returns the sequence number of the current reference picture
-// (meaningful only when HasReference is true).
-func (d *Decoder) RefSeq() uint32 { return d.refSeq }
-
 // maxPayloadBytes bounds the inflated payload so a crafted packet cannot
 // act as a decompression bomb: per block the streams hold at most one mode
 // byte, two motion-vector varints, a count varint, and blockSize^2

@@ -68,7 +68,10 @@ func TestDepthConversionExact(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = uint16(rng.Intn(65536))
 	}
-	back := FromDepth(im).ToDepth()
+	f := NewFrame(16, 16, 1)
+	FromDepthInto(im, f)
+	back := frame.NewDepthImage(16, 16)
+	f.ToDepthInto(back)
 	for i := range im.Pix {
 		if im.Pix[i] != back.Pix[i] {
 			t.Fatalf("depth conversion not exact at %d", i)
@@ -331,7 +334,8 @@ func TestDepthStream16Bit(t *testing.T) {
 	enc, _ := NewEncoder(cfg)
 	dec, _ := NewDecoder(cfg)
 	for i := 0; i < 5; i++ {
-		src := FromDepth(synthDepth(64, 48, i))
+		src := NewFrame(64, 48, 1)
+		FromDepthInto(synthDepth(64, 48, i), src)
 		pkt, err := enc.EncodeQP(src, 4)
 		if err != nil {
 			t.Fatal(err)

@@ -135,9 +135,6 @@ func (l *LadderEncoder) QuarterConfig() (Config, bool) {
 	return Config{}, false
 }
 
-// Rungs returns the ladder description.
-func (l *LadderEncoder) Rungs() []Rung { return l.rungs }
-
 // Encoder returns the rung-0 encoder (quality probes read LastRecon off
 // it, exactly as with a single-rung pipeline).
 func (l *LadderEncoder) Encoder() *Encoder { return l.enc }

@@ -109,32 +109,17 @@ func (f *Frame) ToColorInto(im *frame.ColorImage) {
 	}
 }
 
-// FromDepth wraps a 16-bit depth image as a single-plane frame. Values are
-// copied verbatim (any scaling is the caller's job; see codec/depth).
-func FromDepth(im *frame.DepthImage) *Frame {
-	f := NewFrame(im.W, im.H, 1)
-	FromDepthInto(im, f)
-	return f
-}
-
 // FromDepthInto copies a depth image into an existing single-plane frame
-// of the same geometry without allocating.
+// of the same geometry without allocating. Values are copied verbatim (any
+// scaling is the caller's job; see codec/depth).
 func FromDepthInto(im *frame.DepthImage, f *Frame) {
 	for i, d := range im.Pix {
 		f.Planes[0][i] = int32(d)
 	}
 }
 
-// ToDepth converts a single-plane frame back to a 16-bit depth image,
-// clamping to the valid range.
-func (f *Frame) ToDepth() *frame.DepthImage {
-	im := frame.NewDepthImage(f.W, f.H)
-	f.ToDepthInto(im)
-	return im
-}
-
 // ToDepthInto converts a single-plane frame into an existing depth image
-// of the same geometry without allocating.
+// of the same geometry without allocating, clamping to the valid range.
 func (f *Frame) ToDepthInto(im *frame.DepthImage) {
 	for i, v := range f.Planes[0] {
 		im.Pix[i] = uint16(clampI32(v, 0, 65535))

@@ -348,9 +348,6 @@ func (s *Sender) RequestKeyFrame() bool {
 	return true
 }
 
-// KeyFrameInFlight reports whether a PLI-triggered refresh is pending.
-func (s *Sender) KeyFrameInFlight() bool { return s.refreshInFlight }
-
 // cullsViews reports whether this variant culls.
 func (s *Sender) cullsViews() bool {
 	return s.cfg.Variant == LiVo || s.cfg.Variant == LiVoStaticSplit

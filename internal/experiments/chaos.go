@@ -363,14 +363,14 @@ func ChaosTraceDump(q Quality, out io.Writer) (frametrace.Report, error) {
 	if err != nil {
 		return frametrace.Report{}, err
 	}
-	led := frametrace.NewLedger("chaos", 1<<13)
+	led := frametrace.NewLedger(1 << 13)
 	if _, err := RunChaos(ChaosRunConfig{
 		Workload: w, Chaos: netem.DefaultChaosConfig(42), FEC: true, Seed: 1, Trace: led,
 	}); err != nil {
 		return frametrace.Report{}, err
 	}
 	col := frametrace.NewCollector()
-	col.Add(led, 0)
+	col.Add(led)
 	tls := col.Merge(frametrace.NoSub)
 	if err := frametrace.WriteTimelinesJSONL(out, tls); err != nil {
 		return frametrace.Report{}, err

@@ -42,18 +42,6 @@ func TestColorImageCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestColorImageFill(t *testing.T) {
-	im := NewColorImage(3, 3)
-	im.Fill(7, 8, 9)
-	for y := 0; y < 3; y++ {
-		for x := 0; x < 3; x++ {
-			if r, g, b := im.At(x, y); r != 7 || g != 8 || b != 9 {
-				t.Fatalf("fill failed at %d,%d", x, y)
-			}
-		}
-	}
-}
-
 func TestDepthImageBasics(t *testing.T) {
 	im := NewDepthImage(4, 4)
 	im.Set(3, 3, 5999)
@@ -145,8 +133,8 @@ func TestTileComposeExtractRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		c, err := tl.ExtractColor(tc, i)
-		if err != nil {
+		c := NewColorImage(32, 24)
+		if err := tl.ExtractColorInto(tc, i, c); err != nil {
 			t.Fatal(err)
 		}
 		for j := range c.Pix {
@@ -177,12 +165,16 @@ func TestTileComposeErrors(t *testing.T) {
 	if _, err := tl.ComposeDepth([]*DepthImage{NewDepthImage(8, 8)}); err == nil {
 		t.Error("accepted wrong depth view count")
 	}
-	if _, err := tl.ExtractColor(NewColorImage(3, 3), 0); err == nil {
+	tile := NewColorImage(8, 8)
+	if err := tl.ExtractColorInto(NewColorImage(3, 3), 0, tile); err == nil {
 		t.Error("accepted wrong tiled size")
 	}
 	big, _ := tl.ComposeColor([]*ColorImage{NewColorImage(8, 8), NewColorImage(8, 8)})
-	if _, err := tl.ExtractColor(big, 5); err == nil {
+	if err := tl.ExtractColorInto(big, 5, tile); err == nil {
 		t.Error("accepted out-of-range index")
+	}
+	if err := tl.ExtractColorInto(big, 0, NewColorImage(4, 4)); err == nil {
+		t.Error("accepted wrong output size")
 	}
 	bigD, _ := tl.ComposeDepth([]*DepthImage{NewDepthImage(8, 8), NewDepthImage(8, 8)})
 	if _, err := tl.ExtractDepth(bigD, -1); err == nil {

@@ -39,13 +39,6 @@ func (im *ColorImage) Clone() *ColorImage {
 	return c
 }
 
-// Fill sets every pixel to (r, g, b).
-func (im *ColorImage) Fill(r, g, b uint8) {
-	for i := 0; i < len(im.Pix); i += 3 {
-		im.Pix[i], im.Pix[i+1], im.Pix[i+2] = r, g, b
-	}
-}
-
 // SizeBytes returns the raw (uncompressed) size of the image in bytes.
 func (im *ColorImage) SizeBytes() int { return len(im.Pix) }
 

@@ -78,20 +78,6 @@ func (t *Tiler) ComposeDepth(views []*DepthImage) (*DepthImage, error) {
 	return out, nil
 }
 
-// ExtractColor cuts camera i's rectangle back out of a tiled color frame.
-func (t *Tiler) ExtractColor(tiled *ColorImage, i int) (*ColorImage, error) {
-	w, h := t.FrameSize()
-	if tiled.W != w || tiled.H != h {
-		return nil, fmt.Errorf("tiler: tiled frame is %dx%d, want %dx%d", tiled.W, tiled.H, w, h)
-	}
-	if i < 0 || i >= t.N {
-		return nil, fmt.Errorf("tiler: camera index %d out of range [0,%d)", i, t.N)
-	}
-	out := NewColorImage(t.TileW, t.TileH)
-	t.extractColorInto(tiled, i, out)
-	return out, nil
-}
-
 // ExtractColorInto cuts camera i's rectangle into an existing tile-sized
 // image without allocating (the receiver's per-frame path).
 func (t *Tiler) ExtractColorInto(tiled *ColorImage, i int, out *ColorImage) error {

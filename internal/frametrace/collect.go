@@ -37,29 +37,23 @@ func (tl *FrameTimeline) Complete(hops []Hop) bool {
 	return true
 }
 
-// Collector merges per-process ledgers onto one clock. Each ledger is
-// added with the offset that maps its clock to the collector's reference
-// clock (referenceNs = ledgerNs + offsetNs); in-process harnesses share
-// one clock and pass 0, cross-host merges estimate it with
-// EstimateOffset from Packet.SendTimeUs echoes.
+// Collector merges per-process ledgers into per-frame timelines. Every
+// ledger it merges must stamp on one shared clock, as the ledgers of one
+// process do; merging ledgers from different hosts would first need their
+// clock offsets, which nothing here estimates.
 type Collector struct {
-	ledgers []collectorEntry
-}
-
-type collectorEntry struct {
-	led    *Ledger
-	offset int64
+	ledgers []*Ledger
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Add registers a ledger with its clock offset. Nil ledgers are ignored.
-func (c *Collector) Add(l *Ledger, offsetNs int64) {
+// Add registers a ledger. Nil ledgers are ignored.
+func (c *Collector) Add(l *Ledger) {
 	if l == nil {
 		return
 	}
-	c.ledgers = append(c.ledgers, collectorEntry{led: l, offset: offsetNs})
+	c.ledgers = append(c.ledgers, l)
 }
 
 // Merge drains every ledger's retained stamps and groups them into one
@@ -68,8 +62,8 @@ func (c *Collector) Add(l *Ledger, offsetNs int64) {
 // timeline follows one frame to one viewer; pass NoSub to accept any.
 func (c *Collector) Merge(sub int32) []FrameTimeline {
 	bySeq := make(map[uint32]*FrameTimeline)
-	for _, e := range c.ledgers {
-		for _, st := range e.led.Recent(e.led.Cap()) {
+	for _, l := range c.ledgers {
+		for _, st := range l.Recent(l.Cap()) {
 			if st.Sub != NoSub && sub != NoSub && st.Sub != sub {
 				continue
 			}
@@ -78,7 +72,7 @@ func (c *Collector) Merge(sub int32) []FrameTimeline {
 				tl = &FrameTimeline{Seq: st.Seq}
 				bySeq[st.Seq] = tl
 			}
-			tl.set(st.Hop, st.TimeNs+e.offset)
+			tl.set(st.Hop, st.TimeNs)
 		}
 	}
 	out := make([]FrameTimeline, 0, len(bySeq))
@@ -87,30 +81,6 @@ func (c *Collector) Merge(sub int32) []FrameTimeline {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// EstimateOffset estimates the receiver-minus-sender clock offset from
-// paired (send, receive) timestamps of the same packets using the
-// one-way-delay minimum: offset ≈ min(recv − send), which attributes the
-// smallest observed gap entirely to clock skew and treats the rest as
-// network delay. The estimate is biased high by the true minimum one-way
-// delay — exact only on a shared clock — but is stable and monotone
-// stages tolerate the constant shift. Returns 0 when no pairs are given.
-func EstimateOffset(sendNs, recvNs []int64) int64 {
-	n := len(sendNs)
-	if len(recvNs) < n {
-		n = len(recvNs)
-	}
-	if n == 0 {
-		return 0
-	}
-	min := recvNs[0] - sendNs[0]
-	for i := 1; i < n; i++ {
-		if d := recvNs[i] - sendNs[i]; d < min {
-			min = d
-		}
-	}
-	return min
 }
 
 // stageDef is one decomposition stage: the time from hop from to hop to.

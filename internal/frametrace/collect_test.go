@@ -12,10 +12,11 @@ import (
 )
 
 // stampChain writes a full synthetic pipeline for frame seq across three
-// ledgers: every hop lands 1 ms after the previous one on each ledger's
-// local clock, with the relay and receiver clocks shifted by their
-// (negated) offsets so a correct merge reproduces the reference times.
-func stampChain(send, relay, recv *Ledger, seq uint32, baseNs, stepNs, relayOff, recvOff int64) {
+// ledgers on one clock: every hop lands stepNs after the previous one.
+// Encode stamps color then depth and decode stamps depth then color, so
+// the pair max behind the encode and decode stages is taken from each side
+// once.
+func stampChain(send, relay, recv *Ledger, seq uint32, baseNs, stepNs int64) {
 	t := baseNs
 	next := func() int64 { t += stepNs; return t }
 	send.Stamp(HopCapture, 0, seq, NoSub, t)
@@ -24,43 +25,38 @@ func stampChain(send, relay, recv *Ledger, seq uint32, baseNs, stepNs, relayOff,
 	send.Stamp(HopEncodeColor, 0, seq, NoSub, next())
 	send.Stamp(HopEncodeDepth, 0, seq, NoSub, next())
 	send.Stamp(HopPacketize, 0, seq, NoSub, next())
-	relay.Stamp(HopRelayIngest, 1, seq, NoSub, next()-relayOff)
-	relay.Stamp(HopShardRoute, 1, seq, NoSub, next()-relayOff)
-	relay.Stamp(HopSubEnqueue, 1, seq, 0, next()-relayOff)
-	relay.Stamp(HopSubDrain, 1, seq, 0, next()-relayOff)
-	recv.Stamp(HopWire, 1, seq, NoSub, next()-recvOff)
-	recv.Stamp(HopJitter, 1, seq, NoSub, next()-recvOff)
-	// decode color deliberately unshifted: the vDecode max picks the later
+	relay.Stamp(HopRelayIngest, 1, seq, NoSub, next())
+	relay.Stamp(HopShardRoute, 1, seq, NoSub, next())
+	relay.Stamp(HopSubEnqueue, 1, seq, 0, next())
+	relay.Stamp(HopSubDrain, 1, seq, 0, next())
+	recv.Stamp(HopWire, 1, seq, NoSub, next())
+	recv.Stamp(HopJitter, 1, seq, NoSub, next())
+	recv.Stamp(HopDecodeDepth, 0, seq, NoSub, next())
 	recv.Stamp(HopDecodeColor, 0, seq, NoSub, next())
-	recv.Stamp(HopDecodeDepth, 0, seq, NoSub, next()-recvOff)
-	recv.Stamp(HopReconstruct, 0, seq, NoSub, next()-recvOff)
+	recv.Stamp(HopReconstruct, 0, seq, NoSub, next())
 }
 
 // TestMergeDecompose runs a synthetic 3-ledger pipeline through the
 // collector and checks the merged timelines, the stage decomposition,
 // and the telescoping reconciliation.
 func TestMergeDecompose(t *testing.T) {
-	send := NewLedger("sender", 1024)
-	relay := NewLedger("relay", 1024)
-	recv := NewLedger("receiver", 1024)
+	send := NewLedger(1024)
+	relay := NewLedger(1024)
+	recv := NewLedger(1024)
 	const frames = 50
 	const step = int64(1e6) // 1 ms per hop
-	relayOff, recvOff := int64(7e6), int64(-3e6)
 	for i := 0; i < frames; i++ {
-		stampChain(send, relay, recv, uint32(i), int64(i)*40e6, step, relayOff, recvOff)
+		stampChain(send, relay, recv, uint32(i), int64(i)*40e6, step)
 	}
 
 	c := NewCollector()
-	c.Add(send, 0)
-	c.Add(relay, relayOff)
-	c.Add(recv, recvOff)
+	c.Add(send)
+	c.Add(relay)
+	c.Add(recv)
 	tls := c.Merge(0)
 	if len(tls) != frames {
 		t.Fatalf("merged %d timelines, want %d", len(tls), frames)
 	}
-	// Decode color was stamped on the reference clock (unshifted) but the
-	// receiver ledger adds recvOff; with recvOff < 0 the shifted depth
-	// stamp is later, so the vDecode max must equal the reference time.
 	tl := &tls[0]
 	cap0, okC := tl.Get(HopCapture)
 	rec, okR := tl.Get(HopReconstruct)
@@ -79,7 +75,8 @@ func TestMergeDecompose(t *testing.T) {
 		t.Fatalf("got %d stages, want %d", len(rep.Stages), len(Stages))
 	}
 	// Every chain gap is one step except encode (tile→max encode = 2
-	// steps) and decode (jitter→max decode = 2 steps).
+	// steps, the later being depth) and decode (jitter→max decode = 2
+	// steps, the later being color).
 	for _, st := range rep.Stages {
 		want := float64(step) / 1e6
 		if st.Name == "encode" || st.Name == "decode" {
@@ -103,11 +100,11 @@ func TestMergeDecompose(t *testing.T) {
 // TestMergeSubFilter checks that per-subscriber stamps for other
 // subscribers are excluded from a sub-filtered merge.
 func TestMergeSubFilter(t *testing.T) {
-	led := NewLedger("relay", 64)
+	led := NewLedger(64)
 	led.Stamp(HopSubEnqueue, 1, 7, 0, 100)
 	led.Stamp(HopSubEnqueue, 1, 7, 3, 999) // other subscriber, later
 	c := NewCollector()
-	c.Add(led, 0)
+	c.Add(led)
 	tls := c.Merge(0)
 	if len(tls) != 1 {
 		t.Fatalf("got %d timelines", len(tls))
@@ -117,34 +114,17 @@ func TestMergeSubFilter(t *testing.T) {
 	}
 	// Unfiltered merge keeps the max across subscribers.
 	c2 := NewCollector()
-	c2.Add(led, 0)
+	c2.Add(led)
 	all := c2.Merge(NoSub)
 	if tt, ok := all[0].Get(HopSubEnqueue); !ok || tt != 999 {
 		t.Fatalf("unfiltered merge: got %d, want 999", tt)
 	}
 }
 
-// TestEstimateOffset checks the one-way-delay-minimum model.
-func TestEstimateOffset(t *testing.T) {
-	if got := EstimateOffset(nil, nil); got != 0 {
-		t.Fatalf("empty: got %d", got)
-	}
-	// Receiver clock is +50ms; one-way delays are 5..9 ms.
-	var send, recvT []int64
-	for i := 0; i < 5; i++ {
-		send = append(send, int64(i)*1e6)
-		recvT = append(recvT, int64(i)*1e6+50e6+int64(9-i)*1e6)
-	}
-	got := EstimateOffset(send, recvT)
-	if want := int64(50e6 + 5e6); got != want {
-		t.Fatalf("offset: got %d, want %d (offset + min delay)", got, want)
-	}
-}
-
 // TestIncompleteTimelines checks that partially-stamped frames still
 // contribute to the stages they cover without polluting reconciliation.
 func TestIncompleteTimelines(t *testing.T) {
-	led := NewLedger("x", 64)
+	led := NewLedger(64)
 	led.Stamp(HopCapture, 0, 1, NoSub, 0)
 	led.Stamp(HopCull, 0, 1, NoSub, 0) // a non-culling variant: zero-width
 	led.Stamp(HopTile, 0, 1, NoSub, 1e6)
@@ -152,7 +132,7 @@ func TestIncompleteTimelines(t *testing.T) {
 	led.Stamp(HopEncodeDepth, 0, 1, NoSub, 3e6)
 	// no further hops: frame was dropped downstream
 	c := NewCollector()
-	c.Add(led, 0)
+	c.Add(led)
 	rep := Decompose(c.Merge(NoSub))
 	if rep.Frames != 1 || rep.Complete != 0 {
 		t.Fatalf("frames=%d complete=%d", rep.Frames, rep.Complete)
@@ -170,16 +150,16 @@ func TestIncompleteTimelines(t *testing.T) {
 // TestJSONLAndHandlers checks the JSONL export is parseable and the
 // /debugz handlers serve it.
 func TestJSONLAndHandlers(t *testing.T) {
-	send := NewLedger("sender", 64)
-	relay := NewLedger("relay", 64)
-	recv := NewLedger("receiver", 64)
+	send := NewLedger(64)
+	relay := NewLedger(64)
+	recv := NewLedger(64)
 	for i := 0; i < 3; i++ {
-		stampChain(send, relay, recv, uint32(i), int64(i)*40e6, 1e6, 0, 0)
+		stampChain(send, relay, recv, uint32(i), int64(i)*40e6, 1e6)
 	}
 	c := NewCollector()
-	c.Add(send, 0)
-	c.Add(relay, 0)
-	c.Add(recv, 0)
+	c.Add(send)
+	c.Add(relay)
+	c.Add(recv)
 	var buf bytes.Buffer
 	if err := WriteTimelinesJSONL(&buf, c.Merge(0)); err != nil {
 		t.Fatal(err)
@@ -222,13 +202,38 @@ func TestJSONLAndHandlers(t *testing.T) {
 	}
 }
 
+// TestWriteEventsRungSwitch checks that /debugz/events decodes a rung
+// switch's packed value into its old rung, new rung and REMB.
+func TestWriteEventsRungSwitch(t *testing.T) {
+	ring := NewEventRing(64)
+	ring.Add(EvRungSwitch, 0, 9, 5, RungSwitchVal(0, 2, 1_500_000))
+	var buf bytes.Buffer
+	if err := WriteEventsJSONL(&buf, ring, 10); err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Event   string `json:"event"`
+		From    *int   `json:"from"`
+		To      *int   `json:"to"`
+		REMBBps *int64 `json:"remb_bps"`
+		Sub     int32  `json:"sub"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("%v in %q", err, buf.String())
+	}
+	if got.Event != "rung_switch" || got.Sub != 5 || got.From == nil || *got.From != 0 ||
+		got.To == nil || *got.To != 2 || got.REMBBps == nil || *got.REMBBps != 1_500_000 {
+		t.Fatalf("rung switch written as %s", buf.String())
+	}
+}
+
 // TestStagesHandlerIsDecompose checks that /debugz/stages serves exactly
 // Decompose of the window /debugz/frames reads, for every ?sub= choice.
 func TestStagesHandlerIsDecompose(t *testing.T) {
-	send, relay, recv := NewLedger("sender", 1024), NewLedger("relay", 1024), NewLedger("receiver", 1024)
+	send, relay, recv := NewLedger(1024), NewLedger(1024), NewLedger(1024)
 	for i := 0; i < 40; i++ {
 		base, step := int64(i)*40e6, int64(1e6)+int64(i%7)*1e5 // spread, so p50 ≠ p99
-		stampChain(send, relay, recv, uint32(i), base, step, 0, 0)
+		stampChain(send, relay, recv, uint32(i), base, step)
 		// A second subscriber, enqueued as soon as the shard reaches it.
 		relay.Stamp(HopSubEnqueue, 1, uint32(i), 1, base+7*step)
 		relay.Stamp(HopSubDrain, 1, uint32(i), 1, base+9*step)
@@ -245,9 +250,9 @@ func TestStagesHandlerIsDecompose(t *testing.T) {
 			t.Fatalf("%q: %v in %s", q.arg, err, rr.Body.String())
 		}
 		c := NewCollector()
-		c.Add(send, 0)
-		c.Add(relay, 0)
-		c.Add(recv, 0)
+		c.Add(send)
+		c.Add(relay)
+		c.Add(recv)
 		want := Decompose(c.Merge(q.sub))
 		if !reflect.DeepEqual(got, want) || want.Complete != 40 {
 			t.Fatalf("%q: handler served %+v, Decompose gives %+v", q.arg, got, want)

@@ -12,7 +12,7 @@ import (
 //
 //	{"seq":12,"hops":{"capture":...,"encode_color":...},"e2e_ms":4.1}
 //
-// Hop times are nanoseconds on the collector's reference clock; e2e_ms
+// Hop times are nanoseconds on the ledgers' shared clock; e2e_ms
 // is present when both capture and reconstruct were stamped.
 func WriteTimelinesJSONL(w io.Writer, tls []FrameTimeline) error {
 	for i := range tls {
@@ -54,15 +54,23 @@ func WriteTimelinesJSONL(w io.Writer, tls []FrameTimeline) error {
 }
 
 // WriteEventsJSONL writes up to n recent events one JSON object per
-// line, oldest first.
+// line, oldest first. A frame drop's value is written as its "reason", a
+// rung switch's as "from", "to" and "remb_bps"; other kinds keep the raw
+// "val".
 func WriteEventsJSONL(w io.Writer, r *EventRing, n int) error {
 	for _, ev := range r.Recent(n) {
 		var err error
-		if ev.Kind == EvFrameDrop {
+		switch ev.Kind {
+		case EvFrameDrop:
 			_, err = fmt.Fprintf(w,
 				"{\"event\":%q,\"reason\":%q,\"stream\":%d,\"seq\":%d,\"sub\":%d,\"t_ns\":%d}\n",
 				ev.Kind.String(), DropReason(ev.Val).String(), ev.Stream, ev.Seq, ev.Sub, ev.TimeNs)
-		} else {
+		case EvRungSwitch:
+			from, to, remb := UnpackRungSwitch(ev.Val)
+			_, err = fmt.Fprintf(w,
+				"{\"event\":%q,\"from\":%d,\"to\":%d,\"remb_bps\":%d,\"stream\":%d,\"seq\":%d,\"sub\":%d,\"t_ns\":%d}\n",
+				ev.Kind.String(), from, to, remb, ev.Stream, ev.Seq, ev.Sub, ev.TimeNs)
+		default:
 			_, err = fmt.Fprintf(w,
 				"{\"event\":%q,\"stream\":%d,\"seq\":%d,\"sub\":%d,\"val\":%d,\"t_ns\":%d}\n",
 				ev.Kind.String(), ev.Stream, ev.Seq, ev.Sub, ev.Val, ev.TimeNs)
@@ -96,7 +104,7 @@ func merged(r *http.Request, ledgers []*Ledger) []FrameTimeline {
 	}
 	c := NewCollector()
 	for _, l := range ledgers {
-		c.Add(l, 0)
+		c.Add(l)
 	}
 	return c.Merge(sub)
 }

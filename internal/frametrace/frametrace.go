@@ -75,23 +75,13 @@ const NoSub int32 = -1
 // *Ledger is valid and ignores all stamps, so tracing is enabled by
 // plumbing a ledger in and disabled by leaving it nil.
 type Ledger struct {
-	node string
 	ring *ring.Ring
 }
 
 // NewLedger creates a ledger with at least capacity slots (rounded up to
-// a power of two; minimum 64). node labels the process in merged dumps
-// ("sender", "relay", "receiver").
-func NewLedger(node string, capacity int) *Ledger {
-	return &Ledger{node: node, ring: ring.New(capacity)}
-}
-
-// Node returns the ledger's process label.
-func (l *Ledger) Node() string {
-	if l == nil {
-		return ""
-	}
-	return l.node
+// a power of two; minimum 64).
+func NewLedger(capacity int) *Ledger {
+	return &Ledger{ring: ring.New(capacity)}
 }
 
 // Cap returns the ring capacity; 0 for a nil ledger.

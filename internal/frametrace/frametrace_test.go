@@ -14,7 +14,7 @@ func TestNilSafe(t *testing.T) {
 	var l *Ledger
 	l.Stamp(HopCapture, 0, 1, NoSub, 123)
 	l.StampNow(HopCapture, 0, 1, NoSub)
-	if l.Recent(10) != nil || l.Recorded() != 0 || l.Dropped() != 0 || l.Cap() != 0 || l.Node() != "" {
+	if l.Recent(10) != nil || l.Recorded() != 0 || l.Dropped() != 0 || l.Cap() != 0 {
 		t.Fatal("nil ledger should be inert")
 	}
 	var r *EventRing
@@ -27,7 +27,7 @@ func TestNilSafe(t *testing.T) {
 // TestLedgerRoundTrip checks that stamps survive the ring with all
 // fields intact, including the packed hop/stream/sub encoding.
 func TestLedgerRoundTrip(t *testing.T) {
-	l := NewLedger("sender", 64)
+	l := NewLedger(64)
 	l.Stamp(HopSubDrain, 2, 0xdeadbeef, 37, -42)
 	got := l.Recent(1)
 	if len(got) != 1 {
@@ -37,15 +37,12 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if got[0] != want {
 		t.Fatalf("round trip: got %+v, want %+v", got[0], want)
 	}
-	if l.Node() != "sender" {
-		t.Fatalf("Node: got %q", l.Node())
-	}
 }
 
 // TestLedgerWraparound fills the ring several times over and checks that
 // Recent returns exactly the newest window in order.
 func TestLedgerWraparound(t *testing.T) {
-	l := NewLedger("x", 64)
+	l := NewLedger(64)
 	if l.Cap() != 64 {
 		t.Fatalf("cap: got %d, want 64", l.Cap())
 	}
@@ -73,7 +70,7 @@ func TestLedgerWraparound(t *testing.T) {
 // sees is internally consistent (TimeNs encodes the seq). Run with
 // -race to exercise the ticket-validation path.
 func TestLedgerConcurrent(t *testing.T) {
-	l := NewLedger("x", 128)
+	l := NewLedger(128)
 	const writers, perWriter = 4, 4096
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -117,7 +114,7 @@ func TestLedgerConcurrent(t *testing.T) {
 // run the ring's shared wrap suite (ring.ConformWrap) through each pack/
 // unpack layer. Run with -race.
 func TestLedgerTicketValidationAtWrap(t *testing.T) {
-	l := NewLedger("x", 64)
+	l := NewLedger(64)
 	err := ring.ConformWrap(ring.WrapUser{
 		Cap:   l.Cap(),
 		Write: func(seq uint32) { l.Stamp(HopJitter, uint8(seq), seq, int32(seq)-7, int64(seq)*3+1) },

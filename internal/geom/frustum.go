@@ -130,29 +130,3 @@ func (f Frustum) Transform(m Mat4) Frustum {
 	}
 	return g
 }
-
-// IntersectsAABB conservatively reports whether the box may intersect the
-// frustum (standard p-vertex test; may report true for some boxes fully
-// outside near edges, never false for intersecting boxes).
-func (f Frustum) IntersectsAABB(b AABB) bool {
-	for i := range f.Planes {
-		n := f.Planes[i].Normal
-		// p-vertex: box corner furthest along the plane normal.
-		p := Vec3{
-			X: pick(n.X >= 0, b.Max.X, b.Min.X),
-			Y: pick(n.Y >= 0, b.Max.Y, b.Min.Y),
-			Z: pick(n.Z >= 0, b.Max.Z, b.Min.Z),
-		}
-		if f.Planes[i].SignedDistance(p) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func pick(c bool, a, b float64) float64 {
-	if c {
-		return a
-	}
-	return b
-}

@@ -130,22 +130,6 @@ func TestFrustumTransformConsistency(t *testing.T) {
 	}
 }
 
-func TestFrustumIntersectsAABB(t *testing.T) {
-	f := NewFrustum(PoseIdentity, ViewParams{FovY: math.Pi / 2, Aspect: 1, Near: 0.5, Far: 10})
-	inside := AABB{V3(-1, -1, 4), V3(1, 1, 6)}
-	if !f.IntersectsAABB(inside) {
-		t.Error("box inside frustum should intersect")
-	}
-	behind := AABB{V3(-1, -1, -6), V3(1, 1, -4)}
-	if f.IntersectsAABB(behind) {
-		t.Error("box behind viewer should not intersect")
-	}
-	straddling := AABB{V3(4, -1, 4), V3(7, 1, 6)} // crosses right plane
-	if !f.IntersectsAABB(straddling) {
-		t.Error("straddling box should intersect")
-	}
-}
-
 func TestDefaultViewParams(t *testing.T) {
 	vp := DefaultViewParams()
 	if vp.Near <= 0 || vp.Far <= vp.Near || vp.FovY <= 0 || vp.Aspect <= 0 {

@@ -19,13 +19,6 @@ func Mat4Translate(t Vec3) Mat4 {
 	return m
 }
 
-// Mat4Scale returns a non-uniform scale matrix.
-func Mat4Scale(s Vec3) Mat4 {
-	var m Mat4
-	m[0][0], m[1][1], m[2][2], m[3][3] = s.X, s.Y, s.Z, 1
-	return m
-}
-
 // Mul returns the matrix product m * n.
 func (m Mat4) Mul(n Mat4) Mat4 {
 	var r Mat4
@@ -63,17 +56,6 @@ func (m Mat4) TransformDir(d Vec3) Vec3 {
 	}
 }
 
-// Transpose returns the transposed matrix.
-func (m Mat4) Transpose() Mat4 {
-	var r Mat4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			r[i][j] = m[j][i]
-		}
-	}
-	return r
-}
-
 // InverseRigid inverts a rigid transform (rotation + translation only).
 // It is much cheaper and more stable than a general inverse and is the
 // common case for camera extrinsics.
@@ -95,48 +77,6 @@ func (m Mat4) InverseRigid() Mat4 {
 	r[0][3], r[1][3], r[2][3] = rt.X, rt.Y, rt.Z
 	r[3][3] = 1
 	return r
-}
-
-// Inverse returns the general inverse via Gauss-Jordan elimination with
-// partial pivoting. Returns the identity when m is singular.
-func (m Mat4) Inverse() Mat4 {
-	a := m
-	inv := Mat4Identity()
-	for col := 0; col < 4; col++ {
-		// Find pivot.
-		pivot := col
-		for r := col + 1; r < 4; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if a[pivot][col] == 0 {
-			return Mat4Identity()
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		inv[col], inv[pivot] = inv[pivot], inv[col]
-		// Normalize pivot row.
-		p := a[col][col]
-		for j := 0; j < 4; j++ {
-			a[col][j] /= p
-			inv[col][j] /= p
-		}
-		// Eliminate other rows.
-		for r := 0; r < 4; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r][col]
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < 4; j++ {
-				a[r][j] -= f * a[col][j]
-				inv[r][j] -= f * inv[col][j]
-			}
-		}
-	}
-	return inv
 }
 
 // AlmostEqual reports whether all entries of m are within eps of n.

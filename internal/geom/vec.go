@@ -54,9 +54,6 @@ func (v Vec3) LenSq() float64 { return v.Dot(v) }
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Len() }
 
-// DistSq returns the squared distance between v and w.
-func (v Vec3) DistSq(w Vec3) float64 { return v.Sub(w).LenSq() }
-
 // Normalize returns v scaled to unit length. The zero vector is returned
 // unchanged.
 func (v Vec3) Normalize() Vec3 {
@@ -122,12 +119,6 @@ func (b AABB) Contains(p Vec3) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X &&
 		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
-// Extend grows the box by d on every side.
-func (b AABB) Extend(d float64) AABB {
-	e := Vec3{d, d, d}
-	return AABB{b.Min.Sub(e), b.Max.Add(e)}
 }
 
 // Center returns the box center.

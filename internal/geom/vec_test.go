@@ -126,10 +126,6 @@ func TestAABB(t *testing.T) {
 	if b.Contains(V3(2, 0, 0)) {
 		t.Error("box should not contain (2,0,0)")
 	}
-	e := b.Extend(1)
-	if !e.Contains(V3(2, 0, 0)) {
-		t.Error("extended box should contain (2,0,0)")
-	}
 	if got := b.Center(); !got.AlmostEqual(V3(0, 2.5, 5), 1e-12) {
 		t.Errorf("center = %v", got)
 	}

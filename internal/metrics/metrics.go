@@ -1,11 +1,11 @@
 // Package metrics implements the quality measures used in the evaluation:
-// pixel-domain RMSE/PSNR (the sender-side probe of LiVo's bandwidth
-// splitter, §3.3) and PointSSIM [22], the 3D structural-similarity metric
-// used for all objective quality comparisons (§4.1). PointSSIM extends SSIM
-// to point clouds by comparing local neighbourhood statistics (geometry
-// dispersion and color luminance) between the reference and the distorted
-// cloud; it reports separate geometry and color scores on a 0–100 scale
-// where values in the high 80s and above are generally considered good.
+// pixel-domain depth RMSE and PointSSIM [22], the 3D structural-similarity
+// metric used for all objective quality comparisons (§4.1). PointSSIM
+// extends SSIM to point clouds by comparing local neighbourhood statistics
+// (geometry dispersion and color luminance) between the reference and the
+// distorted cloud; it reports separate geometry and color scores on a
+// 0–100 scale where values in the high 80s and above are generally
+// considered good.
 package metrics
 
 import (
@@ -16,19 +16,6 @@ import (
 	"livo/internal/frame"
 	"livo/internal/pointcloud"
 )
-
-// ColorRMSE is the root-mean-square error over all RGB samples.
-func ColorRMSE(a, b *frame.ColorImage) float64 {
-	if len(a.Pix) != len(b.Pix) || len(a.Pix) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for i := range a.Pix {
-		d := float64(int(a.Pix[i]) - int(b.Pix[i]))
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(a.Pix)))
-}
 
 // DepthRMSE is the root-mean-square error in millimeters over pixels that
 // are valid (non-zero) in the reference.
@@ -50,15 +37,6 @@ func DepthRMSE(a, b *frame.DepthImage) float64 {
 		return 0
 	}
 	return math.Sqrt(sum / float64(n))
-}
-
-// PSNR converts an RMSE to peak signal-to-noise ratio in dB for the given
-// full-scale value. An RMSE of 0 returns +Inf.
-func PSNR(rmse, peak float64) float64 {
-	if rmse <= 0 {
-		return math.Inf(1)
-	}
-	return 20 * math.Log10(peak/rmse)
 }
 
 // PSSIM is a PointSSIM result: separate geometry and color scores, 0–100.

@@ -10,23 +10,6 @@ import (
 	"livo/internal/pointcloud"
 )
 
-func TestColorRMSE(t *testing.T) {
-	a := frame.NewColorImage(4, 4)
-	b := frame.NewColorImage(4, 4)
-	if got := ColorRMSE(a, b); got != 0 {
-		t.Errorf("identical images RMSE = %v", got)
-	}
-	for i := range b.Pix {
-		b.Pix[i] = 10
-	}
-	if got := ColorRMSE(a, b); math.Abs(got-10) > 1e-12 {
-		t.Errorf("uniform diff RMSE = %v, want 10", got)
-	}
-	if got := ColorRMSE(a, frame.NewColorImage(2, 2)); !math.IsNaN(got) {
-		t.Errorf("mismatched sizes RMSE = %v, want NaN", got)
-	}
-}
-
 func TestDepthRMSEIgnoresInvalid(t *testing.T) {
 	a := frame.NewDepthImage(4, 1)
 	b := frame.NewDepthImage(4, 1)
@@ -40,18 +23,6 @@ func TestDepthRMSEIgnoresInvalid(t *testing.T) {
 	empty := frame.NewDepthImage(4, 1)
 	if got := DepthRMSE(empty, b); got != 0 {
 		t.Errorf("all-invalid reference RMSE = %v", got)
-	}
-}
-
-func TestPSNR(t *testing.T) {
-	if got := PSNR(0, 255); !math.IsInf(got, 1) {
-		t.Errorf("zero RMSE PSNR = %v", got)
-	}
-	if got := PSNR(255, 255); math.Abs(got) > 1e-12 {
-		t.Errorf("full-scale RMSE PSNR = %v, want 0", got)
-	}
-	if got := PSNR(25.5, 255); math.Abs(got-20) > 1e-12 {
-		t.Errorf("PSNR = %v, want 20", got)
 	}
 }
 

@@ -166,9 +166,6 @@ func (c *Chaos) Apply(payload []byte) []Delivery {
 	return out
 }
 
-// InBurst reports whether the injector is currently in the Bad state.
-func (c *Chaos) InBurst() bool { return c.bad }
-
 // Sent returns how many packets entered the injector.
 func (c *Chaos) Sent() int { return c.sent }
 

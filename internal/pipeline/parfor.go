@@ -1,3 +1,8 @@
+// Package pipeline holds ParFor, the stripe loop the frame path runs its
+// data-parallel steps on: the codec's stripe coders, the ladder's rung
+// transcode, the sender's RMSE probes, and the receiver's tile extraction
+// and unprojection split their work into independent tasks and let ParFor
+// spread them over GOMAXPROCS workers, inline when there is one.
 package pipeline
 
 import (

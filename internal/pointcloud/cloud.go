@@ -109,18 +109,3 @@ func (c *Cloud) Sample(n int, rng *rand.Rand) *Cloud {
 	}
 	return out
 }
-
-// VoxelDownsample returns a cloud with at most one point per cubic voxel of
-// the given size (meters): the centroid of the voxel's points with their
-// average color. This is the receiver-side voxelization of §A.1. Output
-// points are in first-appearance order of their voxels (deterministic);
-// steady-state callers should hold a VoxelGrid and use DownsampleInto.
-func (c *Cloud) VoxelDownsample(voxel float64) *Cloud {
-	var g VoxelGrid
-	out := New(0)
-	g.DownsampleInto(out, c, voxel)
-	return out
-}
-
-// geomV3 is a local alias easing construction in I/O code.
-func geomV3(x, y, z float64) geom.Vec3 { return geom.V3(x, y, z) }

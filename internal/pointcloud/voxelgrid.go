@@ -7,10 +7,9 @@ import (
 )
 
 // VoxelGrid is a reusable flat open-addressed voxel accumulator — the
-// receiver-side voxelization arena (§A.1). It replaces the per-frame
-// map[[3]int32]*acc the original VoxelDownsample built: the probe table,
-// its epoch stamps, and the dense accumulator array all persist across
-// frames, so steady-state downsampling does not allocate.
+// receiver-side voxelization arena (§A.1). The probe table, its epoch
+// stamps, and the dense accumulator array all persist across frames, so
+// steady-state downsampling does not allocate.
 //
 // Accumulators are stored densely in first-appearance order and emitted in
 // that order, so the output is deterministic (maps iterate randomly) and

@@ -59,9 +59,8 @@ func (k *kf1d) extrapolate(horizon float64) float64 {
 // observations. It runs six independent constant-velocity filters: three on
 // position, three on unwrapped Euler angles (§3.4).
 type Kalman struct {
-	pos  [3]*kf1d
-	ang  [3]*kf1d
-	last geom.Pose
+	pos [3]*kf1d
+	ang [3]*kf1d
 	// prevAngles are the unwrapped angle measurements used for continuity.
 	prevAngles [3]float64
 	lastT      float64
@@ -104,7 +103,6 @@ func (k *Kalman) Observe(t float64, pose geom.Pose) {
 	k.pos[1].step(dt, pose.Position.Y)
 	k.pos[2].step(dt, pose.Position.Z)
 	k.prevAngles = angles
-	k.last = pose
 	k.lastT = t
 	k.seen = true
 }
@@ -136,6 +134,3 @@ func (k *Kalman) Predict(horizon float64) geom.Pose {
 	roll := k.ang[2].extrapolate(horizon)
 	return geom.Pose{Position: p, Rotation: geom.QuatFromEuler(yaw, pitch, roll)}
 }
-
-// Last returns the most recent observed pose.
-func (k *Kalman) Last() geom.Pose { return k.last }

@@ -67,9 +67,6 @@ func TestKalmanBeforeObservation(t *testing.T) {
 	if k.Predict(0.5).Position.Dist(p.Position) > 1e-6 {
 		t.Error("single-observation prediction should equal observation")
 	}
-	if k.Last().Position != p.Position {
-		t.Error("Last() wrong")
-	}
 }
 
 func TestKalmanOnHumanTrace(t *testing.T) {

@@ -93,10 +93,6 @@ func (bp *BufPool) Get(n int) *PacketBuf {
 	return p
 }
 
-// Class returns the pooled buffer size — the largest packet a blank
-// buffer can receive in place.
-func (bp *BufPool) Class() int { return bp.class }
-
 // GetBlank returns a class-size buffer (one reference held) for batch
 // ingest to fill in place: recvmmsg reads the wire directly into Raw and
 // SetLen records the datagram length, eliminating even the single Load

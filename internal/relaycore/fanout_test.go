@@ -102,7 +102,7 @@ const maxAllocsPerPacket = 1.0
 // 3-rung ladder with subscribers spread over three REMB classes, and one
 // rung with the frame ledger and the event ring armed.
 func TestRouterFanoutAllocs(t *testing.T) {
-	led := frametrace.NewLedger("relay", 1<<12)
+	led := frametrace.NewLedger(1 << 12)
 	for _, tc := range []struct {
 		name  string
 		rungs int

@@ -13,7 +13,7 @@ import (
 // frame, and one shard_route stamp plus a sub_enqueue/sub_drain pair per
 // frame per subscriber, in monotone order on a merged timeline.
 func TestRouterTraceStamps(t *testing.T) {
-	led := frametrace.NewLedger("relay", 4096)
+	led := frametrace.NewLedger(4096)
 	events := frametrace.NewEventRing(256)
 	cfg := testConfig()
 	cfg.Shards = 2
@@ -61,7 +61,7 @@ func TestRouterTraceStamps(t *testing.T) {
 	// Merged per-subscriber timelines must be monotone through the relay.
 	for _, sub := range []int32{0, 1} {
 		c := frametrace.NewCollector()
-		c.Add(led, 0)
+		c.Add(led)
 		tls := c.Merge(sub)
 		if len(tls) != frames {
 			t.Fatalf("sub %d: merged %d timelines, want %d", sub, len(tls), frames)

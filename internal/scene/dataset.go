@@ -243,13 +243,6 @@ func DefaultCaptureConfig() CaptureConfig {
 	}
 }
 
-// FullCaptureConfig is the Kinect-native resolution (640x576 depth).
-func FullCaptureConfig() CaptureConfig {
-	c := DefaultCaptureConfig()
-	c.Width, c.Height = 640, 576
-	return c
-}
-
 // OpenVideo builds the named video with the given capture configuration.
 func OpenVideo(name string, cfg CaptureConfig) (*Video, error) {
 	sc, spec, err := BuildScene(name)

@@ -1,14 +1,9 @@
-// Package sim provides the virtual clock and event queue that let the
-// trace-replay experiments (§4.1) run faster than real time on one CPU:
-// network transmission and jitter-buffer delays are computed in virtual
-// time while compute stages charge their measured cost. The live pipeline
+// Package sim provides the virtual clock that lets the trace-replay
+// experiments (§4.1) run faster than real time on one CPU: network
+// transmission and jitter-buffer delays are computed in virtual time while
+// compute stages charge their measured cost. The live pipeline
 // (internal/core with real UDP) uses the real clock instead.
 package sim
-
-import (
-	"container/heap"
-	"time"
-)
 
 // Clock is a monotonically advancing virtual clock (seconds).
 type Clock struct {
@@ -18,86 +13,9 @@ type Clock struct {
 // Now returns the current virtual time in seconds.
 func (c *Clock) Now() float64 { return c.now }
 
-// Advance moves the clock forward by dt seconds (negative dt is ignored).
-func (c *Clock) Advance(dt float64) {
-	if dt > 0 {
-		c.now += dt
-	}
-}
-
 // AdvanceTo moves the clock to t if t is in the future.
 func (c *Clock) AdvanceTo(t float64) {
 	if t > c.now {
 		c.now = t
 	}
-}
-
-// Stopwatch measures real compute time so replay experiments can charge it
-// to the virtual clock (processing is real work even in virtual time).
-type Stopwatch struct {
-	start time.Time
-}
-
-// StartStopwatch begins a measurement.
-func StartStopwatch() Stopwatch { return Stopwatch{start: time.Now()} }
-
-// Seconds returns the elapsed real time in seconds.
-func (s Stopwatch) Seconds() float64 { return time.Since(s.start).Seconds() }
-
-// Event is a timestamped item in an EventQueue.
-type Event struct {
-	At      float64 // virtual time
-	Payload any
-	seq     int // tie-break for deterministic ordering
-}
-
-// EventQueue is a deterministic min-heap of events ordered by time, then
-// insertion order.
-type EventQueue struct {
-	h   eventHeap
-	seq int
-}
-
-// Push schedules an event at virtual time at.
-func (q *EventQueue) Push(at float64, payload any) {
-	q.seq++
-	heap.Push(&q.h, Event{At: at, Payload: payload, seq: q.seq})
-}
-
-// Pop removes and returns the earliest event; ok is false when empty.
-func (q *EventQueue) Pop() (Event, bool) {
-	if len(q.h) == 0 {
-		return Event{}, false
-	}
-	return heap.Pop(&q.h).(Event), true
-}
-
-// Peek returns the earliest event without removing it.
-func (q *EventQueue) Peek() (Event, bool) {
-	if len(q.h) == 0 {
-		return Event{}, false
-	}
-	return q.h[0], true
-}
-
-// Len returns the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
-
-type eventHeap []Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }

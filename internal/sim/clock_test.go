@@ -1,22 +1,15 @@
 package sim
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestClock(t *testing.T) {
 	var c Clock
 	if c.Now() != 0 {
 		t.Error("clock should start at 0")
 	}
-	c.Advance(1.5)
+	c.AdvanceTo(1.5)
 	if c.Now() != 1.5 {
 		t.Errorf("Now = %v", c.Now())
-	}
-	c.Advance(-1) // ignored
-	if c.Now() != 1.5 {
-		t.Error("negative advance not ignored")
 	}
 	c.AdvanceTo(1.0) // past: ignored
 	if c.Now() != 1.5 {
@@ -25,43 +18,5 @@ func TestClock(t *testing.T) {
 	c.AdvanceTo(2.0)
 	if c.Now() != 2.0 {
 		t.Errorf("AdvanceTo = %v", c.Now())
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	sw := StartStopwatch()
-	time.Sleep(5 * time.Millisecond)
-	if s := sw.Seconds(); s < 0.004 || s > 1 {
-		t.Errorf("stopwatch = %v", s)
-	}
-}
-
-func TestEventQueueOrdering(t *testing.T) {
-	var q EventQueue
-	q.Push(3.0, "c")
-	q.Push(1.0, "a")
-	q.Push(2.0, "b")
-	q.Push(1.0, "a2") // same time: insertion order preserved
-	want := []string{"a", "a2", "b", "c"}
-	for _, w := range want {
-		e, ok := q.Pop()
-		if !ok || e.Payload.(string) != w {
-			t.Fatalf("pop = %v (%v), want %s", e.Payload, ok, w)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Error("pop from empty queue succeeded")
-	}
-}
-
-func TestEventQueuePeek(t *testing.T) {
-	var q EventQueue
-	if _, ok := q.Peek(); ok {
-		t.Error("peek on empty succeeded")
-	}
-	q.Push(5, "x")
-	e, ok := q.Peek()
-	if !ok || e.At != 5 || q.Len() != 1 {
-		t.Error("peek wrong or consumed event")
 	}
 }

@@ -30,11 +30,6 @@ type Controller struct {
 	EvaluateEvery int
 
 	frames int
-	probes int
-	// Last observed probe values (normalized RMSE), for telemetry: -1
-	// before the first probe.
-	lastDepthRMSE float64
-	lastColorRMSE float64
 }
 
 // New returns a controller with the paper's parameters and the given
@@ -48,8 +43,6 @@ func New(initial float64) *Controller {
 		Min:           0.5,
 		Max:           0.9,
 		EvaluateEvery: 3,
-		lastDepthRMSE: -1,
-		lastColorRMSE: -1,
 	}
 	c.clamp()
 	return c
@@ -92,8 +85,6 @@ func (c *Controller) Tick() bool {
 // color RMSE of the latest encoded frame. It returns the (possibly
 // unchanged) split.
 func (c *Controller) Observe(normDepthRMSE, normColorRMSE float64) float64 {
-	c.probes++
-	c.lastDepthRMSE, c.lastColorRMSE = normDepthRMSE, normColorRMSE
 	diff := normDepthRMSE - normColorRMSE
 	switch {
 	case diff > c.Epsilon:
@@ -103,13 +94,4 @@ func (c *Controller) Observe(normDepthRMSE, normColorRMSE float64) float64 {
 	}
 	c.clamp()
 	return c.S
-}
-
-// Probes returns how many quality probes have been observed.
-func (c *Controller) Probes() int { return c.probes }
-
-// LastProbe returns the most recent normalized depth and color RMSE fed to
-// Observe, or (-1, -1) before the first probe (telemetry, DESIGN.md §6).
-func (c *Controller) LastProbe() (normDepthRMSE, normColorRMSE float64) {
-	return c.lastDepthRMSE, c.lastColorRMSE
 }

@@ -11,8 +11,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"livo/internal/geom"
 )
@@ -170,8 +168,8 @@ func Traces() map[string]*Bandwidth {
 	return map[string]*Bandwidth{"trace-1": Trace1(), "trace-2": Trace2()}
 }
 
-// WriteTo serializes the trace as "interval_s mbps..." lines (one sample
-// per line), a Mahimahi-like plain-text format.
+// WriteTo serializes the trace as a "# name interval=s" header and one Mbps
+// sample per line, a Mahimahi-like plain-text format.
 func (b *Bandwidth) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var total int64
@@ -188,45 +186,6 @@ func (b *Bandwidth) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, bw.Flush()
-}
-
-// ReadBandwidth parses the WriteTo format.
-func ReadBandwidth(r io.Reader) (*Bandwidth, error) {
-	sc := bufio.NewScanner(r)
-	b := &Bandwidth{Interval: 1}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line[1:])
-			for _, f := range fields {
-				if strings.HasPrefix(f, "interval=") {
-					v, err := strconv.ParseFloat(f[len("interval="):], 64)
-					if err != nil {
-						return nil, fmt.Errorf("trace: bad interval: %w", err)
-					}
-					b.Interval = v
-				} else if b.Name == "" {
-					b.Name = f
-				}
-			}
-			continue
-		}
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad sample %q: %w", line, err)
-		}
-		b.Mbps = append(b.Mbps, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(b.Mbps) == 0 {
-		return nil, fmt.Errorf("trace: empty bandwidth trace")
-	}
-	return b, nil
 }
 
 // PoseSample is one timestamped viewer pose.
@@ -275,12 +234,6 @@ func (u *UserTrace) At(t float64) geom.Pose {
 	}
 	w := (t - a.T) / (b.T - a.T)
 	return a.Pose.Lerp(b.Pose, w)
-}
-
-// AtFrame returns the pose for a video frame index at the given fps — the
-// receiver-side lookup during trace replay (§4.1).
-func (u *UserTrace) AtFrame(idx, fps int) geom.Pose {
-	return u.At(float64(idx) / float64(fps))
 }
 
 // SynthUserTrace generates a human-like 6-DoF viewing trace: a smooth

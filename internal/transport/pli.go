@@ -43,8 +43,5 @@ func (t *PLITracker) Request(now float64) bool {
 // the next decode failure starts a new PLI cycle.
 func (t *PLITracker) OnKeyFrame() { t.awaiting = false }
 
-// Awaiting reports whether a requested refresh is still outstanding.
-func (t *PLITracker) Awaiting() bool { return t.awaiting }
-
 // Sent returns how many PLIs the tracker has asked to emit.
 func (t *PLITracker) Sent() int { return t.sent }

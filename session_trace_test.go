@@ -35,9 +35,9 @@ func TestSessionTraceReconciles(t *testing.T) {
 		return s
 	}
 	sConn, relayConn, rConn := listen(), listen(), listen()
-	ledSend := frametrace.NewLedger("sender", 1<<12)
-	ledRelay := frametrace.NewLedger("relay", 1<<12)
-	ledRecv := frametrace.NewLedger("recv", 1<<12)
+	ledSend := frametrace.NewLedger(1 << 12)
+	ledRelay := frametrace.NewLedger(1 << 12)
+	ledRecv := frametrace.NewLedger(1 << 12)
 	reg := telemetry.NewRegistry()
 
 	relay := NewRelayGroup([]net.PacketConn{relayConn}, sConn.LocalAddr(), relaycore.Config{Telemetry: reg, Trace: ledRelay})
@@ -77,12 +77,12 @@ func TestSessionTraceReconciles(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// One process, one clock: every offset is zero. The relay's only
+	// One process, one clock. The relay's only
 	// subscriber has id 0.
 	col := frametrace.NewCollector()
-	col.Add(ledSend, 0)
-	col.Add(ledRelay, 0)
-	col.Add(ledRecv, 0)
+	col.Add(ledSend)
+	col.Add(ledRelay)
+	col.Add(ledRecv)
 	rep := frametrace.Decompose(col.Merge(0))
 	if rep.Complete == 0 {
 		t.Fatalf("no frame of %d carries every capture→reconstruct hop: %+v", rep.Frames, rep.Stages)
