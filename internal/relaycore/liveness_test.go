@@ -13,7 +13,7 @@ import (
 // past silenceWindow is evicted in full — queue torn down with every pooled
 // buffer released (gets == puts across all shards), primary repointed, REMB
 // entry evicted so the forwarded minimum rises — and the eviction shows in
-// Stats, the telemetry counter and the event ring. A subscriber that never
+// Stats, the series and the event ring. A subscriber that never
 // spoke stays. Runs at shards=1 and shards=4 (under -race via the tier-1
 // relaycore race list).
 func TestLivenessEviction(t *testing.T) {
@@ -75,8 +75,8 @@ func TestLivenessEviction(t *testing.T) {
 			if st := r.Stats(); st.LivenessEvicted != 1 {
 				t.Fatalf("LivenessEvicted = %d, want 1", st.LivenessEvicted)
 			}
-			if got := cfg.Telemetry.Counter("livo_relay_liveness_evictions_total").Value(); got != 1 {
-				t.Fatalf("livo_relay_liveness_evictions_total = %d, want 1", got)
+			if got := metric(t, cfg.Telemetry, "livo_relay_liveness_evictions_total"); got != 1 {
+				t.Fatalf("livo_relay_liveness_evictions_total = %v, want 1", got)
 			}
 			var evicted []int32
 			for _, ev := range events.Recent(64) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"livo/internal/frametrace"
-	"livo/internal/telemetry"
 	"livo/internal/transport"
 )
 
@@ -109,8 +108,6 @@ type SubQueue struct {
 	limitA   atomic.Int64
 	retx     atomic.Int64  // cache-served retransmissions enqueued here
 	rembBps  atomic.Uint64 // float64 bits of the last REMB estimate (0 = none yet)
-
-	telDrops *telemetry.Counter
 }
 
 const (
@@ -127,7 +124,7 @@ const (
 
 // newSubQueue allocates a ring of depth packets (rounded up to a power of
 // two) whose adaptive limit never falls below minDepth.
-func newSubQueue(addr net.Addr, depth, minDepth int, telDrops *telemetry.Counter) *SubQueue {
+func newSubQueue(addr net.Addr, depth, minDepth int) *SubQueue {
 	cap := 1
 	for cap < depth {
 		cap <<= 1
@@ -143,7 +140,6 @@ func newSubQueue(addr net.Addr, depth, minDepth int, telDrops *telemetry.Counter
 		limit:    cap,
 		minLimit: minDepth,
 		avgBytes: transport.MTU,
-		telDrops: telDrops,
 	}
 	q.limitA.Store(int64(cap))
 	return q
@@ -164,26 +160,24 @@ func (q *SubQueue) Enqueue(buf *PacketBuf, fid frameID) bool {
 // retains one for the queue when it enqueues, so the fan-out loop pays no
 // refcount traffic for the rung copies a subscriber is not watching.
 // first marks a frame's first data fragment, the only packet that can
-// commit a pending rung switch; committed reports that this one did (the
-// caller counts it, the queue logs the event).
-func (q *SubQueue) Offer(buf *PacketBuf, fid frameID, first bool) (committed bool) {
+// commit a pending rung switch, which the queue counts and logs. A closed
+// queue commits nothing, so its counts are final once Close returns.
+func (q *SubQueue) Offer(buf *PacketBuf, fid frameID, first bool) {
 	q.mu.Lock()
-	if fid.media {
-		var admit bool
-		admit, committed = q.rung.admit(fid.seq, fid.rung, fid.key, first)
+	if fid.media && !q.closed {
+		admit, committed := q.rung.admit(fid.seq, fid.rung, fid.key, first)
 		if committed {
 			q.events.Add(frametrace.EvRungSwitch, fid.stream, fid.seq, q.sub,
 				frametrace.RungSwitchVal(q.rung.prev, q.rung.cur, int64(q.rung.selBps)))
 		}
 		if !admit {
 			q.mu.Unlock()
-			return committed
+			return
 		}
 	}
 	if !q.enqueueLocked(buf.Retain(), fid, first && q.trace != nil) {
 		buf.Release()
 	}
-	return committed
 }
 
 // enqueueLocked is Enqueue's body; it is entered with q.mu held and
@@ -198,11 +192,11 @@ func (q *SubQueue) enqueueLocked(buf *PacketBuf, fid frameID, stamp bool) bool {
 			// Nothing droppable (in-flight tail, or only key frames and the
 			// incoming packet is a delta). Reject the incoming packet. It
 			// still counts as enqueued-then-dropped so the accounting
-			// invariant (enqueued == sent + dropped + depth) holds.
-			q.mu.Unlock()
+			// invariant (enqueued == sent + dropped + depth) holds, before
+			// the unlock so that Close freezes the count.
 			q.enqueued.Add(1)
 			q.dropped.Add(1)
-			q.telDrops.Add(1)
+			q.mu.Unlock()
 			q.events.Add(frametrace.EvFrameDrop, fid.stream, fid.seq, q.sub, int64(frametrace.DropReject))
 			return false
 		}
@@ -274,7 +268,6 @@ func (q *SubQueue) dropFrameLocked(incomingKey bool) bool {
 	q.size = w
 	q.depth.Store(int64(w))
 	q.dropped.Add(dropped)
-	q.telDrops.Add(dropped)
 	reason := frametrace.DropDelta
 	if victim.key {
 		reason = frametrace.DropKey

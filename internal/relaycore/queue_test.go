@@ -5,13 +5,7 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"livo/internal/telemetry"
 )
-
-func testCounter() *telemetry.Counter {
-	return telemetry.NewRegistry().Counter("test_drops_total")
-}
 
 func udp(i int) *net.UDPAddr {
 	return &net.UDPAddr{IP: net.IPv4(10, 0, byte(i>>8), byte(i)), Port: 40000 + i%1000}
@@ -28,7 +22,7 @@ func tag(frame, frag int) []byte { return []byte(fmt.Sprintf("f%d.%d", frame, fr
 // testQueue builds an unscheduled queue (no shard): tests drive drains with
 // drainOnce, exactly the pop/write/release sequence writer workers run.
 func testQueue(addr net.Addr, depth int) *SubQueue {
-	return newSubQueue(addr, depth, 0, testCounter())
+	return newSubQueue(addr, depth, 0)
 }
 
 // drainAll pumps drainOnce until the queue idles.
@@ -331,7 +325,7 @@ func TestQueueInterleavedRunNeverSplit(t *testing.T) {
 // low ones — and enqueues beyond the shrunken limit trigger the drop policy.
 func TestQueueAdaptiveDepth(t *testing.T) {
 	addr := udp(8)
-	q := newSubQueue(addr, 1024, 16, testCounter())
+	q := newSubQueue(addr, 1024, 16)
 	bp := NewBufPool(2048)
 
 	if st := q.stats(); st.Limit != 1024 {

@@ -3,8 +3,6 @@ package relaycore
 import (
 	"sync"
 	"time"
-
-	"livo/internal/telemetry"
 )
 
 const (
@@ -49,10 +47,7 @@ type retxCache struct {
 
 	idx map[nackKey]int64
 
-	inserted int64
-	evicted  int64
-
-	telEvicted *telemetry.Counter
+	evicted int64
 }
 
 type retxSlot struct {
@@ -61,15 +56,14 @@ type retxSlot struct {
 	stamp int64 // insert time, ns
 }
 
-func newRetxCache(capacity int, ageNs int64, telEvicted *telemetry.Counter) *retxCache {
+func newRetxCache(capacity int, ageNs int64) *retxCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &retxCache{
-		ageNs:      ageNs,
-		ring:       make([]retxSlot, capacity),
-		idx:        make(map[nackKey]int64, capacity),
-		telEvicted: telEvicted,
+		ageNs: ageNs,
+		ring:  make([]retxSlot, capacity),
+		idx:   make(map[nackKey]int64, capacity),
 	}
 }
 
@@ -100,7 +94,6 @@ func (c *retxCache) Insert(k nackKey, buf *PacketBuf, now int64) {
 	c.ring[pos%int64(len(c.ring))] = retxSlot{key: k, buf: buf.Retain(), stamp: now}
 	c.idx[k] = pos
 	c.size++
-	c.inserted++
 	c.mu.Unlock()
 }
 
@@ -154,7 +147,6 @@ func (c *retxCache) evictOldestLocked() {
 	c.absHead++
 	c.size--
 	c.evicted++
-	c.telEvicted.Inc()
 }
 
 // close releases every cached reference; Insert and Lookup become no-ops.
@@ -176,11 +168,11 @@ func (c *retxCache) close() {
 	c.mu.Unlock()
 }
 
-// retxStats is a point-in-time (size, inserted, evicted) snapshot.
-func (c *retxCache) retxStats() (size int, inserted, evicted int64) {
+// retxStats is a point-in-time (size, evicted) snapshot.
+func (c *retxCache) retxStats() (size int, evicted int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.size, c.inserted, c.evicted
+	return c.size, c.evicted
 }
 
 // retxShard maps a cache key to its owner shard, spreading cache memory

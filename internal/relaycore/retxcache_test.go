@@ -6,12 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"livo/internal/telemetry"
 	"livo/internal/transport"
 )
 
 func testRetxCache(capacity int, age time.Duration) *retxCache {
-	return newRetxCache(capacity, age.Nanoseconds(), telemetry.NewRegistry().Counter("evict"))
+	return newRetxCache(capacity, age.Nanoseconds())
 }
 
 // TestRetxCacheRefcounts walks the cache through insert, hit, size and age
@@ -51,7 +50,7 @@ func TestRetxCacheRefcounts(t *testing.T) {
 	if c.Lookup(key(0), 100) != nil {
 		t.Fatal("evicted key 0 still served")
 	}
-	if _, _, ev := c.retxStats(); ev != 1 {
+	if _, ev := c.retxStats(); ev != 1 {
 		t.Fatalf("evicted = %d, want 1", ev)
 	}
 
@@ -68,7 +67,7 @@ func TestRetxCacheRefcounts(t *testing.T) {
 	} else {
 		got.Release()
 	}
-	if size, _, _ := c.retxStats(); size != 4 {
+	if size, _ := c.retxStats(); size != 4 {
 		t.Fatalf("size = %d after duplicate insert, want 4", size)
 	}
 
@@ -80,7 +79,7 @@ func TestRetxCacheRefcounts(t *testing.T) {
 	fresh := pool.Load([]byte{9})
 	c.Insert(nackKey{seq: 9}, fresh, 300+old)
 	fresh.Release()
-	if size, _, _ := c.retxStats(); size != 1 {
+	if size, _ := c.retxStats(); size != 1 {
 		t.Fatalf("size = %d after age sweep, want 1 (only the fresh entry)", size)
 	}
 

@@ -216,10 +216,13 @@ type Router struct {
 	lastREMBMin float64
 	rembSent    bool
 
-	ctlSeq       atomic.Uint64
-	subSeq       atomic.Int32 // next subscriber id
-	rungSwitches atomic.Int64
-	rungBytes    [transport.MaxRungs]atomic.Int64
+	ctlSeq    atomic.Uint64
+	subSeq    atomic.Int32 // next subscriber id
+	rungBytes [transport.MaxRungs]atomic.Int64
+
+	// departedDrops and departedSwitches (under mu) are what departed
+	// subscribers' queues counted (departLocked).
+	departedDrops, departedSwitches int64
 
 	mediaPkts     atomic.Int64
 	fanoutPkts    atomic.Int64
@@ -233,15 +236,8 @@ type Router struct {
 	retxMisses    atomic.Int64
 	liveEvicted   atomic.Int64
 
-	telMedia, telFanout, telDrops      *telemetry.Counter
-	telPLIFwd, telPLISup               *telemetry.Counter
-	telNACKFwd, telNACKSup, telREMB    *telemetry.Counter
-	telRetxHit, telRetxMiss            *telemetry.Counter
-	telRetxEvict, telLiveEvict         *telemetry.Counter
-	telSubs, telDepthMax, telRetxCache *telemetry.Gauge
-	telBatch                           *telemetry.Histogram
-	telRungSwitch                      *telemetry.Counter
-	telRungSubs                        [transport.MaxRungs]*telemetry.Gauge
+	telBatch   *telemetry.Histogram
+	unregister func() // removes the router's series
 }
 
 // pliWire is the one-byte PLI the router originates when a subscriber is
@@ -265,27 +261,7 @@ func NewRouter(out Writer, sender net.Addr, cfg Config) *Router {
 	}
 	r.pli.window = pliWindow.Nanoseconds()
 	r.snap.Store(&subSnapshot{byKey: map[Key]*Subscriber{}})
-	reg := cfg.Telemetry
-	r.telMedia = reg.Counter("livo_relay_media_packets_total")
-	r.telFanout = reg.Counter("livo_relay_fanout_packets_total")
-	r.telDrops = reg.Counter("livo_relay_drops_total")
-	r.telPLIFwd = reg.Counter("livo_relay_pli_forwarded_total")
-	r.telPLISup = reg.Counter("livo_relay_pli_suppressed_total")
-	r.telNACKFwd = reg.Counter("livo_relay_nack_forwarded_total")
-	r.telNACKSup = reg.Counter("livo_relay_nack_coalesced_total")
-	r.telREMB = reg.Counter("livo_relay_remb_forwarded_total")
-	r.telRetxHit = reg.Counter("livo_relay_retx_hits_total")
-	r.telRetxMiss = reg.Counter("livo_relay_retx_misses_total")
-	r.telRetxEvict = reg.Counter("livo_relay_retx_evicted_total")
-	r.telLiveEvict = reg.Counter("livo_relay_liveness_evictions_total")
-	r.telSubs = reg.Gauge("livo_relay_subscribers")
-	r.telDepthMax = reg.Gauge("livo_relay_queue_depth_max")
-	r.telRetxCache = reg.Gauge("livo_relay_retx_cached")
-	r.telBatch = reg.Histogram("livo_relay_shard_batch_size", []float64{1, 2, 4, 8, 16, 32})
-	r.telRungSwitch = reg.Counter("livo_relay_rung_switches_total")
-	for i := range r.telRungSubs {
-		r.telRungSubs[i] = reg.Gauge(fmt.Sprintf(`livo_relay_rung_subscribers{rung="%d"}`, i))
-	}
+	r.telBatch = cfg.Telemetry.Histogram("livo_relay_shard_batch_size", []float64{1, 2, 4, 8, 16, 32})
 
 	// Each shard's cache share; floored so a many-shard router still holds
 	// a useful window per shard.
@@ -297,15 +273,43 @@ func NewRouter(out Writer, sender net.Addr, cfg Config) *Router {
 	r.pools = make([]*BufPool, cfg.Shards)
 	for i := range r.shards {
 		r.pools[i] = NewBufPool(DefaultBufClass)
-		r.shards[i] = newShard(i, r.pools[i],
-			reg.Counter(fmt.Sprintf("livo_relay_shard_%d_routed_total", i)),
-			reg.Counter(fmt.Sprintf("livo_relay_shard_%d_stolen_total", i)))
+		r.shards[i] = newShard(i)
 		r.shards[i].trace = cfg.Trace
-		r.shards[i].rungSwitches = &r.rungSwitches
-		r.shards[i].telRungSwitch = r.telRungSwitch
-		r.shards[i].retx = newRetxCache(retxPerShard, retxCacheAge.Nanoseconds(), r.telRetxEvict)
+		r.shards[i].retx = newRetxCache(retxPerShard, retxCacheAge.Nanoseconds())
 		r.shards[i].now = r.now
 	}
+	// The livo_relay_* series read the counts above at scrape time; Close
+	// removes them. livo_relay_queue_depth_max is a maximum, not a sum: it
+	// reads right while one router reports to a registry, as in every
+	// binary here.
+	counters := map[string]func() int64{
+		"livo_relay_media_packets_total":      r.mediaPkts.Load,
+		"livo_relay_fanout_packets_total":     r.fanoutPkts.Load,
+		"livo_relay_drops_total":              func() int64 { return r.Stats().Drops },
+		"livo_relay_pli_forwarded_total":      r.pliFwd.Load,
+		"livo_relay_pli_suppressed_total":     r.pliSuppressed.Load,
+		"livo_relay_nack_forwarded_total":     r.nackFwd.Load,
+		"livo_relay_nack_coalesced_total":     r.nackCoalesced.Load,
+		"livo_relay_remb_forwarded_total":     r.rembFwd.Load,
+		"livo_relay_retx_hits_total":          r.retxHits.Load,
+		"livo_relay_retx_misses_total":        r.retxMisses.Load,
+		"livo_relay_retx_evicted_total":       func() int64 { return r.Stats().RetxEvicted },
+		"livo_relay_liveness_evictions_total": r.liveEvicted.Load,
+		"livo_relay_rung_switches_total":      func() int64 { return r.Stats().RungSwitches },
+	}
+	gauges := map[string]func() float64{
+		"livo_relay_subscribers":     func() float64 { return float64(r.Subscribers()) },
+		"livo_relay_queue_depth_max": func() float64 { return float64(r.Stats().MaxDepth) },
+		"livo_relay_retx_cached":     func() float64 { return float64(r.Stats().RetxCached) },
+	}
+	for i := 0; i < transport.MaxRungs; i++ {
+		gauges[fmt.Sprintf(`livo_relay_rung_subscribers{rung="%d"}`, i)] = func() float64 { return float64(r.Stats().RungSubscribers[i]) }
+	}
+	for _, s := range r.shards {
+		counters[fmt.Sprintf("livo_relay_shard_%d_routed_total", s.id)] = s.routed.Load
+		counters[fmt.Sprintf("livo_relay_shard_%d_stolen_total", s.id)] = s.stolen.Load
+	}
+	r.unregister = cfg.Telemetry.Funcs(counters, gauges)
 	r.ingestWg.Add(len(r.shards))
 	for _, s := range r.shards {
 		go s.runIngest(&r.ingestWg)
@@ -361,7 +365,7 @@ func (r *Router) Subscribe(addr net.Addr) {
 		key:   k,
 		id:    r.subSeq.Add(1) - 1,
 		shard: shardIdx,
-		q:     newSubQueue(addr, r.cfg.queueDepth, minQueueDepth, r.telDrops),
+		q:     newSubQueue(addr, r.cfg.queueDepth, minQueueDepth),
 	}
 	sub.q.sub = sub.id
 	sub.q.events = r.cfg.Events
@@ -381,7 +385,6 @@ func (r *Router) Subscribe(addr net.Addr) {
 		next.primary = sub
 	}
 	r.snap.Store(next)
-	r.telSubs.SetInt(int64(len(next.subs)))
 	r.storePartitionLocked(shardIdx, next)
 }
 
@@ -430,15 +433,24 @@ func (r *Router) Unsubscribe(addr net.Addr) bool {
 		}
 	}
 	r.snap.Store(next)
-	r.telSubs.SetInt(int64(len(next.subs)))
 	r.storePartitionLocked(removed.shard, next)
+	r.departLocked(removed)
 	r.mu.Unlock()
 
-	removed.q.Close()
 	r.fbMu.Lock()
 	r.remb.Remove(k)
 	r.fbMu.Unlock()
 	return true
+}
+
+// departLocked closes a leaving subscriber's queue, which then counts
+// nothing more, and folds its drops and rung switches in once (r.mu held).
+func (r *Router) departLocked(s *Subscriber) {
+	s.q.Close()
+	s.q.mu.Lock()
+	r.departedSwitches += s.q.rung.switches
+	s.q.mu.Unlock()
+	r.departedDrops += s.q.dropped.Load()
 }
 
 // Subscribers returns the current subscriber count.
@@ -478,7 +490,6 @@ func (r *Router) classify(b []byte) (fid frameID, rk nackKey, cacheable, first b
 // and is safe to call concurrently from multiple ingest loops.
 func (r *Router) RouteMedia(buf *PacketBuf) {
 	r.mediaPkts.Add(1)
-	r.telMedia.Inc()
 	b := buf.Bytes()
 	fid, rk, cacheable, first := r.classify(b)
 	if fid.media {
@@ -522,7 +533,6 @@ func (r *Router) RouteMedia(buf *PacketBuf) {
 		}
 	}
 	r.fanoutPkts.Add(int64(len(snap.subs)))
-	r.telFanout.Add(int64(len(snap.subs)))
 	buf.Release()
 }
 
@@ -544,7 +554,6 @@ func (r *Router) runWriter(home int) {
 			for i := 1; i < len(r.shards); i++ {
 				if q = r.shards[(home+i)%len(r.shards)].popReady(); q != nil {
 					hs.stolen.Add(1)
-					hs.telStolen.Inc()
 					break
 				}
 			}
@@ -646,7 +655,6 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 		r.fbMu.Unlock()
 		if fwd {
 			r.rembFwd.Add(1)
-			r.telREMB.Inc()
 			r.cfg.Events.Add(frametrace.EvREMB, 0, 0, subID(sub), int64(target))
 			var scratch [9]byte
 			_, _ = r.out.WriteTo(transport.AppendREMB(scratch[:0], target), r.sender)
@@ -660,12 +668,10 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 			r.fbMu.Unlock()
 			if pliFwd {
 				r.pliFwd.Add(1)
-				r.telPLIFwd.Inc()
 				r.cfg.Events.Add(frametrace.EvPLI, 0, 0, subID(sub), 0)
 				_, _ = r.out.WriteTo(pliWire, r.sender)
 			} else {
 				r.pliSuppressed.Add(1)
-				r.telPLISup.Inc()
 			}
 		}
 	case transport.FBPose:
@@ -694,12 +700,10 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 		// escalate through the coalescer.
 		if served && r.serveRetx(nk, sub, from) {
 			r.retxHits.Add(1)
-			r.telRetxHit.Inc()
 			r.cfg.Events.Add(frametrace.EvRetxHit, stream, seq, subID(sub), int64(frag))
 			return
 		}
 		r.retxMisses.Add(1)
-		r.telRetxMiss.Inc()
 		r.cfg.Events.Add(frametrace.EvRetxMiss, stream, seq, subID(sub), int64(frag))
 		now := r.now()
 		r.fbMu.Lock()
@@ -707,11 +711,9 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 		r.fbMu.Unlock()
 		if !fwd {
 			r.nackCoalesced.Add(1)
-			r.telNACKSup.Inc()
 			return
 		}
 		r.nackFwd.Add(1)
-		r.telNACKFwd.Inc()
 		_, _ = r.out.WriteTo(b, r.sender)
 	case transport.FBPLI:
 		now := r.now()
@@ -720,11 +722,9 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 		r.fbMu.Unlock()
 		if !fwd {
 			r.pliSuppressed.Add(1)
-			r.telPLISup.Inc()
 			return
 		}
 		r.pliFwd.Add(1)
-		r.telPLIFwd.Inc()
 		r.cfg.Events.Add(frametrace.EvPLI, 0, 0, subID(sub), 0)
 		_, _ = r.out.WriteTo(b, r.sender)
 	case transport.FBPing:
@@ -790,7 +790,6 @@ func (r *Router) EvictStale() int {
 		if r.Unsubscribe(s.addr) {
 			n++
 			r.liveEvicted.Add(1)
-			r.telLiveEvict.Inc()
 			r.cfg.Events.Add(frametrace.EvLivenessEvict, 0, 0, s.id, now-s.lastActive.Load())
 		}
 	}
@@ -812,12 +811,14 @@ func (r *Router) runLiveness() {
 	}
 }
 
-// Close stops the shard ingest goroutines and writer workers and releases
-// queued buffers. Media routed after Close is dropped at the (closed)
-// shards and queues.
+// Close stops the shard ingest goroutines and writer workers, releases
+// queued buffers and removes the router's series from its registry (their
+// counts stay in the registry's totals). Media routed after Close is
+// dropped at the (closed) shards and queues.
 func (r *Router) Close() { r.closeOnce.Do(r.doClose) }
 
 func (r *Router) doClose() {
+	// Every subscriber departs as in Unsubscribe.
 	r.mu.Lock()
 	snap := r.snap.Load()
 	r.snap.Store(&subSnapshot{byKey: map[Key]*Subscriber{}})
@@ -825,12 +826,13 @@ func (r *Router) doClose() {
 		empty := []*Subscriber{}
 		r.shards[i].subs.Store(&empty)
 	}
-	r.telSubs.SetInt(0)
+	for _, s := range snap.subs {
+		r.departLocked(s)
+	}
 	r.mu.Unlock()
 
-	// Stop ingest first (no new queue enqueues or cache inserts), then
-	// release the retransmission caches and queue backlogs, then let the
-	// writers and the liveness sweep run dry and exit.
+	// Stop ingest (no new cache inserts), then release the retransmission
+	// caches, then let the writers and the liveness sweep run dry and exit.
 	for _, s := range r.shards {
 		s.close()
 	}
@@ -838,12 +840,10 @@ func (r *Router) doClose() {
 	for _, s := range r.shards {
 		s.retx.close()
 	}
-	for _, s := range snap.subs {
-		s.q.Close()
-	}
 	close(r.closedCh)
 	r.writerWg.Wait()
 	r.liveWg.Wait()
+	r.unregister()
 }
 
 // WaitIdle blocks until every shard ring and subscriber queue is drained
@@ -890,6 +890,7 @@ type Stats struct {
 	Subscribers   int
 	MediaPackets  int64
 	FanoutPackets int64
+	// Drops and RungSwitches include what departed subscribers counted.
 	Drops         int64
 	MaxDepth      int64
 	PLIForwarded  int64
@@ -919,15 +920,18 @@ type Stats struct {
 	Shards []ShardStats
 }
 
-// Stats snapshots the router, its shards, and per-subscriber queues, and
-// refreshes the livo_relay_queue_depth_max gauge (the hot path never
-// touches it).
+// Stats snapshots the router, its shards, and per-subscriber queues.
 func (r *Router) Stats() Stats {
-	snap := r.snap.Load()
+	// A subscriber departing after this is in snap, not in the departed
+	// totals: it counts once.
+	r.mu.Lock()
+	snap, drops, switches := r.snap.Load(), r.departedDrops, r.departedSwitches
+	r.mu.Unlock()
 	st := Stats{
 		Subscribers:   len(snap.subs),
 		MediaPackets:  r.mediaPkts.Load(),
 		FanoutPackets: r.fanoutPkts.Load(),
+		Drops:         drops,
 		PLIForwarded:  r.pliFwd.Load(),
 		PLISuppressed: r.pliSuppressed.Load(),
 		NACKForwarded: r.nackFwd.Load(),
@@ -938,7 +942,7 @@ func (r *Router) Stats() Stats {
 		RetxHits:        r.retxHits.Load(),
 		RetxMisses:      r.retxMisses.Load(),
 		LivenessEvicted: r.liveEvicted.Load(),
-		RungSwitches:    r.rungSwitches.Load(),
+		RungSwitches:    switches,
 
 		Subs:   make([]SubStats, 0, len(snap.subs)),
 		Shards: make([]ShardStats, 0, len(r.shards)),
@@ -947,11 +951,10 @@ func (r *Router) Stats() Stats {
 		st.PoolLive += p.Live()
 	}
 	for _, s := range r.shards {
-		size, _, ev := s.retx.retxStats()
+		size, ev := s.retx.retxStats()
 		st.RetxCached += int64(size)
 		st.RetxEvicted += ev
 	}
-	r.telRetxCache.SetInt(st.RetxCached)
 	now := r.now()
 	for _, s := range snap.subs {
 		ss := s.q.stats()
@@ -960,13 +963,11 @@ func (r *Router) Stats() Stats {
 			st.RungSubscribers[ss.Rung]++
 		}
 		st.Drops += ss.Dropped
+		st.RungSwitches += ss.RungSwitches
 		if ss.Depth > st.MaxDepth {
 			st.MaxDepth = ss.Depth
 		}
 		st.Subs = append(st.Subs, ss)
-	}
-	for i, g := range r.telRungSubs {
-		g.SetInt(int64(st.RungSubscribers[i]))
 	}
 	for _, s := range r.shards {
 		st.Shards = append(st.Shards, ShardStats{
@@ -976,6 +977,5 @@ func (r *Router) Stats() Stats {
 			Stolen:      s.stolen.Load(),
 		})
 	}
-	r.telDepthMax.SetInt(st.MaxDepth)
 	return st
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"livo/internal/frametrace"
-	"livo/internal/telemetry"
 )
 
 // shard is one core's slice of the data plane, SO_REUSEPORT-style: it owns
@@ -18,8 +17,7 @@ import (
 // when their home shard has nothing — one slow partition cannot idle other
 // cores.
 type shard struct {
-	id   int
-	pool *BufPool
+	id int
 
 	// Partition snapshot (copy-on-write under the router's membership
 	// mutex); the ingest goroutine reads it with one atomic load.
@@ -60,13 +58,6 @@ type shard struct {
 	// trace, when non-nil, receives a shard_route stamp per subscriber for
 	// each frame's first fragment (cfg.Trace; nil disables tracing).
 	trace *frametrace.Ledger
-
-	// rungSwitches and telRungSwitch (router-owned) count the rung
-	// switches this shard's subscribers commit.
-	rungSwitches  *atomic.Int64
-	telRungSwitch *telemetry.Counter
-
-	telRouted, telStolen *telemetry.Counter
 }
 
 type ingestEntry struct {
@@ -86,15 +77,12 @@ const ingestRingCap = 2048
 // acquisition.
 const ingestBatch = 64
 
-func newShard(id int, pool *BufPool, telRouted, telStolen *telemetry.Counter) *shard {
+func newShard(id int) *shard {
 	s := &shard{
-		id:        id,
-		pool:      pool,
-		ring:      make([]ingestEntry, ingestRingCap),
-		mask:      ingestRingCap - 1,
-		notify:    make(chan struct{}, 1),
-		telRouted: telRouted,
-		telStolen: telStolen,
+		id:     id,
+		ring:   make([]ingestEntry, ingestRingCap),
+		mask:   ingestRingCap - 1,
+		notify: make(chan struct{}, 1),
 	}
 	s.notEmpty = sync.NewCond(&s.mu)
 	s.notFull = sync.NewCond(&s.mu)
@@ -194,16 +182,12 @@ func (s *shard) runIngest(wg *sync.WaitGroup) {
 				if stamp {
 					s.trace.StampNow(frametrace.HopShardRoute, e.fid.stream, e.fid.seq, sub.q.sub)
 				}
-				if sub.q.Offer(e.buf, e.fid, e.first) {
-					s.rungSwitches.Add(1)
-					s.telRungSwitch.Inc()
-				}
+				sub.q.Offer(e.buf, e.fid, e.first)
 			}
 			e.buf.Release()
 			s.pending.Add(-1)
 		}
 		s.routed.Add(int64(n))
-		s.telRouted.Add(int64(n))
 	}
 }
 

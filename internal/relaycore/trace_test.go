@@ -109,7 +109,7 @@ func TestQueueDropEvents(t *testing.T) {
 		return pool.Load([]byte{1}), frameID{media: true, stream: 1, seq: seq, key: key}
 	}
 	newQ := func() *SubQueue {
-		q := newSubQueue(&net.UDPAddr{IP: net.IPv4(10, 0, 0, 1), Port: 1}, 4, 4, testCounter())
+		q := newSubQueue(&net.UDPAddr{IP: net.IPv4(10, 0, 0, 1), Port: 1}, 4, 4)
 		q.sub = 7
 		q.events = events
 		return q

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -56,19 +57,16 @@ func writeDebugz(w http.ResponseWriter, reg *Registry, extraPaths []string) {
 	}
 	fmt.Fprintf(w, "\n\n")
 
+	// The counter and gauge lines /debugz/metrics writes.
 	fmt.Fprintf(w, "== counters & gauges ==\n")
-	m := reg.load()
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		switch v := m[name].(type) {
-		case *Counter:
-			fmt.Fprintf(w, "%-40s %d\n", name, v.Value())
-		case *Gauge:
-			fmt.Fprintf(w, "%-40s %g\n", name, v.Value())
+	var sb strings.Builder
+	reg.WriteMetrics(&sb)
+	kind := ""
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			kind = f[3]
+		} else if name, v, ok := strings.Cut(line, " "); ok && kind != "histogram" {
+			fmt.Fprintf(w, "%-40s %s\n", name, v)
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // Registry holds named metrics. Metric handles are registered once
-// (GetOrCreate semantics, guarded by a mutex) and then updated lock-free;
-// the name→metric map is copy-on-write so handle lookups and the
-// exposition path never block updates.
+// (GetOrCreate semantics, guarded by a mutex) and then updated lock-free,
+// or read at scrape time (Funcs); the name→metric map is copy-on-write so
+// handle lookups and the exposition path never block updates.
 type Registry struct {
 	mu      sync.Mutex   // guards registration (map copy) only
-	metrics atomic.Value // map[string]any — *Counter, *Gauge, or *Histogram
+	metrics atomic.Value // map[string]any — *Counter, *Gauge, *Histogram or *funcSeries
 }
 
 // NewRegistry creates an empty registry.
@@ -82,6 +82,67 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
 	}
 	return h
+}
+
+// Funcs registers read-at-scrape series: each function is one source of
+// the counter or gauge series of its name, which reads the sum of its
+// sources when the registry is written. The returned function removes them
+// all; owners call it on Close. A removed counter's last value stays in the
+// sum, so a _total never goes backwards; a removed gauge leaves it. A gauge
+// that does not add up (a maximum, a ratio) needs one source per registry.
+// A name held by a push metric or by the other kind panics. Functions run
+// under their series' lock and must not call back into the registry.
+func (r *Registry) Funcs(counters map[string]func() int64, gauges map[string]func() float64) (remove func()) {
+	var removes []func()
+	add := func(name string, counter bool, fn func() float64) {
+		m := r.register(name, func() any { return &funcSeries{counter: counter, srcs: map[*func() float64]bool{}} })
+		f, ok := m.(*funcSeries)
+		if !ok || f.counter != counter {
+			panic(fmt.Sprintf("telemetry: %q already registered as another kind (%T)", name, m))
+		}
+		key := &fn
+		f.mu.Lock()
+		f.srcs[key] = true
+		f.mu.Unlock()
+		removes = append(removes, func() {
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			if f.srcs[key] && f.counter {
+				f.retired += fn()
+			}
+			delete(f.srcs, key)
+		})
+	}
+	for name, fn := range counters {
+		add(name, true, func() float64 { return float64(fn()) })
+	}
+	for name, fn := range gauges {
+		add(name, false, fn)
+	}
+	return func() {
+		for _, rm := range removes {
+			rm()
+		}
+	}
+}
+
+// funcSeries is one read-at-scrape series: its live sources and, for a
+// counter, retired — the sum of its removed sources' last values.
+type funcSeries struct {
+	counter bool
+	mu      sync.Mutex
+	srcs    map[*func() float64]bool
+	retired float64
+}
+
+func (f *funcSeries) value() float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	v := f.retired
+	for fn := range f.srcs {
+		v += (*fn)()
+	}
+	return v
 }
 
 // Counter is a monotonically increasing atomic counter.
@@ -197,8 +258,8 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // WriteMetrics writes every registered metric in Prometheus text
-// exposition format, sorted by name. Counters whose names end in _total
-// are typed counter; histograms expose cumulative _bucket/_sum/_count
+// exposition format, sorted by name. Counters, push or read-at-scrape,
+// print as integers; histograms expose cumulative _bucket/_sum/_count
 // series.
 func (r *Registry) WriteMetrics(w io.Writer) {
 	m := r.load()
@@ -213,6 +274,12 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v.Value())
 		case *Gauge:
 			fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, v.Value())
+		case *funcSeries:
+			kind, format := "gauge", "%g"
+			if v.counter {
+				kind, format = "counter", "%.0f"
+			}
+			fmt.Fprintf(w, "# TYPE %s %s\n%s "+format+"\n", name, kind, name, v.value())
 		case *Histogram:
 			s := v.Snapshot()
 			fmt.Fprintf(w, "# TYPE %s histogram\n", name)

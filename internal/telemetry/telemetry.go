@@ -9,6 +9,9 @@
 // values and cumulative histogram buckets, in Prometheus text format.
 // Quantiles are the reader's to estimate from the buckets.
 //
+// Sessions and the relay count each event once, in the atomics behind their
+// own Stats(), and register read-at-scrape series over them (Registry.Funcs).
+//
 // Everything is stdlib-only and allocation-free on the hot path: metric
 // handles are resolved once at construction time (copy-on-write name map,
 // so lookups during registration never block readers), and every update is

@@ -48,7 +48,7 @@ type Relay struct {
 	err        atomic.Value // error — first fatal read error (Err)
 	telReadErr *telemetry.Counter
 	telRdBatch *telemetry.Histogram
-	telSyscall *telemetry.Gauge
+	unregister func() // removes the livo_relay_syscalls_per_pkt source
 }
 
 // NewRelayGroup creates a relay over conns, forwarding the given sender's
@@ -76,15 +76,21 @@ func NewRelayGroup(conns []net.PacketConn, sender net.Addr, cfg relaycore.Config
 	for i, c := range conns {
 		readers[i] = udpio.Reader(c)
 	}
-	return &Relay{
+	r := &Relay{
 		conns:      conns,
 		readers:    readers,
 		router:     relaycore.NewRouter(out, sender, cfg),
 		closed:     make(chan struct{}),
 		telReadErr: reg.Counter("livo_relay_read_errors_total"),
 		telRdBatch: reg.Histogram("livo_relay_read_batch_pkts", []float64{1, 2, 4, 8, 16, 32, 64}),
-		telSyscall: reg.Gauge("livo_relay_syscalls_per_pkt"),
 	}
+	// A ratio, not a sum: it reads right while one relay reports to reg, as
+	// in every binary here.
+	r.unregister = reg.Funcs(nil, map[string]func() float64{"livo_relay_syscalls_per_pkt": func() float64 {
+		st := r.WireStats()
+		return float64(st.ReadSyscalls+st.WriteSyscalls) / max(float64(st.ReadPackets+st.WritePackets), 1)
+	}})
+	return r
 }
 
 // groupConn fans writes across a reuseport socket group: each destination
@@ -124,12 +130,8 @@ func (r *Relay) Subscribers() int { return r.router.Subscribers() }
 func (r *Relay) Primary() net.Addr { return r.router.Primary() }
 
 // Stats snapshots the relay data plane (fan-out counts, per-subscriber
-// queue depths and drops, feedback dedup counters). It also refreshes the
-// livo_relay_syscalls_per_pkt gauge from the wire sockets.
-func (r *Relay) Stats() relaycore.Stats {
-	r.refreshWireTelemetry()
-	return r.router.Stats()
-}
+// queue depths and drops, feedback dedup counters).
+func (r *Relay) Stats() relaycore.Stats { return r.router.Stats() }
 
 // WireStats aggregates syscall accounting across the relay's sockets.
 // Conns that are not udpio Sockets contribute only their truncation count.
@@ -151,13 +153,6 @@ func (r *Relay) WireStats() udpio.SocketStats {
 	return agg
 }
 
-func (r *Relay) refreshWireTelemetry() {
-	st := r.WireStats()
-	if pkts := st.ReadPackets + st.WritePackets; pkts > 0 {
-		r.telSyscall.Set(float64(st.ReadSyscalls+st.WriteSyscalls) / float64(pkts))
-	}
-}
-
 // SubscribersHandler serves the per-subscriber queue snapshots (SubStats:
 // depth vs adaptive limit, drops, retransmissions, last REMB, liveness age)
 // as a JSON array — mounted as /debugz/subscribers by livo-conference.
@@ -176,21 +171,6 @@ func (r *Relay) SubscribersHandler() http.Handler {
 // one ingest loop per conn and blocks until all of them exit.
 func (r *Relay) Run() {
 	var loops sync.WaitGroup
-	// Keep the wire gauges live for scrapers that never call Stats().
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		t := time.NewTicker(time.Second)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.closed:
-				return
-			case <-t.C:
-				r.refreshWireTelemetry()
-			}
-		}
-	}()
 	for i, br := range r.readers {
 		r.wg.Add(1)
 		loops.Add(1)
@@ -300,5 +280,6 @@ func (r *Relay) Close() error {
 	}
 	r.wg.Wait()
 	r.router.Close()
+	r.unregister()
 	return nil
 }

@@ -48,8 +48,6 @@ type SendSession struct {
 	wg        sync.WaitGroup
 	err       atomic.Value
 
-	// Session-local counters back Stats() exactly (registry counters are
-	// process-wide and may aggregate several sessions).
 	frames    atomic.Int64
 	pkts      atomic.Int64
 	bytesSent atomic.Int64
@@ -58,9 +56,7 @@ type SendSession struct {
 	nacksRecv atomic.Int64
 	plisRecv  atomic.Int64
 
-	// Telemetry handles, resolved once in NewSendSession (DESIGN.md §6).
-	mPkts, mBytes, mPaceDrops, mRetx, mPLIRx *telemetry.Counter
-	gRate                                    *telemetry.Gauge
+	unregister func() // removes the session's series (DESIGN.md §6)
 }
 
 type retxKey struct {
@@ -108,14 +104,14 @@ func NewSendSession(conn net.PacketConn, remote net.Addr, cfg SendSessionConfig)
 	if tel == nil {
 		tel = telemetry.Default
 	}
-	s.mPkts = tel.Counter("livo_send_packets_total")
-	s.mBytes = tel.Counter("livo_send_bytes_total")
-	s.mPaceDrops = tel.Counter("livo_pace_drops_total")
-	s.mRetx = tel.Counter("livo_retx_total")
-	s.mPLIRx = tel.Counter("livo_pli_received_total")
-	s.gRate = tel.Gauge("livo_send_rate_bps")
+	s.unregister = tel.Funcs(map[string]func() int64{
+		"livo_send_packets_total": s.pkts.Load,
+		"livo_send_bytes_total":   s.bytesSent.Load,
+		"livo_pace_drops_total":   s.paceDrops.Load,
+		"livo_retx_total":         s.retx.Load,
+		"livo_pli_received_total": s.plisRecv.Load,
+	}, map[string]func() float64{"livo_send_rate_bps": s.Rate})
 	s.rateBps.Store(uint64(cfg.InitialRateBps))
-	s.gRate.Set(cfg.InitialRateBps)
 	// About a second of frames at 30 fps: a pacer that far behind is not
 	// catching up, and the frames after it are dropped whole.
 	s.paceQ = make(chan [][]byte, 32)
@@ -292,14 +288,11 @@ func (s *SendSession) enqueue(pkts []transport.Packet) error {
 	case s.paceQ <- wires:
 		s.pkts.Add(int64(len(pkts)))
 		s.bytesSent.Add(int64(size))
-		s.mPkts.Add(int64(len(pkts)))
-		s.mBytes.Add(int64(size))
 	default:
 		// The pacer is a second of frames behind. Part of a frame is of no
 		// use to the receiver, so the new frame is dropped whole; NACKs can
 		// still be answered from history if it mattered.
 		s.paceDrops.Add(int64(len(pkts)))
-		s.mPaceDrops.Add(int64(len(pkts)))
 	}
 	// Keep roughly one second of history for NACKs (a ladder triples the
 	// packet rate, so it gets a proportionally deeper window).
@@ -365,7 +358,6 @@ func (s *SendSession) handleFeedback(b []byte) {
 	case transport.FBREMB:
 		if bps, err := transport.UnmarshalREMB(b); err == nil && bps > 0 {
 			s.rateBps.Store(uint64(bps))
-			s.gRate.Set(bps)
 		}
 	case transport.FBNACK:
 		if stream, seq, frag, err := transport.UnmarshalNACK(b); err == nil {
@@ -385,13 +377,11 @@ func (s *SendSession) handleFeedback(b []byte) {
 			s.mu.Unlock()
 			for _, wire := range wires {
 				s.retx.Add(1)
-				s.mRetx.Inc()
 				_, _ = s.conn.WriteTo(wire, s.remote)
 			}
 		}
 	case transport.FBPLI:
 		s.plisRecv.Add(1)
-		s.mPLIRx.Inc()
 		// Refresh-in-flight guard: during an outage the receiver re-sends
 		// PLIs until the IDR lands; only the first arms a key frame.
 		if s.pliArmed.CompareAndSwap(false, true) {
@@ -466,6 +456,7 @@ func (s *SendSession) Close() error {
 		close(s.closed)
 		_ = s.conn.SetReadDeadline(time.Now())
 		s.wg.Wait()
+		s.unregister()
 	})
 	return nil
 }
@@ -521,24 +512,17 @@ type RecvSession struct {
 	wg        sync.WaitGroup
 	err       atomic.Value
 	decoded   atomic.Int64
-	skipped   atomic.Int64
 	received  atomic.Int64
-	lost      atomic.Int64
 	concealed atomic.Int64
-
-	// Cumulative counters for Stats(): received/lost above are windowed
-	// (Swap(0) each feedback interval) so they cannot serve totals. estRate
-	// caches gcc.Rate(), which is only safe on the Run goroutine.
-	rxTotal   atomic.Int64
-	lostTotal atomic.Int64
-	nacksSent atomic.Int64
 	plisSent  atomic.Int64
-	estRate   atomic.Uint64
-	rttUs     atomic.Int64 // smoothed RTT, microseconds (0 before the first pong)
+	// estRate caches gcc.Rate(), which is only safe under loopMu.
+	estRate atomic.Uint64
+	rttUs   atomic.Int64 // smoothed RTT, microseconds (0 before the first pong)
+	// lossRx and lossNacked are the received and NACK-ed totals at the last
+	// feedback tick (loopMu): GCC's loss report is over the interval since.
+	lossRx, lossNacked int64
 
-	// Telemetry handles, resolved once in NewRecvSession (DESIGN.md §6).
-	mRx, mNACKSent, mPLISent, mConceal   *telemetry.Counter
-	gEstRate, gJitterColor, gJitterDepth *telemetry.Gauge
+	unregister func() // removes the session's series (DESIGN.md §6)
 }
 
 // RecvSessionConfig configures a RecvSession.
@@ -596,15 +580,17 @@ func NewRecvSession(conn net.PacketConn, remote net.Addr, cfg RecvSessionConfig)
 	if tel == nil {
 		tel = telemetry.Default
 	}
-	r.mRx = tel.Counter("livo_recv_packets_total")
-	r.mNACKSent = tel.Counter("livo_nack_sent_total")
-	r.mPLISent = tel.Counter("livo_pli_sent_total")
-	r.mConceal = tel.Counter("livo_concealed_frames_total")
-	r.gEstRate = tel.Gauge("livo_recv_est_rate_bps")
-	r.gJitterColor = tel.Gauge("livo_jitter_pending_color")
-	r.gJitterDepth = tel.Gauge("livo_jitter_pending_depth")
+	r.unregister = tel.Funcs(map[string]func() int64{
+		"livo_recv_packets_total":     r.received.Load,
+		"livo_nack_sent_total":        r.nacked,
+		"livo_pli_sent_total":         r.plisSent.Load,
+		"livo_concealed_frames_total": r.concealed.Load,
+	}, map[string]func() float64{
+		"livo_recv_est_rate_bps":    func() float64 { return float64(r.estRate.Load()) },
+		"livo_jitter_pending_color": func() float64 { return float64(r.streamStats(0).Pending) },
+		"livo_jitter_pending_depth": func() float64 { return float64(r.streamStats(1).Pending) },
+	})
 	r.estRate.Store(uint64(cfg.InitialRateBps))
-	r.gEstRate.Set(cfg.InitialRateBps)
 	return r, nil
 }
 
@@ -692,8 +678,6 @@ func (r *RecvSession) handleDatagram(buf []byte, now float64) bool {
 	}
 	r.gcc.OnArrival(float64(pkt.SendTimeUs)/1e6, now, len(buf))
 	r.received.Add(1)
-	r.rxTotal.Add(1)
-	r.mRx.Inc()
 	if si := int(pkt.Stream) - int(transport.StreamColor); si >= 0 && si < len(r.jb) && int(pkt.Rung) < len(r.jb[si]) {
 		r.jb[si][pkt.Rung].Push(pkt, now)
 	}
@@ -774,10 +758,6 @@ func (r *RecvSession) drain(now float64) (next float64, pending bool) {
 		}
 		for _, jb := range rungs {
 			for _, nack := range jb.Nacks(now) {
-				r.lost.Add(1)
-				r.lostTotal.Add(1)
-				r.nacksSent.Add(1)
-				r.mNACKSent.Inc()
 				_, _ = r.conn.WriteTo(transport.MarshalNACK(nack.Stream, nack.FrameSeq, nack.FragIndex), r.remote)
 			}
 		}
@@ -785,8 +765,6 @@ func (r *RecvSession) drain(now float64) (next float64, pending bool) {
 			next, pending = at, true
 		}
 	}
-	r.gJitterColor.SetInt(int64(r.streamStats(0).Pending))
-	r.gJitterDepth.SetInt(int64(r.streamStats(1).Pending))
 	return next, pending
 }
 
@@ -811,7 +789,6 @@ func (r *RecvSession) deliver(stream uint8, af transport.AssembledFrame, now flo
 		r.conceal(af.FrameSeq)
 		if r.pli.Request(now) {
 			r.plisSent.Add(1)
-			r.mPLISent.Inc()
 			_, _ = r.conn.WriteTo([]byte{transport.FBPLI}, r.remote)
 		}
 		return
@@ -853,7 +830,6 @@ func (r *RecvSession) conceal(seq uint32) {
 	}
 	if cloud, err := r.receiver.Reconstruct(pf, fr); err == nil {
 		r.concealed.Add(1)
-		r.mConceal.Inc()
 		r.OnCloud(seq, cloud)
 	}
 }
@@ -865,16 +841,16 @@ func (r *RecvSession) sendFeedback() {
 	if r.PoseSource != nil {
 		_, _ = r.conn.WriteTo(marshalPose(now, r.PoseSource()), r.remote)
 	}
-	// Fold measured loss into the estimate before advertising it (GCC's
-	// loss-based controller).
-	rx := r.received.Swap(0)
-	lost := r.lost.Swap(0)
+	// Fold the loss measured since the last tick into the estimate before
+	// advertising it (GCC's loss-based controller).
+	rxTotal, nackedTotal := r.received.Load(), r.nacked()
+	rx, lost := rxTotal-r.lossRx, nackedTotal-r.lossNacked
+	r.lossRx, r.lossNacked = rxTotal, nackedTotal
 	if rx+lost > 0 {
 		r.gcc.OnLossReport(float64(lost) / float64(rx+lost))
 	}
 	rate := r.gcc.Rate()
 	r.estRate.Store(uint64(rate))
-	r.gEstRate.Set(rate)
 	_, _ = r.conn.WriteTo(transport.AppendREMB(make([]byte, 0, 9), rate), r.remote)
 	_, _ = r.conn.WriteTo(marshalPing(now, transport.FBPing), r.remote)
 }
@@ -893,13 +869,12 @@ func (r *RecvSession) Err() error {
 type RecvStats struct {
 	// Received counts media packets accepted since session start.
 	Received int64
-	// Lost counts fragments declared missing (each was NACK-ed once).
-	Lost int64
 	// Decoded counts paired frames delivered; Concealed counts undecodable
 	// frames replaced by the last good frame during PLI recovery.
 	Decoded   int64
 	Concealed int64
-	// NACKsSent and PLIsSent count feedback messages emitted.
+	// NACKsSent and PLIsSent count feedback messages emitted; NACKsSent is
+	// Color.Nacked + Depth.Nacked, re-requests included.
 	NACKsSent int64
 	PLIsSent  int64
 	// RTT is the smoothed round trip to the peer that echoes the session's
@@ -918,17 +893,17 @@ type RecvStats struct {
 
 // Stats snapshots the session's counters (safe from any goroutine).
 func (r *RecvSession) Stats() RecvStats {
+	color, depth := r.streamStats(0), r.streamStats(1)
 	return RecvStats{
-		Received:   r.rxTotal.Load(),
-		Lost:       r.lostTotal.Load(),
+		Received:   r.received.Load(),
 		Decoded:    r.decoded.Load(),
 		Concealed:  r.concealed.Load(),
-		NACKsSent:  r.nacksSent.Load(),
+		NACKsSent:  color.Nacked + depth.Nacked,
 		PLIsSent:   r.plisSent.Load(),
 		RTT:        float64(r.rttUs.Load()) / 1e6,
 		EstRateBps: float64(r.estRate.Load()),
-		Color:      r.streamStats(0),
-		Depth:      r.streamStats(1),
+		Color:      color,
+		Depth:      depth,
 		Err:        r.Err(),
 	}
 }
@@ -947,8 +922,9 @@ func (r *RecvSession) streamStats(si int) (sum transport.Stats) {
 	return sum
 }
 
-// Decoded returns how many paired frames were reconstructed.
-func (r *RecvSession) Decoded() int64 { return r.decoded.Load() }
+// nacked counts the NACKs the session has sent: each jitter buffer counts
+// the requests it hands out.
+func (r *RecvSession) nacked() int64 { return r.streamStats(0).Nacked + r.streamStats(1).Nacked }
 
 // Concealed returns how many undecodable frames were replaced by the last
 // good frame while awaiting a PLI-requested key frame.
@@ -961,6 +937,7 @@ func (r *RecvSession) Close() error {
 		close(r.closed)
 		_ = r.conn.SetReadDeadline(time.Now())
 		r.wg.Wait()
+		r.unregister()
 	})
 	return nil
 }
