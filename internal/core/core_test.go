@@ -108,7 +108,7 @@ func TestSenderReceiverEndToEnd(t *testing.T) {
 	}
 	// Quality versus the ground truth *culled* cloud: build ground truth
 	// from the original views culled to the same predicted frustum.
-	f := s.PredictedFrustum()
+	f := s.predictor.PredictFrustum()
 	pos, cols, err := v.Array.PointsFromViews(views)
 	if err != nil {
 		t.Fatal(err)

@@ -311,10 +311,6 @@ func (s *Sender) ObservePose(t float64, pose geom.Pose) { s.predictor.ObservePos
 // ObserveRTT feeds an application-level RTT sample (§3.4).
 func (s *Sender) ObserveRTT(rtt float64) { s.predictor.ObserveRTT(rtt) }
 
-// PredictedFrustum returns the guard-banded frustum the sender would cull
-// against right now.
-func (s *Sender) PredictedFrustum() geom.Frustum { return s.predictor.PredictFrustum() }
-
 // SetHorizon overrides the prediction horizon (tests and Fig 15 sweeps).
 func (s *Sender) SetHorizon(h float64) { s.predictor.SetHorizon(h) }
 
@@ -625,7 +621,3 @@ func depthRMSENorm(ref, got *frame.DepthImage, maxMM float64) float64 {
 	}
 	return math.Sqrt(sum/float64(n)) / maxMM
 }
-
-// PredictedPose returns the predictor's current pose estimate at the
-// active horizon (diagnostics).
-func (s *Sender) PredictedPose() geom.Pose { return s.predictor.PredictPose() }

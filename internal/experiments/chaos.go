@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
-	"livo/internal/codec/vcodec"
 	"livo/internal/core"
 	"livo/internal/frametrace"
 	"livo/internal/geom"
@@ -14,15 +14,20 @@ import (
 	"livo/internal/transport"
 )
 
-// Chaos replay: unlike the bandwidth-replay experiments (harness.go), which
-// model loss as NACK-plus-one-RTT, this harness runs the actual packet
-// path — packetize, XOR parity, marshal — through a netem.Chaos fault
-// injector and the receiver's real reassembly and recovery machinery:
-// jitter buffers, FEC repair, frame skipping, the reference-generation
-// check in the decoders, last-good-frame concealment, and the PLI→IDR
-// state machine. It validates the §A.1 recovery story end to end: faults
-// must never panic, an outage must end within a bounded number of frames
-// after the PLI, and decoded quality must return to the clean run's level.
+// Chaos replay: the harness's transport (transmitter) through a netem.Chaos
+// fault injector into the receiver's reassembly and recovery machinery:
+// NACK and FEC repair, frame skipping, the decoders' reference check,
+// last-good-frame concealment and the PLI→IDR state machine. It validates
+// the §A.1 recovery story end to end: faults must never panic, an outage
+// must end within a bounded number of frames after the PLI, and decoded
+// quality must return to the clean run's level.
+
+// A chaos run's key-frame interval, and its working-scale (not full-scale)
+// link capacity: several fragments per frame at chaos-test resolutions.
+const (
+	chaosGOP      = 15
+	chaosLinkMbps = 2.0
+)
 
 // ChaosRunConfig configures one chaos replay.
 type ChaosRunConfig struct {
@@ -31,29 +36,14 @@ type ChaosRunConfig struct {
 	Chaos netem.ChaosConfig
 	// FEC enables XOR parity packets (transport.BuildParity).
 	FEC bool
-	// GOP is the encoder key-frame interval (default 15).
-	GOP int
-	// LinkMbps is the working-scale (not full-scale) link capacity
-	// (default 2.0 — several fragments per frame at chaos-test resolutions).
-	LinkMbps float64
 	// Seed drives metric subsampling.
 	Seed int64
 	// Trace, when non-nil, receives per-frame hop stamps in *simulated*
 	// replay time (nanoseconds since replay start), so a chaos run exports
 	// deterministic capture→reconstruct timelines (-trace-dump). Sender-side
 	// hops share the capture instant (the replay has no wall-clock encode
-	// cost); wire and jitter hops carry the fault injector's real delays.
+	// cost); wire and jitter hops carry the transport's simulated delays.
 	Trace *frametrace.Ledger
-}
-
-func (cc ChaosRunConfig) withDefaults() ChaosRunConfig {
-	if cc.GOP <= 0 {
-		cc.GOP = 15
-	}
-	if cc.LinkMbps == 0 {
-		cc.LinkMbps = 2.0
-	}
-	return cc
 }
 
 // ChaosSample is the decoded quality of one successfully paired frame.
@@ -86,21 +76,13 @@ type ChaosResult struct {
 	Telemetry *telemetry.Registry
 }
 
-// arrival is one packet copy in flight between the link and a jitter buffer.
-type arrival struct {
-	t   float64
-	buf []byte
-}
-
 // RunChaos replays one workload through the packet-level pipeline with
 // fault injection. It uses the LiVoNoCull variant (culling is orthogonal to
 // loss recovery and needs no pose feedback loop here).
 func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
-	cc = cc.withDefaults()
 	w := cc.Workload
 	q := w.Quality
-	const fps = 30.0
-	dt := 1 / fps
+	const dt = 1.0 / 30
 
 	// A private registry isolates this run's counters from telemetry.Default
 	// (several chaos runs execute per test binary).
@@ -109,7 +91,7 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 		Variant:    core.LiVoNoCull,
 		Array:      w.Array(),
 		ViewParams: geom.DefaultViewParams(),
-		GOP:        cc.GOP,
+		GOP:        chaosGOP,
 		Telemetry:  reg,
 	})
 	if err != nil {
@@ -119,126 +101,43 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	link := netem.NewFixedLink(cc.LinkMbps)
 	chaos := netem.NewChaos(cc.Chaos)
 	chaos.Instrument(reg)
-	mCorrupt := reg.Counter("livo_transport_corrupt_packets_total")
-	mPLI := reg.Counter("livo_pli_sent_total")
-	mConcealed := reg.Counter("livo_concealed_frames_total")
-	mFEC := reg.Counter("livo_fec_recovered_total")
-	jb := map[uint8]*transport.JitterBuffer{
-		transport.StreamColor: transport.NewJitterBuffer(),
-		transport.StreamDepth: transport.NewJitterBuffer(),
-	}
-	pli := transport.NewPLITracker()
 
 	res := &ChaosResult{Frames: q.Frames, Telemetry: reg}
-	var inflight []arrival
-	pliPending := false
-	outageStart := -1 // frame seq of the first failure of the current outage
-	budget := 0.85 * cc.LinkMbps * 1e6
+	budget := 0.85 * chaosLinkMbps * 1e6
 	tr := cc.Trace // nil-safe: every Stamp below is a no-op when disabled
-	simNs := func(t float64) int64 { return int64(t * 1e9) }
 
-	// deliver moves due arrivals into the jitter buffers.
-	deliver := func(now float64) {
-		kept := inflight[:0]
-		for _, a := range inflight {
-			if a.t > now {
-				kept = append(kept, a)
-				continue
-			}
-			p, err := transport.Unmarshal(a.buf)
-			if err != nil {
-				res.CorruptPackets++
-				mCorrupt.Inc()
-				continue
-			}
-			if p.FragIndex == 0 && !p.Parity {
-				tr.Stamp(frametrace.HopWire, p.Stream, p.FrameSeq, frametrace.NoSub, simNs(a.t))
-			}
-			if b := jb[p.Stream]; b != nil {
-				b.Push(p, a.t)
-			}
+	tx := newTransmitter(netem.NewFixedLink(chaosLinkMbps), receiver, &transport.PlayoutEstimator{})
+	tx.faults, tx.fec, tx.trace = chaos.Apply, cc.FEC, tr
+	tx.onPair = func(pf *core.PairedFrame, at, _ float64) error {
+		// The pair instant stands in for reconstruction in the trace (the
+		// replay only reconstructs on the metric cadence).
+		tr.Stamp(frametrace.HopReconstruct, 0, pf.Seq, frametrace.NoSub, simNs(at))
+		res.Paired++
+		if int(pf.Seq) >= len(w.GT) || int(pf.Seq)%q.MetricEvery != 0 {
+			return nil
 		}
-		inflight = kept
-	}
-
-	// pop drains both jitter buffers through the receiver's decode/pair/
-	// conceal/PLI path.
-	pop := func(now float64) error {
-		for _, stream := range []uint8{transport.StreamColor, transport.StreamDepth} {
-			for _, af := range jb[stream].Pop(now) {
-				tr.Stamp(frametrace.HopJitter, stream, af.FrameSeq, frametrace.NoSub, simNs(now))
-				pkt := &vcodec.Packet{Data: af.Data, Key: af.Key, Seq: af.FrameSeq}
-				var pf *core.PairedFrame
-				var err error
-				if stream == transport.StreamColor {
-					pf, err = receiver.PushColor(pkt)
-					tr.Stamp(frametrace.HopDecodeColor, 0, af.FrameSeq, frametrace.NoSub, simNs(now))
-				} else {
-					pf, err = receiver.PushDepth(pkt)
-					tr.Stamp(frametrace.HopDecodeDepth, 0, af.FrameSeq, frametrace.NoSub, simNs(now))
-				}
-				if err != nil {
-					// Undecodable: conceal with the last good pair and run
-					// the PLI schedule. Malformed data must surface as an
-					// error here, never as a panic.
-					res.Concealed++
-					mConcealed.Inc()
-					if outageStart < 0 {
-						outageStart = int(af.FrameSeq)
-						res.Outages++
-					}
-					if pli.Request(now) {
-						res.PLISent++
-						mPLI.Inc()
-						pliPending = true
-					}
-					continue
-				}
-				if pf == nil {
-					continue
-				}
-				// A paired frame ends any outage: both streams are decodable
-				// again. The pair instant stands in for reconstruction in the
-				// trace (the replay only reconstructs on the metric cadence).
-				tr.Stamp(frametrace.HopReconstruct, 0, pf.Seq, frametrace.NoSub, simNs(now))
-				pli.OnKeyFrame()
-				res.Paired++
-				if outageStart >= 0 {
-					if rec := int(pf.Seq) - outageStart; rec > res.MaxRecoveryFrames {
-						res.MaxRecoveryFrames = rec
-					}
-					outageStart = -1
-				}
-				if int(pf.Seq) < len(w.GT) && int(pf.Seq)%q.MetricEvery == 0 {
-					got, err := receiver.Reconstruct(pf, nil)
-					if err != nil {
-						return err
-					}
-					ps := metrics.PointSSIM(w.GT[pf.Seq], got, metrics.PSSIMOptions{
-						MaxPoints: q.MetricPoints, K: 8, Seed: cc.Seed + int64(pf.Seq),
-					})
-					res.Samples = append(res.Samples, ChaosSample{
-						Seq: pf.Seq, Geometry: ps.Geometry, Color: ps.Color,
-					})
-				}
-			}
+		got, err := receiver.Reconstruct(pf, nil)
+		if err != nil {
+			return err
 		}
+		ps := metrics.PointSSIM(w.GT[pf.Seq], got, metrics.PSSIMOptions{
+			MaxPoints: q.MetricPoints, K: 8, Seed: cc.Seed + int64(pf.Seq),
+		})
+		res.Samples = append(res.Samples, ChaosSample{Seq: pf.Seq, Geometry: ps.Geometry, Color: ps.Color})
 		return nil
 	}
 
 	for i := 0; i < q.Frames; i++ {
 		now := float64(i) * dt
+		if err := tx.advance(now); err != nil {
+			return nil, err
+		}
 		// Feedback applied at the next capture instant (the PLI rides the
-		// lightly-loaded reverse path; one frame of delay models its RTT).
-		if pliPending {
-			if sender.RequestKeyFrame() {
-				res.Refreshes++
-			}
-			pliPending = false
+		// lightly-loaded reverse path).
+		if tx.feedback() && sender.RequestKeyFrame() {
+			res.Refreshes++
 		}
 		enc, err := sender.ProcessFrame(w.Views[i], budget)
 		if err != nil {
@@ -250,56 +149,27 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 			frametrace.HopEncodeColor, frametrace.HopEncodeDepth, frametrace.HopPacketize} {
 			tr.Stamp(hop, 0, enc.Seq, frametrace.NoSub, simNs(now))
 		}
-		var pkts []transport.Packet
-		for _, s := range []struct {
-			stream uint8
-			pkt    *vcodec.Packet
-		}{{transport.StreamColor, enc.Color}, {transport.StreamDepth, enc.Depth}} {
-			media := transport.Packetize(s.stream, enc.Seq, s.pkt.Key, uint64(now*1e6), s.pkt.Data)
-			pkts = append(pkts, media...)
-			if cc.FEC {
-				pkts = append(pkts, transport.BuildParity(media)...)
-			}
-		}
-		// Pace across the frame interval, then link → chaos → receiver.
-		gap := dt / float64(len(pkts)+1)
-		for pi := range pkts {
-			sendT := now + gap*float64(pi)
-			buf := pkts[pi].Marshal()
-			for _, d := range chaos.Apply(buf) {
-				arr, dropped := link.Send(sendT, len(d.Payload)+20)
-				if dropped {
-					continue
-				}
-				inflight = append(inflight, arrival{t: arr + d.ExtraDelay, buf: d.Payload})
-			}
-		}
-		deliver(now)
-		if err := pop(now); err != nil {
-			return nil, err
-		}
+		tx.send(now, enc.Seq, enc.Color, enc.Depth, budget)
 	}
-	// Drain: keep ticking past the last capture so queued and
-	// jitter-buffered frames finish delivery.
-	for j := 0; j < 30; j++ {
-		now := (float64(q.Frames) + float64(j)) * dt
-		deliver(now)
-		if err := pop(now); err != nil {
-			return nil, err
-		}
+	// Drain: run the transport until every frame is delivered or given up.
+	if err := tx.advance(math.Inf(1)); err != nil {
+		return nil, err
 	}
 	// An outage still open at the end of the drain never recovered: charge
 	// it the full remaining window so the recovery bound cannot be gamed by
 	// ending the run mid-outage.
-	if outageStart >= 0 {
-		if rec := q.Frames - outageStart; rec > res.MaxRecoveryFrames {
-			res.MaxRecoveryFrames = rec
-		}
+	res.Outages, res.MaxRecoveryFrames = tx.outages, tx.maxRecovery
+	if tx.outageStart >= 0 {
+		res.MaxRecoveryFrames = max(res.MaxRecoveryFrames, q.Frames-tx.outageStart)
 	}
-	res.SkippedColor = jb[transport.StreamColor].Skipped()
-	res.SkippedDepth = jb[transport.StreamDepth].Skipped()
-	res.FECRecovered = jb[transport.StreamColor].FECRecovered() + jb[transport.StreamDepth].FECRecovered()
-	mFEC.Add(int64(res.FECRecovered))
+	color, depth := tx.jb[0].Stats(), tx.jb[1].Stats()
+	res.SkippedColor, res.SkippedDepth = int(color.Skipped), int(depth.Skipped)
+	res.FECRecovered = int(color.FECRecovered + depth.FECRecovered)
+	res.CorruptPackets, res.Concealed, res.PLISent = tx.corrupt, tx.concealed, tx.plis
+	reg.Counter("livo_transport_corrupt_packets_total").Add(int64(res.CorruptPackets))
+	reg.Counter("livo_pli_sent_total").Add(int64(res.PLISent))
+	reg.Counter("livo_concealed_frames_total").Add(int64(res.Concealed))
+	reg.Counter("livo_fec_recovered_total").Add(int64(res.FECRecovered))
 	return res, nil
 }
 

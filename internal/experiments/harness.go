@@ -14,21 +14,18 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
 	"livo/internal/baseline"
 	"livo/internal/camera"
 	"livo/internal/core"
-	"livo/internal/cull"
 	"livo/internal/frame"
 	"livo/internal/geom"
 	"livo/internal/metrics"
 	"livo/internal/netem"
 	"livo/internal/pointcloud"
 	"livo/internal/scene"
-	"livo/internal/sim"
 	"livo/internal/trace"
 	"livo/internal/transport"
 )
@@ -174,7 +171,6 @@ type Result struct {
 	Video     string
 	User      string
 	Net       string
-	Frames    int
 	Stalls    int
 	StallRate float64
 	MeanFPS   float64
@@ -186,12 +182,8 @@ type Result struct {
 	UtilPct float64
 	// MeanSplit is the average depth split (LiVo variants).
 	MeanSplit float64
-	// CoverageRatios diagnoses culling/loss: per sampled frame, the count
-	// of received points inside the viewer's actual frustum relative to
-	// ground truth.
-	CoverageRatios []float64
-	// Latency is the mean per-stage latency in seconds (Table 6 keys:
-	// "sender", "network", "jitter", "receiver", "e2e").
+	// Latency is the mean per-stage latency in seconds of the LiVo variants
+	// (Table 6 keys: "sender", "network", "jitter", "receiver", "e2e").
 	Latency map[string]float64
 }
 
@@ -201,6 +193,21 @@ func (r *Result) GeomMean() float64 { return metrics.Mean(r.GeomPSSIM) }
 // ColorMean returns the mean color PSSIM.
 func (r *Result) ColorMean() float64 { return metrics.Mean(r.ColorPSSIM) }
 
+// sample records one sampled frame's PointSSIM (the zero value for a stall).
+func (r *Result) sample(ps metrics.PSSIM) {
+	r.GeomPSSIM = append(r.GeomPSSIM, ps.Geometry)
+	r.ColorPSSIM = append(r.ColorPSSIM, ps.Color)
+}
+
+// throughput sets TPSMbps and UtilPct from the bytes delivered in duration.
+func (r *Result) throughput(bytes int, duration float64, q Quality, meanScaledMbps float64) {
+	mbps := float64(bytes) * 8 / duration / 1e6
+	r.TPSMbps = mbps / q.BandwidthScale()
+	if meanScaledMbps > 0 {
+		r.UtilPct = 100 * mbps / meanScaledMbps
+	}
+}
+
 // modeled processing latencies (seconds), from the paper's Table 6: the
 // pipelined stages add this much delay while sustaining full frame rate.
 const (
@@ -208,7 +215,6 @@ const (
 	senderProcNoCull = 0.047 // no culling at the sender
 	recvProcLiVo     = 0.053
 	recvProcNoCull   = 0.062 // culling moves to the receiver
-	jitterDelay      = 0.100
 	// warmupFrames is the pre-roll during which the playout deadline is
 	// established; those frames cannot stall.
 	warmupFrames = 6
@@ -228,8 +234,6 @@ type RunConfig struct {
 	// fixed-capacity link at the given full-scale Mbps (used by the
 	// bitrate sweeps of Figs 4, 18, 19, A.2).
 	FixedBandwidthMbps float64
-	// Debug, when non-nil, receives per-frame diagnostics.
-	Debug io.Writer
 	// Seed drives metric subsampling.
 	Seed int64
 }
@@ -271,19 +275,13 @@ func actualFrustum(rc RunConfig, displayT float64) geom.Frustum {
 }
 
 // samplePSSIM compares received vs ground truth inside the actual frustum.
-// The returned ratio is |received ∩ frustum| / |gt ∩ frustum| — a coverage
-// diagnostic (1.0 when nothing visible was culled away or lost).
-func samplePSSIM(gt, got *pointcloud.Cloud, f geom.Frustum, q Quality, seed int64) (metrics.PSSIM, float64) {
-	gtC := gt.CullFrustum(f)
-	gotC := got.CullFrustum(f)
-	ratio := 1.0
-	if gtC.Len() > 0 {
-		ratio = float64(gotC.Len()) / float64(gtC.Len())
-	}
-	return metrics.PointSSIM(gtC, gotC, metrics.PSSIMOptions{MaxPoints: q.MetricPoints, K: 8, Seed: seed}), ratio
+func samplePSSIM(gt, got *pointcloud.Cloud, f geom.Frustum, q Quality, seed int64) metrics.PSSIM {
+	return metrics.PointSSIM(gt.CullFrustum(f), got.CullFrustum(f), metrics.PSSIMOptions{MaxPoints: q.MetricPoints, K: 8, Seed: seed})
 }
 
-// runLiVo replays the LiVo variants (and the perfect-culling ablation).
+// runLiVo replays the LiVo variants (and the perfect-culling ablation)
+// through the shipped transport (transmitter) with the playout delay pinned
+// at the paper's 100 ms.
 func runLiVo(rc RunConfig) (*Result, error) {
 	w := rc.Workload
 	q := w.Quality
@@ -300,14 +298,13 @@ func runLiVo(rc RunConfig) (*Result, error) {
 		variant = core.LiVoStaticSplit
 	}
 
-	scfg := core.SenderConfig{
+	sender, err := core.NewSender(core.SenderConfig{
 		Variant:     variant,
 		Array:       w.Array(),
 		ViewParams:  geom.DefaultViewParams(),
 		StaticSplit: rc.StaticSplit,
 		GuardBand:   rc.GuardBand,
-	}
-	sender, err := core.NewSender(scfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -324,10 +321,7 @@ func runLiVo(rc RunConfig) (*Result, error) {
 		senderProc, recvProc = senderProcNoCull, recvProcNoCull
 	}
 
-	res := &Result{
-		Scheme: rc.Scheme, Video: w.Name, User: rc.User.Name, Net: rc.netName(),
-		Frames: q.Frames, Latency: map[string]float64{},
-	}
+	res := &Result{Scheme: rc.Scheme, Video: w.Name, User: rc.User.Name, Net: rc.netName()}
 	// Session setup: the receiver streams poses while the connection is
 	// negotiated, so the predictor starts the session warm (§3.4's
 	// predictor would otherwise mis-cull the first frames). The user is
@@ -337,27 +331,69 @@ func runLiVo(rc RunConfig) (*Result, error) {
 	for k := -15; k < 0; k++ {
 		sender.ObservePose(float64(k)/30, startPose)
 	}
-	var clock sim.Clock
 	var deliveredBytes int
 	var playbackBase float64
 	var splitSum float64
-	var netSum, e2eSum float64
-	var lastArrivalAll float64
-	lastNetDelay := 2 * link.PropDelay // serialization+queueing of the previous frame
+	var netSum, jitterSum, e2eSum float64
+	paired := 0
+	shown := make([]bool, q.Frames)    // played on schedule
+	lastNetDelay := 2 * link.PropDelay // serialization+queueing of the latest frame
 	rng := rand.New(rand.NewSource(rc.Seed + 7))
+
+	playout := &transport.PlayoutEstimator{Floor: transport.MaxPlayoutDelay}
+	tx := newTransmitter(link, receiver, playout)
+	tx.gcc = gcc
+	tx.onPair = func(pf *core.PairedFrame, release, lastArrival float64) error {
+		i := int(pf.Seq)
+		capture := float64(i) * dt
+		sent := capture + senderProc
+		readyAt := release + recvProc
+		netSum += lastArrival - sent
+		jitterSum += release - lastArrival
+		e2eSum += readyAt - capture
+		paired++
+		lastNetDelay = lastArrival - sent
+		// Initial playout buffering: the playout deadline is set by the
+		// worst frame of the warmup window (real players grow their
+		// initial buffer during pre-roll), plus half a frame of slack.
+		if i < warmupFrames {
+			if base := readyAt - capture + dt/2; base > playbackBase {
+				playbackBase = base
+			}
+			return nil
+		}
+		displayT := playbackBase + capture
+		if readyAt > displayT+0.004 {
+			return nil // stalled
+		}
+		shown[i] = true
+		if i%q.MetricEvery != 0 {
+			return nil
+		}
+		got, err := receiver.Reconstruct(pf, nil)
+		if err != nil {
+			return err
+		}
+		res.sample(samplePSSIM(w.GT[i], got, actualFrustum(rc, displayT), q, rc.Seed+int64(i)+int64(rng.Intn(1000))))
+		return nil
+	}
 
 	for i := 0; i < q.Frames; i++ {
 		now := float64(i) * dt
-		clock.AdvanceTo(now)
-		displayT := playbackBase + float64(i)*dt // refined after frame 0
+		if err := tx.advance(now); err != nil {
+			return nil, err
+		}
+		if tx.feedback() {
+			sender.RequestKeyFrame()
+		}
+		displayT := playbackBase + float64(i)*dt // known once the warmup frames have played
 
 		// Receiver feedback: pose sampled one-way-delay ago. The RTT the
 		// sender halves for its prediction horizon is the
 		// *application-level* RTT (§3.4): network plus processing plus
 		// jitter buffering in both directions; pose feedback itself rides
 		// the lightly-loaded reverse path.
-		rtt := 2*link.PropDelay + link.QueueDelay(now)
-		appOneWay := senderProc + (lastNetDelay + link.PropDelay) + jitterDelay + recvProc
+		appOneWay := senderProc + (lastNetDelay + link.PropDelay) + playout.Target() + recvProc
 		sender.ObserveRTT(2 * appOneWay)
 		feedbackAge := link.PropDelay + link.QueueDelay(now)/2
 		poseT := math.Max(0, now-feedbackAge) // clamp: At() wraps negatives
@@ -377,123 +413,42 @@ func runLiVo(rc RunConfig) (*Result, error) {
 
 		// Target slightly below the estimate (real senders leave headroom
 		// for FEC/retransmissions and encoder overshoot).
-		enc, err := sender.ProcessFrame(w.Views[i], 0.85*gcc.Rate())
+		rate := 0.85 * gcc.Rate()
+		enc, err := sender.ProcessFrame(w.Views[i], rate)
 		if err != nil {
 			return nil, err
 		}
 		splitSum += enc.Split
-
-		// Transmit both streams, paced across the frame interval like
-		// WebRTC's pacer (bursting a whole frame at one instant would make
-		// intra-burst queueing look like congestion to GCC).
-		frameStart := now + senderProc
-		pkts := transport.Packetize(transport.StreamColor, enc.Seq, enc.Color.Key, uint64(frameStart*1e6), enc.Color.Data)
-		pkts = append(pkts, transport.Packetize(transport.StreamDepth, enc.Seq, enc.Depth.Key, uint64(frameStart*1e6), enc.Depth.Data)...)
-		lastArrival := frameStart
-		lost := 0
-		gap := dt / float64(len(pkts)+1)
-		for pi, p := range pkts {
-			sendT := frameStart + gap*float64(pi)
-			arr, dropped := link.Send(sendT, len(p.Payload)+20)
-			if dropped {
-				lost++
-				// NACK recovery: one retransmission an RTT later.
-				arr2, dropped2 := link.Send(sendT+rtt, len(p.Payload)+20)
-				if dropped2 {
-					arr2 = sendT + 2*rtt
-				}
-				arr = arr2
-			} else {
-				gcc.OnArrival(sendT, arr, len(p.Payload)+20)
-			}
-			if arr > lastArrival {
-				lastArrival = arr
-			}
-			deliveredBytes += len(p.Payload)
-		}
-		if lastArrival > lastArrivalAll {
-			lastArrivalAll = lastArrival
-		}
-		if len(pkts) > 0 {
-			gcc.OnLossReport(float64(lost) / float64(len(pkts)))
-		}
-
-		readyAt := lastArrival + jitterDelay + recvProc
-		// Initial playout buffering: the playout deadline is set by the
-		// worst frame of the warmup window (real players grow their
-		// initial buffer during pre-roll), plus half a frame of slack.
-		if i < warmupFrames {
-			if base := readyAt - float64(i)*dt + dt/2; base > playbackBase {
-				playbackBase = base
-			}
-			displayT = playbackBase + float64(i)*dt
-		}
-		stalled := i >= warmupFrames && readyAt > displayT+0.004
-		if stalled {
+		deliveredBytes += len(enc.Color.Data) + len(enc.Depth.Data)
+		tx.send(now+senderProc, enc.Seq, enc.Color, enc.Depth, rate)
+	}
+	if err := tx.advance(math.Inf(1)); err != nil {
+		return nil, err
+	}
+	// A frame that never played on schedule — late, skipped by the jitter
+	// buffer or concealed — is a stall.
+	for i := warmupFrames; i < q.Frames; i++ {
+		if !shown[i] {
 			res.Stalls++
-		}
-		if rc.Debug != nil {
-			actF := actualFrustum(rc, displayT)
-			acc, _ := cull.MeasureAccuracy(w.Array(), w.Views[i], sender.PredictedFrustum(), actF)
-			pp := sender.PredictedPose()
-			ap := rc.User.At(displayT)
-			fmt.Fprintf(rc.Debug, "f%02d horizon=%.3f kept=%.2f recall=%.3f predPos=%v actPos=%v predFwd=%v actFwd=%v\n",
-				i, playbackBase+feedbackAge, enc.CullStats.KeptFraction(), acc.Recall, pp.Position, ap.Position, pp.Forward(), ap.Forward())
-		}
-		netSum += lastArrival - frameStart
-		e2eSum += readyAt - now
-		lastNetDelay = lastArrival - frameStart
-
-		// Decode every frame (prediction chain), measure every k-th.
-		pf1, err := receiver.PushColor(enc.Color)
-		if err != nil {
-			return nil, err
-		}
-		pf, err := receiver.PushDepth(enc.Depth)
-		if err != nil {
-			return nil, err
-		}
-		if pf == nil {
-			pf = pf1
-		}
-		if i >= warmupFrames && i%q.MetricEvery == 0 {
-			if stalled {
-				res.GeomPSSIM = append(res.GeomPSSIM, 0)
-				res.ColorPSSIM = append(res.ColorPSSIM, 0)
-			} else if pf != nil {
-				f := actualFrustum(rc, displayT)
-				got, err := receiver.Reconstruct(pf, nil)
-				if err != nil {
-					return nil, err
-				}
-				ps, ratio := samplePSSIM(w.GT[i], got, f, q, rc.Seed+int64(i)+int64(rng.Intn(1000)))
-				res.GeomPSSIM = append(res.GeomPSSIM, ps.Geometry)
-				res.ColorPSSIM = append(res.ColorPSSIM, ps.Color)
-				res.CoverageRatios = append(res.CoverageRatios, ratio)
+			if i%q.MetricEvery == 0 {
+				res.sample(metrics.PSSIM{})
 			}
 		}
 	}
 
 	// Throughput over the interval data actually occupied the link (queued
 	// bytes can drain past the last capture instant).
-	duration := math.Max(float64(q.Frames)*dt, lastArrivalAll)
-	ratio := q.BandwidthScale()
-	eligible := q.Frames - warmupFrames
-	if eligible < 1 {
-		eligible = 1
-	}
-	res.StallRate = float64(res.Stalls) / float64(eligible)
+	duration := math.Max(float64(q.Frames)*dt, tx.lastArrival)
+	res.StallRate = float64(res.Stalls) / float64(max(1, q.Frames-warmupFrames))
 	res.MeanFPS = fps * (1 - res.StallRate)
-	res.TPSMbps = float64(deliveredBytes) * 8 / duration / 1e6 / ratio
-	if meanScaledMbps > 0 {
-		res.UtilPct = 100 * (float64(deliveredBytes) * 8 / duration / 1e6) / meanScaledMbps
-	}
+	res.throughput(deliveredBytes, duration, q, meanScaledMbps)
 	res.MeanSplit = splitSum / float64(q.Frames)
-	res.Latency["sender"] = senderProc
-	res.Latency["network"] = netSum / float64(q.Frames)
-	res.Latency["jitter"] = jitterDelay
-	res.Latency["receiver"] = recvProc
-	res.Latency["e2e"] = e2eSum / float64(q.Frames)
+	// The stage latencies are means over the frames that played, so they
+	// add up to the end-to-end mean.
+	n := math.Max(1, float64(paired))
+	res.Latency = map[string]float64{
+		"sender": senderProc, "network": netSum / n, "jitter": jitterSum / n, "receiver": recvProc, "e2e": e2eSum / n,
+	}
 	return res, nil
 }
 
@@ -510,10 +465,7 @@ func runDracoOracle(rc RunConfig) (*Result, error) {
 	link, meanScaledMbps := rc.link()
 	_ = link // oracle gets the target bandwidth directly (bandwidth oracle)
 
-	res := &Result{
-		Scheme: rc.Scheme, Video: w.Name, User: rc.User.Name, Net: rc.netName(),
-		Latency: map[string]float64{},
-	}
+	res := &Result{Scheme: rc.Scheme, Video: w.Name, User: rc.User.Name, Net: rc.netName()}
 	var deliveredBytes int
 	frames := 0
 	for i := 0; i < q.Frames; i += 2 { // 15 fps over the 30 fps capture
@@ -545,9 +497,7 @@ func runDracoOracle(rc RunConfig) (*Result, error) {
 			// No configuration meets the frame interval: stall.
 			res.Stalls++
 			if i >= warmupFrames && i%q.MetricEvery == 0 {
-				res.GeomPSSIM = append(res.GeomPSSIM, 0)
-				res.ColorPSSIM = append(res.ColorPSSIM, 0)
-				res.CoverageRatios = append(res.CoverageRatios, 0)
+				res.sample(metrics.PSSIM{})
 			}
 			continue
 		}
@@ -566,28 +516,18 @@ func runDracoOracle(rc RunConfig) (*Result, error) {
 		if stalled {
 			res.Stalls++
 			if sampled {
-				res.GeomPSSIM = append(res.GeomPSSIM, 0)
-				res.ColorPSSIM = append(res.ColorPSSIM, 0)
+				res.sample(metrics.PSSIM{})
 			}
 			continue
 		}
 		deliveredBytes += dr.Bytes
 		if sampled {
-			ps, ratio := samplePSSIM(w.GT[i], dr.Decoded, f, q, rc.Seed+int64(i))
-			res.GeomPSSIM = append(res.GeomPSSIM, ps.Geometry)
-			res.ColorPSSIM = append(res.ColorPSSIM, ps.Color)
-			res.CoverageRatios = append(res.CoverageRatios, ratio)
+			res.sample(samplePSSIM(w.GT[i], dr.Decoded, f, q, rc.Seed+int64(i)))
 		}
 	}
-	duration := float64(q.Frames) / 30
-	ratio := q.BandwidthScale()
-	res.Frames = frames
 	res.StallRate = float64(res.Stalls) / float64(frames)
 	res.MeanFPS = fps * (1 - res.StallRate)
-	res.TPSMbps = float64(deliveredBytes) * 8 / duration / 1e6 / ratio
-	if meanScaledMbps > 0 {
-		res.UtilPct = 100 * (float64(deliveredBytes) * 8 / duration / 1e6) / meanScaledMbps
-	}
+	res.throughput(deliveredBytes, float64(q.Frames)/30, q, meanScaledMbps)
 	return res, nil
 }
 
@@ -603,10 +543,7 @@ func runMeshReduce(rc RunConfig) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{
-		Scheme: rc.Scheme, Video: w.Name, User: rc.User.Name, Net: rc.netName(),
-		Latency: map[string]float64{},
-	}
+	res := &Result{Scheme: rc.Scheme, Video: w.Name, User: rc.User.Name, Net: rc.netName()}
 	rng := rand.New(rand.NewSource(rc.Seed + 3))
 	var deliveredBytes int
 	now := 0.0
@@ -635,25 +572,17 @@ func runMeshReduce(rc RunConfig) (*Result, error) {
 			f := actualFrustum(rc, displayT)
 			gt := w.GT[idx]
 			got := mres.Mesh.SamplePoints(gt.Len(), rng)
-			ps, ratio := samplePSSIM(gt, got, f, q, rc.Seed+int64(idx))
-			res.GeomPSSIM = append(res.GeomPSSIM, ps.Geometry)
-			res.ColorPSSIM = append(res.ColorPSSIM, ps.Color)
-			res.CoverageRatios = append(res.CoverageRatios, ratio)
+			res.sample(samplePSSIM(gt, got, f, q, rc.Seed+int64(idx)))
 		}
 		// Reliable transport: the next capture waits for the slower of the
 		// frame interval and the transmission (frame rate sags, no stalls).
 		step := math.Max(1.0/float64(mr.FPS), mres.TxTime)
 		now += step
 	}
-	res.Frames = frames
 	res.StallRate = 0
 	if frames > 0 {
 		res.MeanFPS = float64(frames) / duration
 	}
-	ratio := q.BandwidthScale()
-	res.TPSMbps = float64(deliveredBytes) * 8 / duration / 1e6 / ratio
-	if meanScaledMbps > 0 {
-		res.UtilPct = 100 * (float64(deliveredBytes) * 8 / duration / 1e6) / meanScaledMbps
-	}
+	res.throughput(deliveredBytes, duration, q, meanScaledMbps)
 	return res, nil
 }

@@ -1,8 +1,8 @@
 // Package netem emulates the bottleneck link between the LiVo sender and
 // receiver, replaying the bandwidth traces of §4.1 like Mahimahi [67]: a
 // trace-driven serialization rate, a droptail queue, fixed propagation
-// delay, and optional random loss. It runs in virtual time (internal/sim)
-// so experiments replay faster than real time.
+// delay, and optional random loss. It runs in virtual time, so experiments
+// replay faster than real time.
 package netem
 
 import (
@@ -30,8 +30,6 @@ type Link struct {
 
 	// busyUntil is the virtual time at which the serializer drains.
 	busyUntil float64
-	delivered int64
-	dropped   int64
 }
 
 // NewLink builds a link over a bandwidth trace with defaults.
@@ -77,18 +75,15 @@ func (l *Link) Send(now float64, bytes int) (arrival float64, droppedPkt bool) {
 	if l.QueueBytes > 0 {
 		backlog := l.QueueDelay(now) * l.capacityAt(now)
 		if int(backlog)+bytes > l.QueueBytes {
-			l.dropped++
 			return 0, true
 		}
 	}
 	if l.Rng != nil && l.LossRate > 0 && l.Rng.Float64() < l.LossRate {
-		l.dropped++
 		return 0, true
 	}
 	start := math.Max(now, l.busyUntil)
 	finish := l.serializeFinish(start, bytes)
 	l.busyUntil = finish
-	l.delivered++
 	return finish + l.PropDelay, false
 }
 
@@ -120,9 +115,3 @@ func (l *Link) serializeFinish(start float64, bytes int) float64 {
 	}
 	return t
 }
-
-// Delivered returns the count of packets accepted by the link.
-func (l *Link) Delivered() int64 { return l.delivered }
-
-// Dropped returns the count of packets dropped (queue overflow or loss).
-func (l *Link) Dropped() int64 { return l.dropped }

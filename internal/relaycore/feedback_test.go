@@ -149,7 +149,7 @@ func TestNACKCoalesceSweep(t *testing.T) {
 }
 
 func TestPLIGateWindow(t *testing.T) {
-	const window = int64(250e6) // matches transport.ResendInterval
+	const window = int64(250e6) // matches the transport PLITracker's resend interval
 	g := pliGate{window: window}
 	if !g.ShouldForward(0) {
 		t.Fatal("first PLI suppressed")

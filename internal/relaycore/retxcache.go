@@ -29,8 +29,8 @@ const (
 //
 // Sizing: capacity is packets, age is wall time; the router's caches hold
 // retxCachePackets / retxCacheAge, about one GOP of 4K media — the window
-// inside which a receiver's NACK (NackAfter 15 ms, re-request 250 ms) can
-// still arrive. Duplicate keys (a rare sender retransmission passing
+// inside which a receiver's NACK (15 ms after a fragment goes missing,
+// re-request 250 ms) can still arrive. Duplicate keys (a rare sender retransmission passing
 // through) overwrite in place: the newer copy wins and the older slot is
 // released immediately.
 type retxCache struct {

@@ -121,8 +121,8 @@ func TestJitterBufferFECRecovery(t *testing.T) {
 	if !bytes.Equal(out[0].Data, data) {
 		t.Fatal("FEC-recovered frame corrupted")
 	}
-	if jb.FECRecovered() != 1 {
-		t.Errorf("FECRecovered = %d", jb.FECRecovered())
+	if got := jb.Stats().FECRecovered; got != 1 {
+		t.Errorf("FECRecovered = %d", got)
 	}
 	// No NACK should be pending: the loss was repaired locally.
 	if n := jb.Nacks(1.5); len(n) != 0 {

@@ -38,19 +38,18 @@ type JitterBuffer struct {
 	// its buffers at one, so both streams of a frame are released against the
 	// same sender timestamp and the same target.
 	Playout *PlayoutEstimator
-	// SkipAfter is how long past MaxPlayoutDelay (measured from its first
+	// skipAfter is how long past MaxPlayoutDelay (measured from its first
 	// fragment) an incomplete frame may block delivery before being skipped;
 	// it is given up sooner once repairRounds requests have gone unanswered.
-	SkipAfter float64
-	// NackAfter is how long a frame may go without a new fragment, while
+	skipAfter float64
+	// nackAfter is how long a frame may go without a new fragment, while
 	// incomplete, before its missing fragments are NACK-ed.
-	NackAfter float64
+	nackAfter float64
 	// renackAfter is the longest a NACK may stay unanswered before the
 	// still-missing fragments are requested again — a lost retransmission
 	// (or a lost NACK) would otherwise leave the frame waiting for the skip
 	// deadline. Once the repair round trip is known the re-request goes out
-	// as soon as the answer is overdue (Playout.RepairTimeout). Zero or
-	// negative disables re-requests.
+	// as soon as the answer is overdue (Playout.RepairTimeout).
 	renackAfter float64
 
 	frames  map[uint32]*partialFrame
@@ -111,7 +110,6 @@ type partialFrame struct {
 	sendTime     float64           // sender's timestamp, seconds on the sender's clock
 	firstArrival float64
 	lastArrival  float64
-	recovered    int
 	// All of a frame's missing fragments are requested together, so NACK
 	// state is per frame: when the first and the latest round went out, and
 	// how many there have been.
@@ -125,8 +123,8 @@ func (f *partialFrame) complete() bool { return len(f.got) == int(f.count) }
 func NewJitterBuffer() *JitterBuffer {
 	return &JitterBuffer{
 		Playout:     &PlayoutEstimator{},
-		SkipAfter:   0.120,
-		NackAfter:   0.015,
+		skipAfter:   0.120,
+		nackAfter:   0.015,
 		renackAfter: 0.250,
 		frames:      make(map[uint32]*partialFrame),
 	}
@@ -201,13 +199,9 @@ func (jb *JitterBuffer) tryFEC(f *partialFrame) {
 			continue
 		}
 		f.got[idx] = payload
-		f.recovered++
 		jb.fecRecovered.Add(1)
 	}
 }
-
-// FECRecovered returns how many fragments were repaired by parity.
-func (jb *JitterBuffer) FECRecovered() int { return int(jb.fecRecovered.Load()) }
 
 // seqBefore reports a < b with wraparound.
 func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
@@ -215,10 +209,6 @@ func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
 // Pop returns all frames ready for delivery at time now, in sequence
 // order: PopOrdered over this buffer alone.
 func (jb *JitterBuffer) Pop(now float64) []AssembledFrame { return PopOrdered(now, jb) }
-
-// NextDeadline returns the earliest time at or after now at which Pop or
-// Nacks will have something new to do: NextDeadline over this buffer alone.
-func (jb *JitterBuffer) NextDeadline(now float64) (float64, bool) { return NextDeadline(now, jb) }
 
 // PopOrdered releases the frames ready at time now from bufs — the buffers
 // of one stream's rungs — in frame-sequence order across all of them, as if
@@ -317,30 +307,26 @@ func (jb *JitterBuffer) due(f *partialFrame) float64 {
 }
 
 // retryAfter is how long a NACK round waits for its answer before the next
-// one: the measured repair timeout, between NackAfter and renackAfter. ok is
-// false when re-requests are disabled.
-func (jb *JitterBuffer) retryAfter() (d float64, ok bool) {
-	if jb.renackAfter <= 0 {
-		return 0, false
-	}
-	d = jb.renackAfter
+// one: the measured repair timeout, between nackAfter and renackAfter.
+func (jb *JitterBuffer) retryAfter() float64 {
+	d := jb.renackAfter
 	if rto, measured := jb.Playout.RepairTimeout(); measured && rto < d {
 		d = rto
-		if d < jb.NackAfter {
-			d = jb.NackAfter
+		if d < jb.nackAfter {
+			d = jb.nackAfter
 		}
 	}
-	return d, true
+	return d
 }
 
 // repairDeadline is when an incomplete frame stops blocking delivery:
-// MaxPlayoutDelay + SkipAfter past its first fragment, or — if that is sooner,
+// MaxPlayoutDelay + skipAfter past its first fragment, or — if that is sooner,
 // which takes a measured round trip well under renackAfter — the moment its
 // repairRounds-th request has gone unanswered.
 func (jb *JitterBuffer) repairDeadline(f *partialFrame) float64 {
-	at := f.firstArrival + MaxPlayoutDelay + jb.SkipAfter
-	if retry, ok := jb.retryAfter(); ok && f.nackRounds > 0 {
-		if lost := f.firstNack + repairRounds*retry; lost < at {
+	at := f.firstArrival + MaxPlayoutDelay + jb.skipAfter
+	if f.nackRounds > 0 {
+		if lost := f.firstNack + repairRounds*jb.retryAfter(); lost < at {
 			at = lost
 		}
 	}
@@ -353,15 +339,11 @@ func (jb *JitterBuffer) nackDue(f *partialFrame) (at float64, pending bool) {
 	if f.complete() || f.nackRounds >= repairRounds {
 		return 0, false
 	}
-	at = f.lastArrival + jb.NackAfter
+	at = f.lastArrival + jb.nackAfter
 	if f.nackRounds == 0 {
 		return at, true
 	}
-	retry, ok := jb.retryAfter()
-	if !ok {
-		return 0, false
-	}
-	if again := f.lastNack + retry; again > at {
+	if again := f.lastNack + jb.retryAfter(); again > at {
 		at = again
 	}
 	return at, true
@@ -412,10 +394,10 @@ func assemble(f *partialFrame) []byte {
 }
 
 // Nacks returns fragments that should be retransmitted: the missing pieces
-// of every incomplete frame that has gone NackAfter without a new fragment.
+// of every incomplete frame that has gone nackAfter without a new fragment.
 // Fragments still missing when the answer is overdue (retryAfter) are
 // requested again — a lost retransmission must not wait out the repair
-// deadline; with renackAfter disabled each fragment is NACK-ed at most once.
+// deadline.
 func (jb *JitterBuffer) Nacks(now float64) []NackRequest {
 	var out []NackRequest
 	for seq, f := range jb.frames {
@@ -446,9 +428,3 @@ func (jb *JitterBuffer) Nacks(now float64) []NackRequest {
 	})
 	return out
 }
-
-// Skipped returns how many frames were dropped as incomplete.
-func (jb *JitterBuffer) Skipped() int { return int(jb.skipped.Load()) }
-
-// Pending returns how many frames are buffered (complete or partial).
-func (jb *JitterBuffer) Pending() int { return len(jb.frames) }

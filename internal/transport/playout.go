@@ -46,9 +46,9 @@ const (
 // zero value is ready to use. It is pure bookkeeping — no clock, no goroutine,
 // no locking; callers serialise.
 type PlayoutEstimator struct {
-	// Floor is the least target ever reported. Zero in every session; a test
-	// pins it to MaxPlayoutDelay to get the fixed-delay reference it compares
-	// the adaptive target against.
+	// Floor is the least target ever reported. Zero in every session; the
+	// paper's figures (internal/experiments) and a test pin it to
+	// MaxPlayoutDelay, the fixed delay the adaptive target replaced.
 	Floor float64
 
 	ring    [playoutSamples]playoutSample // completion delays, oldest at head

@@ -50,7 +50,7 @@ func playThrough(t *testing.T, jb *JitterBuffer, arrivals []arrival, until float
 	}
 	now := 0.0
 	for i := 0; ; {
-		next, timed := jb.NextDeadline(now)
+		next, timed := NextDeadline(now, jb)
 		if timed && next < now {
 			t.Fatalf("NextDeadline(%v) = %v, in the past", now, next)
 		}
@@ -248,15 +248,15 @@ func TestJitterBufferHoleBlocksUntilRepaired(t *testing.T) {
 			t.Fatalf("release %d: frame %d at %v, want frame %d at the repair (%v)", i, p.seq, p.at, 5+i, repairAt)
 		}
 	}
-	round, ok := nacks[t5+jb.NackAfter]
+	round, ok := nacks[t5+jb.nackAfter]
 	if !ok || len(nacks) != 1 || len(round) != 1 || round[0] != (NackRequest{StreamDepth, 5, 1}) {
-		t.Fatalf("NACK rounds = %v, want one for frame 5 fragment 1 at %v", nacks, t5+jb.NackAfter)
+		t.Fatalf("NACK rounds = %v, want one for frame 5 fragment 1 at %v", nacks, t5+jb.nackAfter)
 	}
 	if got := jb.Playout.Target(); got > 1e-9 {
 		t.Fatalf("target = %v after a repaired frame, want it unmoved", got)
 	}
 	// The repair took 65 ms from its request: the buffer's first round-trip sample.
-	if rtt, ok := jb.Playout.RTT(); !ok || math.Abs(rtt-(0.080-jb.NackAfter)) > 1e-9 {
+	if rtt, ok := jb.Playout.RTT(); !ok || math.Abs(rtt-(0.080-jb.nackAfter)) > 1e-9 {
 		t.Fatalf("RTT = %v, %v; want the NACK→fragment time", rtt, ok)
 	}
 }
@@ -272,12 +272,12 @@ func TestJitterBufferRepairDeadline(t *testing.T) {
 		jb := NewJitterBuffer()
 		arrivals, _ := holed()
 		out, nacks := playThrough(t, jb, arrivals, 1e9)
-		want := t5 + MaxPlayoutDelay + jb.SkipAfter
+		want := t5 + MaxPlayoutDelay + jb.skipAfter
 		if len(out) != 2 || out[0].seq != 6 || out[1].seq != 7 || out[0].at != want || out[1].at != want {
 			t.Fatalf("releases %+v, want frames 6 and 7 at %v", out, want)
 		}
-		if jb.Skipped() != 1 || len(nacks) != 1 {
-			t.Fatalf("skipped %d, %d NACK rounds; want 1 and 1 (re-request is %v s away)", jb.Skipped(), len(nacks), jb.renackAfter)
+		if jb.Stats().Skipped != 1 || len(nacks) != 1 {
+			t.Fatalf("skipped %d, %d NACK rounds; want 1 and 1 (re-request is %v s away)", jb.Stats().Skipped, len(nacks), jb.renackAfter)
 		}
 	})
 
@@ -292,12 +292,12 @@ func TestJitterBufferRepairDeadline(t *testing.T) {
 		}
 		arrivals, _ := holed()
 		out, nacks := playThrough(t, jb, arrivals, 1e9)
-		first := t5 + jb.NackAfter
+		first := t5 + jb.nackAfter
 		want := first + repairRounds*retry
 		if len(out) != 2 || math.Abs(out[0].at-want) > 1e-9 || out[1].at != out[0].at {
 			t.Fatalf("releases %+v, want frames 6 and 7 at %v", out, want)
 		}
-		if want >= t5+MaxPlayoutDelay+jb.SkipAfter {
+		if want >= t5+MaxPlayoutDelay+jb.skipAfter {
 			t.Fatal("test is vacuous: the measured deadline is not the earlier one")
 		}
 		var rounds []float64
@@ -391,13 +391,13 @@ func TestNextDeadlineIsTheNextEvent(t *testing.T) {
 	const step = 0.001
 	events := 0
 	acts := func(now float64) bool {
-		skipped := jb.Skipped()
+		skipped := jb.Stats().Skipped
 		n := len(jb.Pop(now)) + len(jb.Nacks(now))
-		return n > 0 || jb.Skipped() != skipped
+		return n > 0 || jb.Stats().Skipped != skipped
 	}
 	now := arrivals[0].at
 	deadline, timed := 0.0, false
-	for i := 0; i < len(arrivals) || jb.Pending() > 0; now += step {
+	for i := 0; i < len(arrivals) || jb.Stats().Pending > 0; now += step {
 		// Time first: what the clock alone brings about at this step.
 		if acts(now) {
 			events++
@@ -409,11 +409,11 @@ func TestNextDeadlineIsTheNextEvent(t *testing.T) {
 			jb.Push(arrivals[i].pkt, now)
 		}
 		acts(now)
-		deadline, timed = jb.NextDeadline(now)
+		deadline, timed = NextDeadline(now, jb)
 		if timed && deadline < now {
 			t.Fatalf("NextDeadline(%v) = %v, in the past", now, deadline)
 		}
-		if !timed && jb.Pending() > 0 {
+		if !timed && jb.Stats().Pending > 0 {
 			// Only a frame that has had its last NACK round and is not at
 			// the head can be pending with nothing scheduled.
 			if _, f, _ := jb.oldest(); !f.complete() {
@@ -421,7 +421,7 @@ func TestNextDeadlineIsTheNextEvent(t *testing.T) {
 			}
 		}
 	}
-	if events < 20 || jb.Skipped() == 0 {
-		t.Fatalf("vacuous: %d timed events, %d skips", events, jb.Skipped())
+	if events < 20 || jb.Stats().Skipped == 0 {
+		t.Fatalf("vacuous: %d timed events, %d skips", events, jb.Stats().Skipped)
 	}
 }

@@ -11,37 +11,32 @@ package transport
 // and every storming PLI would force another IDR at the sender, wasting the
 // bandwidth the recovery needs.
 type PLITracker struct {
-	// ResendInterval is how long to await the recovery key frame before
-	// re-emitting a PLI, in seconds (default 0.25 ≈ a couple of RTTs).
-	ResendInterval float64
+	// resendInterval is how long to await the recovery key frame before
+	// re-emitting a PLI, in seconds (0.25 ≈ a couple of RTTs).
+	resendInterval float64
 
 	awaiting bool
 	lastSent float64
-	sent     int
 }
 
-// NewPLITracker returns a tracker with the default resend interval.
+// NewPLITracker returns a tracker with a 250 ms resend interval.
 func NewPLITracker() *PLITracker {
-	return &PLITracker{ResendInterval: 0.25}
+	return &PLITracker{resendInterval: 0.25}
 }
 
 // Request records that the stream is undecodable at time now (seconds) and
 // reports whether a PLI should be emitted: true for the first request of an
-// outage and for each ResendInterval that elapses while recovery is still
+// outage and for each resendInterval that elapses while recovery is still
 // pending, false while a refresh is already in flight.
 func (t *PLITracker) Request(now float64) bool {
-	if t.awaiting && now-t.lastSent < t.ResendInterval {
+	if t.awaiting && now-t.lastSent < t.resendInterval {
 		return false
 	}
 	t.awaiting = true
 	t.lastSent = now
-	t.sent++
 	return true
 }
 
 // OnKeyFrame records that a key frame arrived: the refresh completed and
 // the next decode failure starts a new PLI cycle.
 func (t *PLITracker) OnKeyFrame() { t.awaiting = false }
-
-// Sent returns how many PLIs the tracker has asked to emit.
-func (t *PLITracker) Sent() int { return t.sent }

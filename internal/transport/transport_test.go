@@ -158,7 +158,7 @@ func TestJitterBufferReordersFrames(t *testing.T) {
 	for _, p := range frame(2, 0.566, "frame2") {
 		jb.Push(p, 1.21)
 	}
-	if jb.Pending() != 0 || len(jb.Pop(1.5)) != 0 {
+	if jb.Stats().Pending != 0 || len(jb.Pop(1.5)) != 0 {
 		t.Fatal("a frame older than one already played was accepted")
 	}
 }
@@ -197,12 +197,12 @@ func TestJitterBufferSkipsIncomplete(t *testing.T) {
 	if len(out) != 1 || out[0].FrameSeq != 1 {
 		t.Fatalf("skip failed: %+v", out)
 	}
-	if jb.Skipped() != 1 {
-		t.Errorf("Skipped = %d", jb.Skipped())
+	if got := jb.Stats().Skipped; got != 1 {
+		t.Errorf("Skipped = %d", got)
 	}
 	// Late fragment of the skipped frame is ignored.
 	jb.Push(pkts[1], 1.4)
-	if jb.Pending() != 0 {
+	if jb.Stats().Pending != 0 {
 		t.Error("late fragment resurrected a skipped frame")
 	}
 }
@@ -247,11 +247,10 @@ func TestNacks(t *testing.T) {
 }
 
 // TestRenacks: a fragment still missing renackAfter past its NACK (the
-// retransmission itself was lost) is requested again; with re-requests
-// disabled the old NACK-once behavior holds.
+// retransmission itself was lost) is requested again.
 func TestRenacks(t *testing.T) {
 	jb := NewJitterBuffer()
-	jb.SkipAfter = 10 // keep the frame pending across re-NACK intervals
+	jb.skipAfter = 10 // keep the frame pending across re-NACK intervals
 	pkts := Packetize(StreamColor, 5, false, 0, make([]byte, 3*MTU))
 	jb.Push(pkts[0], 1.0)
 	jb.Push(pkts[2], 1.001)
@@ -274,20 +273,6 @@ func TestRenacks(t *testing.T) {
 	jb.Push(pkts[1], 1.5)
 	if out := jb.Pop(1.7); len(out) != 1 {
 		t.Fatal("frame not delivered after re-NACK recovery")
-	}
-
-	// Disabled: each fragment is NACK-ed at most once, ever.
-	once := NewJitterBuffer()
-	once.renackAfter = 0
-	once.SkipAfter = 10
-	pkts = Packetize(StreamColor, 6, false, 0, make([]byte, 3*MTU))
-	once.Push(pkts[0], 1.0)
-	once.Push(pkts[2], 1.0)
-	if n := once.Nacks(1.05); len(n) != 1 {
-		t.Fatalf("first NACK round (disabled): %+v", n)
-	}
-	if n := once.Nacks(5.0); len(n) != 0 {
-		t.Fatalf("NACK-once violated: %+v", n)
 	}
 }
 
