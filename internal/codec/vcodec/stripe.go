@@ -26,11 +26,6 @@ import (
 // that per-stripe writer overhead is negligible.
 const stripeBlockRows = 8
 
-// stripeCount returns how many stripes cover `by` block rows.
-func stripeCount(by int) int {
-	return (by + stripeBlockRows - 1) / stripeBlockRows
-}
-
 // planeCode holds the per-plane parameters shared by that plane's encode
 // stripes. prev is nil on key frames.
 type planeCode struct {

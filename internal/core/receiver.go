@@ -27,9 +27,9 @@ type ReceiverConfig struct {
 	// Telemetry receives frame-path counters and gauges (DESIGN.md §6); nil
 	// uses telemetry.Default.
 	Telemetry *telemetry.Registry
-	// Trace, when non-nil, receives decode and reconstruct hop stamps for
-	// the cross-hop frame ledger (DESIGN.md §6), the receiver's only stage
-	// timer; nil disables tracing.
+	// Trace, when non-nil, receives reconstruct hop stamps for the
+	// cross-hop frame ledger (DESIGN.md §6); the receive core
+	// (internal/session) stamps the decode hops. nil disables tracing.
 	Trace *frametrace.Ledger
 }
 
@@ -274,7 +274,6 @@ func (r *Receiver) PushColor(pkt *vcodec.Packet) (*PairedFrame, error) {
 			}
 		}
 	}
-	r.cfg.Trace.StampNow(frametrace.HopDecodeColor, 0, seq, frametrace.NoSub)
 	if d, ok := r.pendingDepth[seq]; ok {
 		delete(r.pendingDepth, seq)
 		return r.pair(seq, im, d), nil
@@ -314,7 +313,6 @@ func (r *Receiver) PushDepth(pkt *vcodec.Packet) (*PairedFrame, error) {
 			}
 		}
 	}
-	r.cfg.Trace.StampNow(frametrace.HopDecodeDepth, 0, seq, frametrace.NoSub)
 	if c, ok := r.pendingColor[seq]; ok {
 		delete(r.pendingColor, seq)
 		return r.pair(seq, c, im), nil

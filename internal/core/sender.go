@@ -301,10 +301,6 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	return s, nil
 }
 
-// Tiler exposes the stream composition geometry (shared with the receiver
-// at session setup).
-func (s *Sender) Tiler() *frame.Tiler { return s.tiler }
-
 // ObservePose feeds receiver pose feedback (§3.4).
 func (s *Sender) ObservePose(t float64, pose geom.Pose) { s.predictor.ObservePose(t, pose) }
 

@@ -109,7 +109,7 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 	tr := cc.Trace // nil-safe: every Stamp below is a no-op when disabled
 
 	tx := newTransmitter(netem.NewFixedLink(chaosLinkMbps), receiver, &transport.PlayoutEstimator{})
-	tx.faults, tx.fec, tx.trace = chaos.Apply, cc.FEC, tr
+	tx.faults, tx.fec, tx.rx.Trace = chaos.Apply, cc.FEC, tr
 	tx.onPair = func(pf *core.PairedFrame, at, _ float64) error {
 		// The pair instant stands in for reconstruction in the trace (the
 		// replay only reconstructs on the metric cadence).
@@ -135,8 +135,9 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 			return nil, err
 		}
 		// Feedback applied at the next capture instant (the PLI rides the
-		// lightly-loaded reverse path).
-		if tx.feedback() && sender.RequestKeyFrame() {
+		// lightly-loaded reverse path). The chaos link's capacity is fixed,
+		// so the congestion estimate goes unused.
+		if _, pli := tx.feedback(); pli && sender.RequestKeyFrame() {
 			res.Refreshes++
 		}
 		enc, err := sender.ProcessFrame(w.Views[i], budget)
@@ -162,10 +163,10 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 	if tx.outageStart >= 0 {
 		res.MaxRecoveryFrames = max(res.MaxRecoveryFrames, q.Frames-tx.outageStart)
 	}
-	color, depth := tx.jb[0].Stats(), tx.jb[1].Stats()
+	color, depth := tx.rx.StreamStats(0), tx.rx.StreamStats(1)
 	res.SkippedColor, res.SkippedDepth = int(color.Skipped), int(depth.Skipped)
 	res.FECRecovered = int(color.FECRecovered + depth.FECRecovered)
-	res.CorruptPackets, res.Concealed, res.PLISent = tx.corrupt, tx.concealed, tx.plis
+	res.CorruptPackets, res.Concealed, res.PLISent = tx.corrupt, int(tx.rx.Concealed.Load()), int(tx.rx.PLIs.Load())
 	reg.Counter("livo_transport_corrupt_packets_total").Add(int64(res.CorruptPackets))
 	reg.Counter("livo_pli_sent_total").Add(int64(res.PLISent))
 	reg.Counter("livo_concealed_frames_total").Add(int64(res.Concealed))

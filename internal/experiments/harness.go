@@ -314,7 +314,6 @@ func runLiVo(rc RunConfig) (*Result, error) {
 	}
 
 	link, meanScaledMbps := rc.link()
-	gcc := transport.NewGCC(0.7*meanScaledMbps*1e6, 0.02*meanScaledMbps*1e6, 4*meanScaledMbps*1e6)
 
 	senderProc, recvProc := senderProcLiVo, recvProcLiVo
 	if rc.Scheme == SchemeNoCull || rc.Scheme == SchemeNoAdapt {
@@ -342,7 +341,6 @@ func runLiVo(rc RunConfig) (*Result, error) {
 
 	playout := &transport.PlayoutEstimator{Floor: transport.MaxPlayoutDelay}
 	tx := newTransmitter(link, receiver, playout)
-	tx.gcc = gcc
 	tx.onPair = func(pf *core.PairedFrame, release, lastArrival float64) error {
 		i := int(pf.Seq)
 		capture := float64(i) * dt
@@ -383,7 +381,8 @@ func runLiVo(rc RunConfig) (*Result, error) {
 		if err := tx.advance(now); err != nil {
 			return nil, err
 		}
-		if tx.feedback() {
+		estimate, pli := tx.feedback()
+		if pli {
 			sender.RequestKeyFrame()
 		}
 		displayT := playbackBase + float64(i)*dt // known once the warmup frames have played
@@ -413,7 +412,7 @@ func runLiVo(rc RunConfig) (*Result, error) {
 
 		// Target slightly below the estimate (real senders leave headroom
 		// for FEC/retransmissions and encoder overshoot).
-		rate := 0.85 * gcc.Rate()
+		rate := 0.85 * estimate
 		enc, err := sender.ProcessFrame(w.Views[i], rate)
 		if err != nil {
 			return nil, err

@@ -8,50 +8,42 @@ import (
 
 	"livo/internal/codec/vcodec"
 	"livo/internal/core"
-	"livo/internal/frametrace"
 	"livo/internal/netem"
+	"livo/internal/session"
 	"livo/internal/transport"
 )
 
 // transmitter is the replay harness's transport: one sender's colour and
-// depth streams to one receiver, in virtual time, built from the pieces the
-// live sessions run. Frames are packetized, marshalled, paced by
-// transport.PaceDue at twice the caller's rate and sent through the fault
-// injector, if any, and the netem link. At the receiver one jitter buffer
-// per stream, sharing one PlayoutEstimator, releases frames (PopOrdered);
-// their Nacks reach the sender one propagation delay later and are answered
-// from its history over the same link. Released frames go through the
-// receive session's decode policy: decode, conceal a failure and ask for a
-// key frame (PLITracker), report a completed pair. Virtual time moves from
-// event to event: sends, arrivals, NACKs and the buffers' NextDeadline.
+// depth streams to one receiver in virtual time, on the live sessions' code.
+// Frames are paced by transport.PaceDue at twice the caller's rate through
+// the fault injector, if any, and the netem link into the sessions' receive
+// core (session.Recv). Its NACKs are answered from the send history one
+// propagation delay later; its PLIs wait for the next capture instant. Time
+// moves from event to event: sends, arrivals, NACK answers and the core's
+// next deadline.
 type transmitter struct {
 	link   *netem.Link
 	faults func(wire []byte) []netem.Delivery // in front of the link; nil for none
 	fec    bool                               // add XOR parity to each stream
-	gcc    *transport.GCC                     // fed from arrivals and loss reports when set
-	recv   *core.Receiver
-	trace  *frametrace.Ledger
+	rx     *session.Recv
 	// onPair is called for every frame both streams of which decoded, at the
 	// instant the pair completed, with the latest arrival of its fragments.
 	onPair func(pf *core.PairedFrame, at, lastArrival float64) error
 
-	now    float64
-	events []txEvent // by time, ties in the order scheduled
-	err    error     // the first onPair error
+	now      float64
+	events   []txEvent // by time, ties in the order scheduled
+	deadline float64   // the core's next deadline, while pending
+	pending  bool
+	err      error // the first onPair error
 
 	paceQ    [][]byte  // wires waiting for the pacer; a wake-up is queued while non-empty
 	paceNext time.Time // the pacer's schedule: the send time of paceQ[0]
 	rate     float64   // the media rate the pacer spaces packets at, bits/s
-	history  map[transport.NackRequest][]byte
+	history  *session.History
 
-	jb         [2]*transport.JitterBuffer // colour, depth
-	pli        *transport.PLITracker
-	pliPending bool
-	arrived    map[uint32]float64 // per frame, the latest arrival of its released streams
-
-	received, corrupt, concealed, plis int
-	lastArrival                        float64
-	lossRx, lossNacked                 int64
+	corrupt     int     // arrivals that failed to parse
+	pliPending  bool    // a PLI waits for the next capture instant
+	lastArrival float64 // the latest arrival of any packet
 	// An outage runs from a decode failure (the seq in outageStart, -1
 	// outside one) to the next completed pair.
 	outages, outageStart, maxRecovery int
@@ -63,20 +55,26 @@ type txEvent struct {
 }
 
 // newTransmitter connects recv to the far end of link; playout is the
-// estimator both streams' jitter buffers share.
+// estimator the core's jitter buffers share, and its congestion estimate
+// is sized to the link's mean capacity.
 func newTransmitter(link *netem.Link, recv *core.Receiver, playout *transport.PlayoutEstimator) *transmitter {
-	tx := &transmitter{
-		link:        link,
-		recv:        recv,
-		history:     make(map[transport.NackRequest][]byte),
-		pli:         transport.NewPLITracker(),
-		arrived:     make(map[uint32]float64),
-		outageStart: -1,
+	mbps := link.FixedMbps
+	if link.Trace != nil {
+		mbps = link.Trace.Stats().Mean
 	}
-	for i := range tx.jb {
-		tx.jb[i] = transport.NewJitterBuffer()
-		tx.jb[i].Playout = playout
+	tx := &transmitter{link: link, history: session.NewHistory(false), outageStart: -1}
+	tx.rx = session.NewRecv(recv, playout, transport.NewGCC(0.7*mbps*1e6, 0.02*mbps*1e6, 4*mbps*1e6))
+	tx.rx.Clock = func() int64 { return simNs(tx.now) }
+	tx.rx.OnFrame = tx.frame
+	tx.rx.OnNack = func(req transport.NackRequest) {
+		answer := tx.now + tx.link.PropDelay
+		tx.schedule(answer, func() {
+			for _, w := range tx.history.Nack(req) {
+				tx.transmit(answer, w)
+			}
+		})
 	}
+	tx.rx.OnPLI = func() { tx.pliPending = true }
 	return tx
 }
 
@@ -98,9 +96,7 @@ func (tx *transmitter) send(at float64, seq uint32, color, depth *vcodec.Packet,
 		}
 		for _, p := range media {
 			w := p.Marshal()
-			if !p.Parity {
-				tx.history[transport.NackRequest{Stream: p.Stream, FrameSeq: p.FrameSeq, FragIndex: p.FragIndex}] = w
-			}
+			tx.history.Add(&p, w)
 			wires = append(wires, w)
 		}
 	}
@@ -127,7 +123,8 @@ func (tx *transmitter) pace(at float64) {
 	}
 }
 
-// transmit puts one packet on the wire at time at.
+// transmit puts one packet on the wire at time at; what the link delivers
+// goes to the receive core.
 func (tx *transmitter) transmit(at float64, wire []byte) {
 	copies := []netem.Delivery{{Payload: wire}}
 	if tx.faults != nil {
@@ -136,46 +133,22 @@ func (tx *transmitter) transmit(at float64, wire []byte) {
 	for _, d := range copies {
 		if arr, dropped := tx.link.Send(at, len(d.Payload)+20); !dropped {
 			arr += d.ExtraDelay
-			tx.schedule(arr, func() { tx.arrive(d.Payload, arr) })
+			tx.schedule(arr, func() {
+				tx.lastArrival = math.Max(tx.lastArrival, arr)
+				if !tx.rx.Media(d.Payload, arr, len(d.Payload)+20) {
+					tx.corrupt++
+				}
+			})
 		}
 	}
 }
 
-// arrive is the receive session's datagram path.
-func (tx *transmitter) arrive(wire []byte, at float64) {
-	tx.lastArrival = math.Max(tx.lastArrival, at)
-	p, err := transport.Unmarshal(wire)
-	if err != nil {
-		tx.corrupt++
-		return
-	}
-	if p.FragIndex == 0 && !p.Parity {
-		tx.trace.Stamp(frametrace.HopWire, p.Stream, p.FrameSeq, frametrace.NoSub, simNs(at))
-	}
-	if tx.gcc != nil {
-		tx.gcc.OnArrival(float64(p.SendTimeUs)/1e6, at, len(wire)+20)
-	}
-	tx.received++
-	if si := int(p.Stream) - int(transport.StreamColor); si >= 0 && si < len(tx.jb) {
-		tx.jb[si].Push(p, at)
-	}
-}
-
-// feedback is the receiver's report at a capture instant: it folds the loss
-// since the last report into the congestion estimate — the NACK-ed share of
-// what arrived or was NACK-ed, RecvSession.sendFeedback's definition — and
-// says whether a PLI is waiting for the sender.
-func (tx *transmitter) feedback() (pli bool) {
-	if tx.gcc != nil {
-		rxTotal, nackedTotal := int64(tx.received), tx.jb[0].Stats().Nacked+tx.jb[1].Stats().Nacked
-		rx, lost := rxTotal-tx.lossRx, nackedTotal-tx.lossNacked
-		tx.lossRx, tx.lossNacked = rxTotal, nackedTotal
-		if rx+lost > 0 {
-			tx.gcc.OnLossReport(float64(lost) / float64(rx+lost))
-		}
-	}
+// feedback is the receiver's report at a capture instant: the loss since
+// the last report goes into the congestion estimate, and it returns the
+// estimate and whether a PLI is waiting for the sender.
+func (tx *transmitter) feedback() (rate float64, pli bool) {
 	pli, tx.pliPending = tx.pliPending, false
-	return pli
+	return tx.rx.Report(), pli
 }
 
 // advance runs the transport through every event and buffer deadline up to
@@ -183,14 +156,9 @@ func (tx *transmitter) feedback() (pli bool) {
 // buffered.
 func (tx *transmitter) advance(until float64) error {
 	for tx.err == nil {
-		at, ok := 0.0, false
-		if len(tx.events) > 0 {
+		at, ok := tx.deadline, tx.pending
+		if len(tx.events) > 0 && (!ok || tx.events[0].at < at) {
 			at, ok = tx.events[0].at, true
-		}
-		for _, jb := range tx.jb {
-			if d, pending := transport.NextDeadline(tx.now, jb); pending && (!ok || d < at) {
-				at, ok = d, true
-			}
 		}
 		if !ok || at > until {
 			return nil
@@ -201,58 +169,25 @@ func (tx *transmitter) advance(until float64) error {
 			tx.events = tx.events[1:]
 			ev.run()
 		}
-		for si, jb := range tx.jb {
-			for _, af := range transport.PopOrdered(at, jb) {
-				tx.deliver(transport.StreamColor+uint8(si), af, at)
-			}
-			for _, req := range jb.Nacks(at) {
-				answer := at + tx.link.PropDelay
-				tx.schedule(answer, func() {
-					if w := tx.history[req]; w != nil {
-						tx.transmit(answer, w)
-					}
-				})
-			}
-		}
+		tx.deadline, tx.pending = tx.rx.Drain(at)
 	}
 	return tx.err
 }
 
-// deliver decodes one released frame: a failure is concealed and starts (or
-// continues) the PLI schedule; a completed pair ends it.
-func (tx *transmitter) deliver(stream uint8, af transport.AssembledFrame, at float64) {
-	tx.trace.Stamp(frametrace.HopJitter, stream, af.FrameSeq, frametrace.NoSub, simNs(at))
-	tx.arrived[af.FrameSeq] = math.Max(tx.arrived[af.FrameSeq], af.LastArrival)
-	push, hop := tx.recv.PushColor, frametrace.HopDecodeColor
-	if stream == transport.StreamDepth {
-		push, hop = tx.recv.PushDepth, frametrace.HopDecodeDepth
-	}
-	pf, err := push(&vcodec.Packet{Data: af.Data, Key: af.Key, Seq: af.FrameSeq})
-	tx.trace.Stamp(hop, 0, af.FrameSeq, frametrace.NoSub, simNs(at))
-	if err != nil {
-		// Malformed or stale-reference data surfaces here as an error,
-		// never as a panic.
-		tx.concealed++
+// frame is the core's frame hand-over: a concealed frame opens an outage, a
+// completed pair closes it and goes to onPair.
+func (tx *transmitter) frame(seq uint32, pf *core.PairedFrame, concealed bool, lastArrival float64) {
+	if concealed {
 		if tx.outageStart < 0 {
-			tx.outageStart, tx.outages = int(af.FrameSeq), tx.outages+1
-		}
-		if tx.pli.Request(at) {
-			tx.plis++
-			tx.pliPending = true
+			tx.outageStart, tx.outages = int(seq), tx.outages+1
 		}
 		return
 	}
-	if pf == nil {
-		return
-	}
-	tx.pli.OnKeyFrame()
 	if tx.outageStart >= 0 {
 		tx.maxRecovery = max(tx.maxRecovery, int(pf.Seq)-tx.outageStart)
 		tx.outageStart = -1
 	}
-	last := tx.arrived[pf.Seq]
-	delete(tx.arrived, pf.Seq)
-	if err := tx.onPair(pf, at, last); err != nil && tx.err == nil {
+	if err := tx.onPair(pf, tx.now, lastArrival); err != nil && tx.err == nil {
 		tx.err = err
 	}
 }

@@ -70,12 +70,12 @@ func TestTransmitRepairsScriptedLoss(t *testing.T) {
 	if copies != 2 {
 		t.Errorf("the lost fragment went on the wire %d times, want the original and one answer", copies)
 	}
-	color, depth := tx.jb[0].Stats(), tx.jb[1].Stats()
+	color, depth := tx.rx.StreamStats(0), tx.rx.StreamStats(1)
 	if color.Nacked != 0 || depth.Nacked != 1 {
 		t.Errorf("NACK-ed colour %d, depth %d fragments; want 0 and 1", color.Nacked, depth.Nacked)
 	}
-	if color.Skipped != 0 || depth.Skipped != 0 || tx.concealed != 0 || tx.plis != 0 {
-		t.Errorf("skipped %d+%d, concealed %d, PLIs %d; want none", color.Skipped, depth.Skipped, tx.concealed, tx.plis)
+	if color.Skipped != 0 || depth.Skipped != 0 || tx.rx.Concealed.Load() != 0 || tx.rx.PLIs.Load() != 0 {
+		t.Errorf("skipped %d+%d, concealed %d, PLIs %d; want none", color.Skipped, depth.Skipped, tx.rx.Concealed.Load(), tx.rx.PLIs.Load())
 	}
 	if want := []uint32{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(paired, want) {
 		t.Errorf("paired %v, want %v", paired, want)

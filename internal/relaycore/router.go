@@ -148,10 +148,6 @@ type Subscriber struct {
 // Addr returns the subscriber's address.
 func (s *Subscriber) Addr() net.Addr { return s.addr }
 
-// ID returns the subscriber's stable per-router id, the key that links
-// it to frametrace stamps and events.
-func (s *Subscriber) ID() int32 { return s.id }
-
 // subID is the event-friendly id of a possibly-nil subscriber.
 func subID(s *Subscriber) int32 {
 	if s == nil {
@@ -337,9 +333,6 @@ func (r *Router) ShardPool(i int) *BufPool { return r.pools[i%len(r.pools)] }
 
 // Shards returns the shard count.
 func (r *Router) Shards() int { return len(r.shards) }
-
-// Sender returns the sender address the router forwards feedback to.
-func (r *Router) Sender() net.Addr { return r.sender }
 
 func (r *Router) now() int64 {
 	if r.cfg.now != nil {

@@ -11,18 +11,17 @@ import (
 	"time"
 )
 
-// Handler returns an http.Handler exposing reg:
+// HandlerWith returns an http.Handler exposing reg:
 //
 //	/debugz             human-readable overview: counters and gauges
 //	/debugz/metrics     Prometheus text exposition
 //	/debug/vars         expvar
 //	/debug/pprof/       pprof index (profile, heap, goroutine, ...)
-func Handler(reg *Registry) http.Handler { return HandlerWith(reg, nil) }
-
-// HandlerWith is Handler plus extra endpoints mounted at their map keys
-// (e.g. "/debugz/stages", "/debugz/subscribers"); callers use it to hang
-// subsystem-specific debug pages off one server without this package
-// importing them. Extra paths are listed on the /debugz overview.
+//
+// plus extra endpoints mounted at their map keys (e.g. "/debugz/stages",
+// "/debugz/subscribers"); callers use it to hang subsystem-specific debug
+// pages off one server without this package importing them. Extra paths
+// are listed on the /debugz overview.
 func HandlerWith(reg *Registry, extra map[string]http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	extraPaths := make([]string, 0, len(extra))

@@ -31,7 +31,7 @@ func TestDebugzEndpoint(t *testing.T) {
 	reg.Gauge("livo_split_s").Set(0.85)
 	reg.Histogram("livo_relay_read_batch_pkts", []float64{1, 2, 4}).Observe(3)
 
-	srv := httptest.NewServer(Handler(reg))
+	srv := httptest.NewServer(HandlerWith(reg, nil))
 	defer srv.Close()
 
 	page := fetch(t, srv, "/debugz")

@@ -8,10 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"livo/internal/codec/vcodec"
 	"livo/internal/core"
 	"livo/internal/frametrace"
 	"livo/internal/relaycore"
+	"livo/internal/session"
 	"livo/internal/telemetry"
 	"livo/internal/transport"
 	"livo/internal/udpio"
@@ -30,7 +30,6 @@ type SendSession struct {
 	conn   net.PacketConn
 	remote net.Addr
 	fec    bool
-	ladder bool
 	trace  *frametrace.Ledger // cfg.Sender.Trace (nil disables stamps)
 
 	rateBps atomic.Uint64 // current send rate from receiver REMB
@@ -40,8 +39,7 @@ type SendSession struct {
 	pliArmed atomic.Bool
 
 	mu        sync.Mutex
-	history   map[retxKey][]byte // recent packets for NACK retransmission
-	order     []retxKey
+	history   *session.History // recent packets for NACK retransmission
 	start     time.Time
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -57,13 +55,6 @@ type SendSession struct {
 	plisRecv  atomic.Int64
 
 	unregister func() // removes the session's series (DESIGN.md §6)
-}
-
-type retxKey struct {
-	stream uint8
-	seq    uint32
-	frag   uint16
-	rung   uint8
 }
 
 // SendSessionConfig configures a SendSession.
@@ -94,9 +85,8 @@ func NewSendSession(conn net.PacketConn, remote net.Addr, cfg SendSessionConfig)
 		conn:    conn,
 		remote:  remote,
 		fec:     cfg.EnableFEC,
-		ladder:  cfg.Sender.Ladder,
 		trace:   cfg.Sender.Trace,
-		history: make(map[retxKey][]byte),
+		history: session.NewHistory(cfg.Sender.Ladder),
 		start:   time.Now(),
 		closed:  make(chan struct{}),
 	}
@@ -265,24 +255,9 @@ func (s *SendSession) enqueue(pkts []transport.Packet) error {
 		// still be answered from history if it mattered.
 		s.paceDrops.Add(int64(len(pkts)))
 	}
-	// Keep roughly one second of history for NACKs (a ladder triples the
-	// packet rate, so it gets a proportionally deeper window).
-	limit := 4096
-	if s.ladder {
-		limit = 8192
-	}
 	s.mu.Lock()
 	for i := range pkts {
-		p := &pkts[i]
-		k := retxKey{p.Stream, p.FrameSeq, p.FragIndex, p.Rung}
-		if _, exists := s.history[k]; !exists {
-			s.history[k] = wires[i]
-			s.order = append(s.order, k)
-		}
-	}
-	for len(s.order) > limit {
-		delete(s.history, s.order[0])
-		s.order = s.order[1:]
+		s.history.Add(&pkts[i], wires[i])
 	}
 	s.mu.Unlock()
 	return nil
@@ -333,18 +308,8 @@ func (s *SendSession) handleFeedback(b []byte) {
 	case transport.FBNACK:
 		if stream, seq, frag, err := transport.UnmarshalNACK(b); err == nil {
 			s.nacksRecv.Add(1)
-			// The wire NACK carries no rung id, so resend every rung's copy
-			// of the fragment that exists in history. Direct receivers only
-			// ever buffered one rung's fragments for that slot; through a
-			// relay, the rung-aware retransmission cache or the subscriber
-			// filter delivers just the copy the subscriber is watching.
-			var wires [][]byte
 			s.mu.Lock()
-			for rung := uint8(0); rung < transport.MaxRungs; rung++ {
-				if w := s.history[retxKey{stream, seq, frag, rung}]; w != nil {
-					wires = append(wires, w)
-				}
-			}
+			wires := s.history.Nack(transport.NackRequest{Stream: stream, FrameSeq: seq, FragIndex: frag})
 			s.mu.Unlock()
 			for _, wire := range wires {
 				s.retx.Add(1)
@@ -435,36 +400,24 @@ func (s *SendSession) Close() error {
 // RecvSession receives one direction of a live conference: it reassembles
 // the two video streams through jitter buffers, decodes and pairs them,
 // reconstructs point clouds, and generates the reverse-path feedback
-// (poses, REMB from its congestion estimator, NACKs, PLI).
+// (poses, REMB from its congestion estimator, NACKs, PLI). The receive
+// policy is the core's (internal/session); the session adds the socket, the
+// goroutines and the clock.
 type RecvSession struct {
 	receiver *core.Receiver
 	conn     net.PacketConn
 	remote   net.Addr
-	trace    *frametrace.Ledger // cfg.Receiver.Trace (nil disables stamps)
 
 	// loopMu serializes the session's two goroutines — the blocking read
 	// loop and the housekeeping timers — over the single-threaded receive
-	// state: jitter buffers, decoder, congestion estimator, PLI tracker,
-	// and the user callbacks. Exactly one runs session logic at a time.
+	// core, and the user callbacks. Exactly one runs session logic at a time.
 	loopMu sync.Mutex
-
-	// jb holds one jitter buffer per (stream, rung), rungs in release order;
-	// playout is the estimator they all share (DESIGN.md §5).
-	jb      [2][transport.MaxRungs]*transport.JitterBuffer
-	playout *transport.PlayoutEstimator
+	core   *session.Recv
 	// armed is the buffer deadline the housekeeping timer is set for (+Inf
 	// when it is stopped); the read loop pokes wake when a drain leaves an
 	// earlier one behind.
 	armed float64
 	wake  chan struct{}
-	gcc   *transport.GCC
-	// pli schedules key-frame requests during outages (only touched on the
-	// Run goroutine).
-	pli *transport.PLITracker
-	// lastConcealSeq dedupes concealment when both streams of one frame
-	// fail to decode.
-	lastConcealSeq uint32
-	hasConcealed   bool
 
 	// OnCloud is called (on the session goroutine) for every reconstructed
 	// frame. The cloud is backed by receiver-owned arenas and is only
@@ -482,16 +435,9 @@ type RecvSession struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	err       atomic.Value
-	decoded   atomic.Int64
-	received  atomic.Int64
-	concealed atomic.Int64
-	plisSent  atomic.Int64
-	// estRate caches gcc.Rate(), which is only safe under loopMu.
+	// estRate is the rate last advertised by REMB.
 	estRate atomic.Uint64
 	rttUs   atomic.Int64 // smoothed RTT, microseconds (0 before the first pong)
-	// lossRx and lossNacked are the received and NACK-ed totals at the last
-	// feedback tick (loopMu): GCC's loss report is over the interval since.
-	lossRx, lossNacked int64
 
 	unregister func() // removes the session's series (DESIGN.md §6)
 }
@@ -525,41 +471,32 @@ func NewRecvSession(conn net.PacketConn, remote net.Addr, cfg RecvSessionConfig)
 		receiver: recv,
 		conn:     conn,
 		remote:   remote,
-		trace:    cfg.Receiver.Trace,
-		playout:  &transport.PlayoutEstimator{},
 		armed:    math.Inf(1),
 		wake:     make(chan struct{}, 1),
-		gcc:      transport.NewGCC(cfg.InitialRateBps, cfg.MinRateBps, cfg.MaxRateBps),
-		pli:      transport.NewPLITracker(),
 		start:    time.Now(),
 		closed:   make(chan struct{}),
 	}
-	// One jitter buffer per (stream, rung): fragments from two encodings of
-	// the same frame seq must never land in one reassembly slot, and a relay
-	// rung switch can interleave packets from both rungs around the key
-	// boundary. Buffers are pre-created (not lazily on first packet) so the
-	// table is never written after construction — Stats() reads it without
-	// loopMu. Legacy streams carry rung 0.
-	for si := range r.jb {
-		for rung := range r.jb[si] {
-			jb := transport.NewJitterBuffer()
-			jb.Playout = r.playout
-			r.jb[si][rung] = jb
-		}
+	gcc := transport.NewGCC(cfg.InitialRateBps, cfg.MinRateBps, cfg.MaxRateBps)
+	r.core = session.NewRecv(recv, &transport.PlayoutEstimator{}, gcc)
+	r.core.Trace = cfg.Receiver.Trace
+	r.core.OnFrame = r.show
+	r.core.OnNack = func(n transport.NackRequest) {
+		_, _ = r.conn.WriteTo(transport.MarshalNACK(n.Stream, n.FrameSeq, n.FragIndex), r.remote)
 	}
+	r.core.OnPLI = func() { _, _ = r.conn.WriteTo([]byte{transport.FBPLI}, r.remote) }
 	tel := cfg.Receiver.Telemetry
 	if tel == nil {
 		tel = telemetry.Default
 	}
 	r.unregister = tel.Funcs(map[string]func() int64{
-		"livo_recv_packets_total":     r.received.Load,
-		"livo_nack_sent_total":        r.nacked,
-		"livo_pli_sent_total":         r.plisSent.Load,
-		"livo_concealed_frames_total": r.concealed.Load,
+		"livo_recv_packets_total":     r.core.Received.Load,
+		"livo_nack_sent_total":        r.core.Nacked,
+		"livo_pli_sent_total":         r.core.PLIs.Load,
+		"livo_concealed_frames_total": r.core.Concealed.Load,
 	}, map[string]func() float64{
 		"livo_recv_est_rate_bps":    func() float64 { return float64(r.estRate.Load()) },
-		"livo_jitter_pending_color": func() float64 { return float64(r.streamStats(0).Pending) },
-		"livo_jitter_pending_depth": func() float64 { return float64(r.streamStats(1).Pending) },
+		"livo_jitter_pending_color": func() float64 { return float64(r.core.StreamStats(0).Pending) },
+		"livo_jitter_pending_depth": func() float64 { return float64(r.core.StreamStats(1).Pending) },
 	})
 	r.estRate.Store(uint64(cfg.InitialRateBps))
 	return r, nil
@@ -631,8 +568,8 @@ func (r *RecvSession) handleDatagram(buf []byte, now float64) bool {
 		// Our own probe, echoed by the sender or the relay in front of it:
 		// the round trip a NACK and its retransmission will take.
 		if t0, err := unmarshalPing(buf); err == nil && t0 <= now {
-			r.playout.ObserveRTT(now - t0)
-			rtt, _ := r.playout.RTT()
+			r.core.Playout.ObserveRTT(now - t0)
+			rtt, _ := r.core.Playout.RTT()
 			r.rttUs.Store(int64(rtt * 1e6))
 		}
 		return false
@@ -640,19 +577,7 @@ func (r *RecvSession) handleDatagram(buf []byte, now float64) bool {
 	if buf[0] != mediaMagic {
 		return false // other feedback types or junk: not ours
 	}
-	pkt, err := transport.Unmarshal(buf[1:])
-	if err != nil {
-		return false
-	}
-	if pkt.FragIndex == 0 && !pkt.Parity {
-		r.trace.StampNow(frametrace.HopWire, pkt.Stream, pkt.FrameSeq, frametrace.NoSub)
-	}
-	r.gcc.OnArrival(float64(pkt.SendTimeUs)/1e6, now, len(buf))
-	r.received.Add(1)
-	if si := int(pkt.Stream) - int(transport.StreamColor); si >= 0 && si < len(r.jb) && int(pkt.Rung) < len(r.jb[si]) {
-		r.jb[si][pkt.Rung].Push(pkt, now)
-	}
-	return true
+	return r.core.Media(buf[1:], now, len(buf))
 }
 
 // housekeeping owns the session's timed work until Close: feedback every
@@ -682,7 +607,7 @@ func (r *RecvSession) housekeeping() {
 		case <-r.wake:
 		}
 		r.loopMu.Lock()
-		next, pending := r.drain(r.now())
+		next, pending := r.core.Drain(r.now())
 		r.armed = math.Inf(1)
 		if pending {
 			r.armed = next
@@ -701,11 +626,11 @@ func (r *RecvSession) housekeeping() {
 	}
 }
 
-// drainAndWake is the read loops' drain: when it leaves a deadline earlier
+// drainAndWake is the read loop's drain: when it leaves a deadline earlier
 // than the one the housekeeping timer is armed for, housekeeping is poked to
 // re-arm (loopMu held).
 func (r *RecvSession) drainAndWake(now float64) {
-	if next, pending := r.drain(now); pending && next < r.armed {
+	if next, pending := r.core.Drain(now); pending && next < r.armed {
 		r.armed = next
 		select {
 		case r.wake <- struct{}{}:
@@ -716,82 +641,11 @@ func (r *RecvSession) drainAndWake(now float64) {
 
 func (r *RecvSession) now() float64 { return time.Since(r.start).Seconds() }
 
-// drain delivers the frames that are due from each stream's jitter buffers —
-// in frame-sequence order across a stream's rungs — reconstructs completed
-// pairs and sends the NACKs that are due. It returns the buffers' next
-// deadline after now (loopMu held).
-func (r *RecvSession) drain(now float64) (next float64, pending bool) {
-	for si := range r.jb {
-		stream := transport.StreamColor + uint8(si)
-		rungs := r.jb[si][:]
-		for _, af := range transport.PopOrdered(now, rungs...) {
-			r.deliver(stream, af, now)
-		}
-		for _, jb := range rungs {
-			for _, nack := range jb.Nacks(now) {
-				_, _ = r.conn.WriteTo(transport.MarshalNACK(nack.Stream, nack.FrameSeq, nack.FragIndex), r.remote)
-			}
-		}
-		if at, ok := transport.NextDeadline(now, rungs...); ok && (!pending || at < next) {
-			next, pending = at, true
-		}
-	}
-	return next, pending
-}
-
-// deliver decodes one frame leaving the jitter buffers and, when it
-// completes a pair, reconstructs and hands over the cloud.
-func (r *RecvSession) deliver(stream uint8, af transport.AssembledFrame, now float64) {
-	r.trace.StampNow(frametrace.HopJitter, stream, af.FrameSeq, frametrace.NoSub)
-	pkt := &vcodec.Packet{Data: af.Data, Key: af.Key, Seq: af.FrameSeq, Rung: af.Rung}
-	var pf *PairedFrame
-	var err error
-	if stream == transport.StreamColor {
-		pf, err = r.receiver.PushColor(pkt)
-	} else {
-		pf, err = r.receiver.PushDepth(pkt)
-	}
-	if err != nil {
-		// Undecodable: a skipped frame left the decoder's reference stale, or
-		// the payload was corrupted in flight. Conceal with the last good
-		// paired frame and request a key frame; the tracker re-sends the PLI
-		// periodically until the IDR lands but suppresses per-frame storms
-		// (§A.1).
-		r.conceal(af.FrameSeq)
-		if r.pli.Request(now) {
-			r.plisSent.Add(1)
-			_, _ = r.conn.WriteTo([]byte{transport.FBPLI}, r.remote)
-		}
-		return
-	}
-	if af.Key {
-		// The recovery IDR decoded: the PLI cycle is complete.
-		r.pli.OnKeyFrame()
-	}
-	if pf == nil {
-		return
-	}
-	r.decoded.Add(1)
-	if r.OnCloud != nil {
-		var fr *Frustum
-		if r.Frustum != nil {
-			fr = r.Frustum()
-		}
-		if cloud, err := r.receiver.Reconstruct(pf, fr); err == nil {
-			r.OnCloud(pf.Seq, cloud)
-		}
-	}
-}
-
-// conceal delivers the last good paired frame in place of undecodable frame
-// seq, so the viewer sees a frozen-but-coherent cloud instead of nothing
-// (or drift) while the PLI-requested key frame is in flight.
-func (r *RecvSession) conceal(seq uint32) {
-	if r.hasConcealed && r.lastConcealSeq == seq {
-		return // the other stream of the same frame already concealed
-	}
-	r.lastConcealSeq, r.hasConcealed = seq, true
-	pf := r.receiver.LastGood()
+// show reconstructs the frame the core hands over — a decoded pair, or the
+// last good one in place of an undecodable frame, so the viewer sees a
+// frozen-but-coherent cloud while the PLI-requested key frame is in flight —
+// and passes it to OnCloud.
+func (r *RecvSession) show(seq uint32, pf *PairedFrame, _ bool, _ float64) {
 	if pf == nil || r.OnCloud == nil {
 		return
 	}
@@ -800,7 +654,6 @@ func (r *RecvSession) conceal(seq uint32) {
 		fr = r.Frustum()
 	}
 	if cloud, err := r.receiver.Reconstruct(pf, fr); err == nil {
-		r.concealed.Add(1)
 		r.OnCloud(seq, cloud)
 	}
 }
@@ -812,15 +665,9 @@ func (r *RecvSession) sendFeedback() {
 	if r.PoseSource != nil {
 		_, _ = r.conn.WriteTo(marshalPose(now, r.PoseSource()), r.remote)
 	}
-	// Fold the loss measured since the last tick into the estimate before
-	// advertising it (GCC's loss-based controller).
-	rxTotal, nackedTotal := r.received.Load(), r.nacked()
-	rx, lost := rxTotal-r.lossRx, nackedTotal-r.lossNacked
-	r.lossRx, r.lossNacked = rxTotal, nackedTotal
-	if rx+lost > 0 {
-		r.gcc.OnLossReport(float64(lost) / float64(rx+lost))
-	}
-	rate := r.gcc.Rate()
+	// The loss measured since the last tick is folded into the estimate
+	// before it is advertised (GCC's loss-based controller).
+	rate := r.core.Report()
 	r.estRate.Store(uint64(rate))
 	_, _ = r.conn.WriteTo(transport.AppendREMB(make([]byte, 0, 9), rate), r.remote)
 	_, _ = r.conn.WriteTo(marshalPing(now, transport.FBPing), r.remote)
@@ -840,8 +687,9 @@ func (r *RecvSession) Err() error {
 type RecvStats struct {
 	// Received counts media packets accepted since session start.
 	Received int64
-	// Decoded counts paired frames delivered; Concealed counts undecodable
-	// frames replaced by the last good frame during PLI recovery.
+	// Decoded counts paired frames delivered; Concealed counts frames that
+	// failed to decode, each once, shown as the last good frame during PLI
+	// recovery.
 	Decoded   int64
 	Concealed int64
 	// NACKsSent and PLIsSent count feedback messages emitted; NACKsSent is
@@ -864,13 +712,13 @@ type RecvStats struct {
 
 // Stats snapshots the session's counters (safe from any goroutine).
 func (r *RecvSession) Stats() RecvStats {
-	color, depth := r.streamStats(0), r.streamStats(1)
+	color, depth := r.core.StreamStats(0), r.core.StreamStats(1)
 	return RecvStats{
-		Received:   r.received.Load(),
-		Decoded:    r.decoded.Load(),
-		Concealed:  r.concealed.Load(),
+		Received:   r.core.Received.Load(),
+		Decoded:    r.core.Decoded.Load(),
+		Concealed:  r.core.Concealed.Load(),
 		NACKsSent:  color.Nacked + depth.Nacked,
-		PLIsSent:   r.plisSent.Load(),
+		PLIsSent:   r.core.PLIs.Load(),
 		RTT:        float64(r.rttUs.Load()) / 1e6,
 		EstRateBps: float64(r.estRate.Load()),
 		Color:      color,
@@ -879,27 +727,9 @@ func (r *RecvSession) Stats() RecvStats {
 	}
 }
 
-// streamStats sums one stream's jitter-buffer counters over its rungs: a
-// ladder subscriber's frames sit in whichever rung's buffer it is served.
-func (r *RecvSession) streamStats(si int) (sum transport.Stats) {
-	for _, jb := range r.jb[si] {
-		st := jb.Stats()
-		sum.Pending += st.Pending
-		sum.Delivered += st.Delivered
-		sum.Skipped += st.Skipped
-		sum.Nacked += st.Nacked
-		sum.FECRecovered += st.FECRecovered
-	}
-	return sum
-}
-
-// nacked counts the NACKs the session has sent: each jitter buffer counts
-// the requests it hands out.
-func (r *RecvSession) nacked() int64 { return r.streamStats(0).Nacked + r.streamStats(1).Nacked }
-
-// Concealed returns how many undecodable frames were replaced by the last
-// good frame while awaiting a PLI-requested key frame.
-func (r *RecvSession) Concealed() int64 { return r.concealed.Load() }
+// Concealed returns how many frames failed to decode and were replaced by
+// the last good frame while awaiting a PLI-requested key frame.
+func (r *RecvSession) Concealed() int64 { return r.core.Concealed.Load() }
 
 // Close stops the session (the caller owns the connection). It is
 // idempotent.

@@ -419,7 +419,7 @@ func TestSessionLossNoWorseThanFixedDelay(t *testing.T) {
 	rec := record(t, frames)
 	failed := func(r sessionRun) int64 { return r.stats.Color.Skipped + r.stats.Depth.Skipped + r.stats.Concealed }
 
-	fixed := replayCall(t, rec, 2, oneWay, seed, func(r *RecvSession) { r.playout.Floor = transport.MaxPlayoutDelay })
+	fixed := replayCall(t, rec, 2, oneWay, seed, func(r *RecvSession) { r.core.Playout.Floor = transport.MaxPlayoutDelay })
 	adaptive := replayCall(t, rec, 2, oneWay, seed, nil)
 	t.Logf("%d packets a frame", len(rec.frames[frames/2]))
 	t.Logf("fixed 100 ms: link lost %d, NACKs %d, skipped+concealed %d, p50 %v", fixed.dropped, fixed.stats.NACKsSent, failed(fixed), median(fixed.latency))
