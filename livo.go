@@ -24,7 +24,8 @@
 //	pf, _ := r.PushDepth(enc.Depth)
 //	cloud, _ := r.Reconstruct(pf, nil)
 //
-// For a live two-way session over UDP, see Session (session.go) and the
+// For a live two-way session over UDP, see SendSession and RecvSession
+// (session_send.go, session_recv.go) and the
 // runnable programs under cmd/ and examples/.
 package livo
 
