@@ -30,11 +30,9 @@ type transmitter struct {
 	// instant the pair completed, with the latest arrival of its fragments.
 	onPair func(pf *core.PairedFrame, at, lastArrival float64) error
 
-	now      float64
-	events   []txEvent // by time, ties in the order scheduled
-	deadline float64   // the core's next deadline, while pending
-	pending  bool
-	err      error // the first onPair error
+	now    float64
+	events []txEvent // by time, ties in the order scheduled
+	err    error     // the first onPair error
 
 	paceQ    [][]byte  // wires waiting for the pacer; a wake-up is queued while non-empty
 	paceNext time.Time // the pacer's schedule: the send time of paceQ[0]
@@ -155,8 +153,12 @@ func (tx *transmitter) feedback() (rate float64, pli bool) {
 // and including until; advance(+Inf) runs it until nothing is in flight or
 // buffered.
 func (tx *transmitter) advance(until float64) error {
-	for tx.err == nil {
-		at, ok := tx.deadline, tx.pending
+	for {
+		// A second drain at the same instant releases and requests nothing.
+		at, ok := tx.rx.Drain(tx.now)
+		if tx.err != nil {
+			return tx.err
+		}
 		if len(tx.events) > 0 && (!ok || tx.events[0].at < at) {
 			at, ok = tx.events[0].at, true
 		}
@@ -169,9 +171,7 @@ func (tx *transmitter) advance(until float64) error {
 			tx.events = tx.events[1:]
 			ev.run()
 		}
-		tx.deadline, tx.pending = tx.rx.Drain(at)
 	}
-	return tx.err
 }
 
 // frame is the core's frame hand-over: a concealed frame opens an outage, a

@@ -2,9 +2,8 @@ package session
 
 import "livo/internal/transport"
 
-// History is a sender's retransmission store: the wire copy of each recently
-// sent media packet, keyed by (stream, frame seq, fragment, rung), bounded
-// to the newest packets. It is not safe for concurrent use.
+// History is a sender's retransmission store: the wire copy of each recent
+// media packet by (stream, seq, fragment, rung). It is not concurrency-safe.
 type History struct {
 	wires map[histKey][]byte
 	keys  []histKey // insertion order, a ring once full
@@ -28,8 +27,7 @@ func NewHistory(ladder bool) *History {
 	return &History{wires: make(map[histKey][]byte), keys: make([]histKey, 0, limit)}
 }
 
-// Add records wire as packet p's copy. Parity packets are not kept (a
-// NACK names a data fragment), and the first copy of a key wins.
+// Add records wire as data packet p's copy; the first copy of a key wins.
 func (h *History) Add(p *transport.Packet, wire []byte) {
 	if p.Parity {
 		return
@@ -48,10 +46,9 @@ func (h *History) Add(p *transport.Packet, wire []byte) {
 	h.next = (h.next + 1) % len(h.keys)
 }
 
-// Nack returns the copies that answer req: every rung's, since the wire
-// NACK carries no rung id. A direct receiver only ever buffered one rung's
-// fragments for that slot; through a relay, its rung-aware cache or the
-// subscriber filter delivers just the copy the subscriber is watching.
+// Nack returns every rung's copy of req's fragment: a wire NACK names no
+// rung. A direct receiver buffers one rung; through a relay, its cache or
+// the subscriber filter delivers just the copy the subscriber watches.
 func (h *History) Nack(req transport.NackRequest) [][]byte {
 	var wires [][]byte
 	for rung := uint8(0); rung < transport.MaxRungs; rung++ {

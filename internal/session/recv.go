@@ -16,59 +16,49 @@ import (
 	"livo/internal/transport"
 )
 
-// Recv is the receive core of one session: jitter buffers per (stream,
-// rung) sharing one playout estimator, NACK emission, decode, concealment
-// with the last good pair, the PLI schedule and the loss report folded into
-// the congestion estimate. It is single-threaded: the caller serialises
-// Media, Drain and Report, and supplies the time. The counters and
-// StreamStats may be read from any goroutine.
+// Recv is the receive core of one session: jitter buffers, NACKs, decode,
+// concealment, the PLI schedule and the loss report (§A.1). The caller
+// serialises Media, Drain and Report; the counters and StreamStats may be
+// read from any goroutine.
 type Recv struct {
 	receiver *core.Receiver
-	// jb holds one jitter buffer per (stream, rung), rungs in release order;
-	// Playout is the estimator they all share (DESIGN.md §5). The table is
-	// never written after NewRecv, so StreamStats reads it without a lock.
+	// jb holds one jitter buffer per (stream, rung), all on Playout (DESIGN.md
+	// §5). It is never written after NewRecv, so StreamStats needs no lock.
 	jb      [2][transport.MaxRungs]*transport.JitterBuffer
 	Playout *transport.PlayoutEstimator
 	gcc     *transport.GCC
 	pli     *transport.PLITracker
 
-	// lastConceal dedupes concealment when both streams of one frame fail
-	// to decode.
-	lastConceal  uint32
-	hasConcealed bool
-	// arrivals holds, per frame seq modulo its length, the latest fragment
-	// arrival of the frame's streams released so far.
-	arrivals [64]struct {
-		seq uint32
-		at  float64
+	// frames is per-frame state by seq modulo its length: the latest arrival
+	// of its released streams, and whether a failed stream concealed it.
+	frames [64]struct {
+		seq         uint32
+		lastArrival float64
+		concealed   bool
 	}
-	// lossRx and lossNacked are the received and NACK-ed totals at the last
-	// Report: the loss report covers the interval since.
-	lossRx, lossNacked int64
+	lossRx, lossNacked int64 // the totals at the last Report
 
 	// Trace, when non-nil, receives the wire, jitter and decode hop stamps,
 	// at the times Clock returns (nanoseconds; the wall clock by default).
 	Trace *frametrace.Ledger
 	Clock func() int64
-	// OnFrame is called for each frame the viewer is due to show: a decoded
-	// pair, with lastArrival the latest fragment arrival of its two streams;
-	// or, concealed, the last good pair (nil before the first) in place of
-	// frame seq, which failed to decode.
+	// OnFrame hands over each frame to show: a decoded pair, lastArrival the
+	// latest arrival of its two streams; or, concealed, the last good pair
+	// (nil before the first) in place of frame seq, which failed to decode.
 	OnFrame func(seq uint32, pf *core.PairedFrame, concealed bool, lastArrival float64)
 	// OnNack sends a NACK for one missing fragment.
 	OnNack func(transport.NackRequest)
 	// OnPLI sends a key-frame request.
 	OnPLI func()
 
-	// Received counts media packets accepted; Decoded, pairs delivered;
-	// Concealed, frame seqs that failed to decode (each once); PLIs, key
-	// frame requests sent.
+	// Received counts media packets accepted, Decoded pairs delivered,
+	// Concealed frames that failed to decode (once each), PLIs key-frame
+	// requests sent.
 	Received, Decoded, Concealed, PLIs atomic.Int64
 }
 
-// NewRecv returns a receive core that decodes with receiver, releases
-// frames against playout and feeds arrivals and loss reports to gcc. The
-// callbacks must be set before the first Drain.
+// NewRecv returns a core that decodes with receiver, plays out against
+// playout and reports to gcc. Set the callbacks before the first Drain.
 func NewRecv(receiver *core.Receiver, playout *transport.PlayoutEstimator, gcc *transport.GCC) *Recv {
 	r := &Recv{
 		receiver: receiver,
@@ -77,10 +67,8 @@ func NewRecv(receiver *core.Receiver, playout *transport.PlayoutEstimator, gcc *
 		pli:      transport.NewPLITracker(),
 		Clock:    func() int64 { return time.Now().UnixNano() },
 	}
-	// One jitter buffer per (stream, rung): fragments from two encodings of
-	// the same frame seq must never land in one reassembly slot, and a relay
-	// rung switch can interleave packets from both rungs around the key
-	// boundary. Legacy streams carry rung 0.
+	// Two encodings of one frame seq must never share a reassembly slot, and
+	// a relay rung switch interleaves both rungs around the key boundary.
 	for si := range r.jb {
 		for rung := range r.jb[si] {
 			jb := transport.NewJitterBuffer()
@@ -97,10 +85,8 @@ func (r *Recv) stamp(hop frametrace.Hop, stream uint8, seq uint32) {
 	}
 }
 
-// Media ingests one media packet (the wire bytes after any demultiplexing
-// prefix) that arrived at now; size is the datagram size the congestion
-// estimator counts. It reports whether the packet parsed, so a Drain is
-// worth running.
+// Media ingests a media packet (wire bytes after any demultiplexing prefix)
+// that arrived at now, size bytes on the wire, and reports whether it parsed.
 func (r *Recv) Media(wire []byte, now float64, size int) bool {
 	p, err := transport.Unmarshal(wire)
 	if err != nil {
@@ -117,9 +103,8 @@ func (r *Recv) Media(wire []byte, now float64, size int) bool {
 	return true
 }
 
-// Drain delivers the frames that are due from each stream's jitter buffers —
-// in frame-sequence order across a stream's rungs — and sends the NACKs that
-// are due. It returns the buffers' next deadline after now, if any.
+// Drain delivers the frames due, in sequence order across a stream's rungs,
+// and sends the NACKs due. It returns the buffers' next deadline, if any.
 func (r *Recv) Drain(now float64) (next float64, pending bool) {
 	for si := range r.jb {
 		stream := transport.StreamColor + uint8(si)
@@ -139,28 +124,26 @@ func (r *Recv) Drain(now float64) (next float64, pending bool) {
 	return next, pending
 }
 
-// deliver decodes one frame leaving the jitter buffers. A failure is
-// concealed and starts (or continues) the PLI schedule; a decoded key frame
-// ends it; a completed pair goes to OnFrame.
+// deliver decodes one released frame. A failure is concealed and starts (or
+// continues) the PLI schedule, a decoded key frame ends it.
 func (r *Recv) deliver(stream uint8, af transport.AssembledFrame, now float64) {
 	r.stamp(frametrace.HopJitter, stream, af.FrameSeq)
-	a := &r.arrivals[af.FrameSeq%uint32(len(r.arrivals))]
-	if a.seq != af.FrameSeq {
-		a.seq, a.at = af.FrameSeq, 0
+	f := &r.frames[af.FrameSeq%uint32(len(r.frames))]
+	if f.seq != af.FrameSeq {
+		f.seq, f.lastArrival, f.concealed = af.FrameSeq, 0, false
 	}
-	a.at = max(a.at, af.LastArrival)
+	f.lastArrival = max(f.lastArrival, af.LastArrival)
 	push, hop := r.receiver.PushColor, frametrace.HopDecodeColor
 	if stream == transport.StreamDepth {
 		push, hop = r.receiver.PushDepth, frametrace.HopDecodeDepth
 	}
 	pf, err := push(&vcodec.Packet{Data: af.Data, Key: af.Key, Seq: af.FrameSeq, Rung: af.Rung})
 	if err != nil {
-		// Undecodable: a skipped frame left the decoder's reference stale, or
-		// the payload was corrupted in flight. Conceal with the last good
-		// pair and request a key frame; the tracker re-sends the PLI until
-		// the IDR lands but suppresses per-frame storms (§A.1).
-		if !r.hasConcealed || r.lastConceal != af.FrameSeq {
-			r.lastConceal, r.hasConcealed = af.FrameSeq, true
+		// A skipped frame left the reference stale, or the payload was
+		// corrupted. The tracker re-sends the PLI until the IDR lands but
+		// suppresses per-frame storms (§A.1).
+		if !f.concealed {
+			f.concealed = true
 			r.Concealed.Add(1)
 			r.OnFrame(af.FrameSeq, r.receiver.LastGood(), true, 0)
 		}
@@ -172,23 +155,21 @@ func (r *Recv) deliver(stream uint8, af transport.AssembledFrame, now float64) {
 	}
 	r.stamp(hop, 0, af.FrameSeq)
 	if af.Key {
-		// The recovery IDR decoded: the PLI cycle is complete.
-		r.pli.OnKeyFrame()
+		r.pli.OnKeyFrame() // the recovery IDR decoded: the PLI cycle is over
 	}
 	if pf == nil {
 		return
 	}
 	r.Decoded.Add(1)
 	last := 0.0
-	if a := r.arrivals[pf.Seq%uint32(len(r.arrivals))]; a.seq == pf.Seq {
-		last = a.at
+	if f := r.frames[pf.Seq%uint32(len(r.frames))]; f.seq == pf.Seq {
+		last = f.lastArrival
 	}
 	r.OnFrame(pf.Seq, pf, false, last)
 }
 
-// Report folds the loss since the last report — the NACK-ed share of what
-// arrived or was NACK-ed — into the congestion estimate and returns the
-// rate to advertise.
+// Report folds the NACK-ed share of what arrived or was NACK-ed since the
+// last report into the congestion estimate and returns the rate to advertise.
 func (r *Recv) Report() float64 {
 	rxTotal, nackedTotal := r.Received.Load(), r.Nacked()
 	rx, lost := rxTotal-r.lossRx, nackedTotal-r.lossNacked
@@ -199,9 +180,8 @@ func (r *Recv) Report() float64 {
 	return r.gcc.Rate()
 }
 
-// StreamStats sums one stream's (0 colour, 1 depth) jitter-buffer counters
-// over its rungs: a ladder subscriber's frames sit in whichever rung's
-// buffer it is served.
+// StreamStats sums stream si's (0 colour, 1 depth) jitter buffers over its
+// rungs: a ladder subscriber's frames sit in its rung's buffer.
 func (r *Recv) StreamStats(si int) (sum transport.Stats) {
 	for _, jb := range r.jb[si] {
 		st := jb.Stats()
@@ -214,6 +194,5 @@ func (r *Recv) StreamStats(si int) (sum transport.Stats) {
 	return sum
 }
 
-// Nacked counts the NACKs sent: each jitter buffer counts the requests it
-// hands out, re-requests included.
+// Nacked counts the NACKs sent, re-requests included.
 func (r *Recv) Nacked() int64 { return r.StreamStats(0).Nacked + r.StreamStats(1).Nacked }

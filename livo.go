@@ -25,8 +25,8 @@
 //	cloud, _ := r.Reconstruct(pf, nil)
 //
 // For a live two-way session over UDP, see SendSession and RecvSession
-// (session_send.go, session_recv.go) and the
-// runnable programs under cmd/ and examples/.
+// (session_send.go, session_recv.go) and the runnable programs under cmd/
+// and examples/.
 package livo
 
 import (

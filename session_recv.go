@@ -1,7 +1,6 @@
 package livo
 
 import (
-	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -22,9 +21,8 @@ import (
 // policy is the core's (internal/session); the session adds the socket, the
 // goroutines and the clock.
 type RecvSession struct {
+	endpoint
 	receiver *core.Receiver
-	conn     net.PacketConn
-	remote   net.Addr
 
 	// loopMu serializes the session's two goroutines — the blocking read
 	// loop and the housekeeping timers — over the single-threaded receive
@@ -48,16 +46,9 @@ type RecvSession struct {
 	// Frustum, when non-nil, is applied to reconstructed clouds.
 	Frustum func() *Frustum
 
-	start     time.Time
-	closed    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-	err       atomic.Value
 	// estRate is the rate last advertised by REMB.
 	estRate atomic.Uint64
 	rttUs   atomic.Int64 // smoothed RTT, microseconds (0 before the first pong)
-
-	unregister func() // removes the session's series (DESIGN.md §6)
 }
 
 // RecvSessionConfig configures a RecvSession.
@@ -86,13 +77,10 @@ func NewRecvSession(conn net.PacketConn, remote net.Addr, cfg RecvSessionConfig)
 		cfg.MaxRateBps = 1e9
 	}
 	r := &RecvSession{
+		endpoint: newEndpoint(conn, remote),
 		receiver: recv,
-		conn:     conn,
-		remote:   remote,
 		armed:    math.Inf(1),
 		wake:     make(chan struct{}, 1),
-		start:    time.Now(),
-		closed:   make(chan struct{}),
 	}
 	gcc := transport.NewGCC(cfg.InitialRateBps, cfg.MinRateBps, cfg.MaxRateBps)
 	r.core = session.NewRecv(recv, &transport.PlayoutEstimator{}, gcc)
@@ -141,7 +129,7 @@ func (r *RecvSession) Run() {
 		got, err := br.ReadBatch(ms)
 		now := r.now()
 		if err != nil {
-			if r.fatalReadErr(err) {
+			if r.readFailed(err, "media read") {
 				return
 			}
 			continue
@@ -158,22 +146,6 @@ func (r *RecvSession) Run() {
 		}
 		r.loopMu.Unlock()
 	}
-}
-
-// fatalReadErr classifies a read error: teardown and poked-deadline
-// timeouts are expected; anything else kills the session and is surfaced
-// through Err.
-func (r *RecvSession) fatalReadErr(err error) bool {
-	select {
-	case <-r.closed:
-		return true
-	default:
-	}
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		return false
-	}
-	r.err.Store(fmt.Errorf("livo: media read: %w", err))
-	return true
 }
 
 // handleDatagram ingests one wire datagram (loopMu held), reporting whether
@@ -244,9 +216,8 @@ func (r *RecvSession) housekeeping() {
 	}
 }
 
-// drainAndWake is the read loop's drain: when it leaves a deadline earlier
-// than the one the housekeeping timer is armed for, housekeeping is poked to
-// re-arm (loopMu held).
+// drainAndWake is the read loop's drain: one that leaves a deadline earlier
+// than housekeeping's timer pokes it to re-arm (loopMu held).
 func (r *RecvSession) drainAndWake(now float64) {
 	if next, pending := r.core.Drain(now); pending && next < r.armed {
 		r.armed = next
@@ -256,8 +227,6 @@ func (r *RecvSession) drainAndWake(now float64) {
 		}
 	}
 }
-
-func (r *RecvSession) now() float64 { return time.Since(r.start).Seconds() }
 
 // show reconstructs the frame the core hands over — a decoded pair, or the
 // last good one in place of an undecodable frame, so the viewer sees a
@@ -289,16 +258,6 @@ func (r *RecvSession) sendFeedback() {
 	r.estRate.Store(uint64(rate))
 	_, _ = r.conn.WriteTo(transport.AppendREMB(make([]byte, 0, 9), rate), r.remote)
 	_, _ = r.conn.WriteTo(marshalPing(now, transport.FBPing), r.remote)
-}
-
-// Err returns the first asynchronous error hit by Run (media read failure),
-// or nil while healthy. Once non-nil the session is dead: Run has returned
-// and no further frames will be delivered.
-func (r *RecvSession) Err() error {
-	if e := r.err.Load(); e != nil {
-		return e.(error)
-	}
-	return nil
 }
 
 // RecvStats is a point-in-time snapshot of one receiving session.
@@ -348,15 +307,3 @@ func (r *RecvSession) Stats() RecvStats {
 // Concealed returns how many frames failed to decode and were replaced by
 // the last good frame while awaiting a PLI-requested key frame.
 func (r *RecvSession) Concealed() int64 { return r.core.Concealed.Load() }
-
-// Close stops the session (the caller owns the connection). It is
-// idempotent.
-func (r *RecvSession) Close() error {
-	r.closeOnce.Do(func() {
-		close(r.closed)
-		_ = r.conn.SetReadDeadline(time.Now())
-		r.wg.Wait()
-		r.unregister()
-	})
-	return nil
-}

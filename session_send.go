@@ -15,18 +15,14 @@ import (
 	"livo/internal/transport"
 )
 
-// mediaMagic distinguishes media packets from feedback on the same socket.
-const mediaMagic = transport.MediaMagic
-
 // SendSession streams one direction of a live conference: it encodes camera
 // views with the LiVo pipeline and sends them to a remote receiver over a
 // packet connection, processing feedback (poses, REMB, NACK, PLI) on the
 // reverse path. A two-way conference runs one SendSession and one
 // RecvSession per site (§3.1).
 type SendSession struct {
+	endpoint
 	sender *core.Sender
-	conn   net.PacketConn
-	remote net.Addr
 	fec    bool
 	trace  *frametrace.Ledger // cfg.Sender.Trace (nil disables stamps)
 
@@ -36,13 +32,8 @@ type SendSession struct {
 	// further PLIs are ignored until that IDR is actually encoded (§A.1).
 	pliArmed atomic.Bool
 
-	mu        sync.Mutex
-	history   *session.History // recent packets for NACK retransmission
-	start     time.Time
-	closed    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-	err       atomic.Value
+	mu      sync.Mutex
+	history *session.History // recent packets for NACK retransmission
 
 	frames    atomic.Int64
 	pkts      atomic.Int64
@@ -51,8 +42,6 @@ type SendSession struct {
 	retx      atomic.Int64
 	nacksRecv atomic.Int64
 	plisRecv  atomic.Int64
-
-	unregister func() // removes the session's series (DESIGN.md §6)
 }
 
 // SendSessionConfig configures a SendSession.
@@ -79,14 +68,11 @@ func NewSendSession(conn net.PacketConn, remote net.Addr, cfg SendSessionConfig)
 		cfg.InitialRateBps = 20e6
 	}
 	s := &SendSession{
-		sender:  sender,
-		conn:    conn,
-		remote:  remote,
-		fec:     cfg.EnableFEC,
-		trace:   cfg.Sender.Trace,
-		history: session.NewHistory(cfg.Sender.Ladder),
-		start:   time.Now(),
-		closed:  make(chan struct{}),
+		endpoint: newEndpoint(conn, remote),
+		sender:   sender,
+		fec:      cfg.EnableFEC,
+		trace:    cfg.Sender.Trace,
+		history:  session.NewHistory(cfg.Sender.Ladder),
 	}
 	tel := cfg.Sender.Telemetry
 	if tel == nil {
@@ -151,9 +137,6 @@ func (s *SendSession) paceLoop() {
 		}
 	}
 }
-
-// now returns seconds since session start.
-func (s *SendSession) now() float64 { return time.Since(s.start).Seconds() }
 
 // Rate returns the current send rate (bits/second).
 func (s *SendSession) Rate() float64 { return float64(s.rateBps.Load()) }
@@ -266,22 +249,12 @@ func (s *SendSession) feedbackLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, 65536)
 	for {
-		// Blocking read — no per-iteration SetReadDeadline syscall (the
-		// old loop paid one per 50 ms even when idle). Close closes
-		// s.closed first and then pokes a past read deadline, so the
-		// error that unblocks us is classified as teardown here.
 		n, _, err := s.conn.ReadFrom(buf)
 		if err != nil {
-			select {
-			case <-s.closed:
+			if s.readFailed(err, "feedback read") {
 				return
-			default:
 			}
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			s.err.Store(fmt.Errorf("livo: feedback read: %w", err))
-			return
+			continue
 		}
 		if n == 0 {
 			continue
@@ -333,17 +306,6 @@ func (s *SendSession) handleFeedback(b []byte) {
 	}
 }
 
-// Err returns the first asynchronous error hit by the session's background
-// goroutines (pacer write failure, feedback read failure), or nil while
-// healthy. Once non-nil the session is dead: SendViews returns the same
-// error and no further packets leave the socket.
-func (s *SendSession) Err() error {
-	if e := s.err.Load(); e != nil {
-		return e.(error)
-	}
-	return nil
-}
-
 // SendStats is a point-in-time snapshot of one sending session.
 type SendStats struct {
 	// Frames counts frames fully processed and handed to the pacer.
@@ -379,18 +341,4 @@ func (s *SendSession) Stats() SendStats {
 		RateBps:       s.Rate(),
 		Err:           s.Err(),
 	}
-}
-
-// Close stops the session. The connection is not closed (the caller owns
-// it; a conference shares one socket between send and receive sessions on
-// separate ports in the examples). Frames still queued for the pacer are
-// not sent. Close is idempotent, and SendViews after it returns an error.
-func (s *SendSession) Close() error {
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		_ = s.conn.SetReadDeadline(time.Now())
-		s.wg.Wait()
-		s.unregister()
-	})
-	return nil
 }
