@@ -52,9 +52,8 @@ type txEvent struct {
 	run func()
 }
 
-// newTransmitter connects recv to the far end of link; playout is the
-// estimator the core's jitter buffers share, and its congestion estimate
-// is sized to the link's mean capacity.
+// newTransmitter connects recv to the far end of link; the core plays out
+// against playout and sizes its congestion estimate to the link's mean.
 func newTransmitter(link *netem.Link, recv *core.Receiver, playout *transport.PlayoutEstimator) *transmitter {
 	mbps := link.FixedMbps
 	if link.Trace != nil {
@@ -121,8 +120,7 @@ func (tx *transmitter) pace(at float64) {
 	}
 }
 
-// transmit puts one packet on the wire at time at; what the link delivers
-// goes to the receive core.
+// transmit puts one packet on the wire, into the receive core, at time at.
 func (tx *transmitter) transmit(at float64, wire []byte) {
 	copies := []netem.Delivery{{Payload: wire}}
 	if tx.faults != nil {
@@ -141,9 +139,8 @@ func (tx *transmitter) transmit(at float64, wire []byte) {
 	}
 }
 
-// feedback is the receiver's report at a capture instant: the loss since
-// the last report goes into the congestion estimate, and it returns the
-// estimate and whether a PLI is waiting for the sender.
+// feedback is the receiver's report at a capture instant: the congestion
+// estimate, after the loss since the last one, and whether a PLI waits.
 func (tx *transmitter) feedback() (rate float64, pli bool) {
 	pli, tx.pliPending = tx.pliPending, false
 	return tx.rx.Report(), pli
