@@ -128,12 +128,13 @@ func (e *Encoder) toVideoFrame(im *frame.DepthImage) (*vcodec.Frame, error) {
 	switch cfg.Scheme {
 	case Scaled16:
 		maxMM := uint32(cfg.MaxMM)
+		dst := f.Planes[0][:len(im.Pix)]
 		for i, d := range im.Pix {
 			v := uint32(d)
 			if v > maxMM {
 				v = maxMM
 			}
-			f.Planes[0][i] = int32((v*65535 + maxMM/2) / maxMM)
+			dst[i] = int32((v*65535 + maxMM/2) / maxMM)
 		}
 		return f, nil
 	case Unscaled16:
@@ -164,14 +165,16 @@ func (cfg Config) fromVideoFrameInto(f *vcodec.Frame, im *frame.DepthImage, tmp 
 	switch cfg.Scheme {
 	case Scaled16:
 		maxMM := uint32(cfg.MaxMM)
-		for i, v := range f.Planes[0] {
+		src := f.Planes[0]
+		dst := im.Pix[:len(src)]
+		for i, v := range src {
 			if v < 0 {
 				v = 0
 			}
 			if v > 65535 {
 				v = 65535
 			}
-			im.Pix[i] = uint16((uint32(v)*maxMM + 32767) / 65535)
+			dst[i] = uint16((uint32(v)*maxMM + 32767) / 65535)
 		}
 	case Unscaled16:
 		f.ToDepthInto(im)
@@ -192,9 +195,10 @@ func (cfg Config) fromVideoFrameInto(f *vcodec.Frame, im *frame.DepthImage, tmp 
 		}
 	}
 	// Apply the validity threshold.
-	for i, d := range im.Pix {
+	pix := im.Pix
+	for i, d := range pix {
 		if d < cfg.MinValidMM {
-			im.Pix[i] = 0
+			pix[i] = 0
 		}
 	}
 }

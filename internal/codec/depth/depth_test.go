@@ -285,3 +285,43 @@ func TestRandomDepthStability(t *testing.T) {
 		}
 	}
 }
+
+// TestScaled16ConversionsMatchReference compares the Scaled16 mapping in
+// both directions with its loops before they were re-sliced, over every
+// millimetre value up to past MaxMM and over out-of-range plane samples.
+func TestScaled16ConversionsMatchReference(t *testing.T) {
+	cfg := Config{Width: 257, Height: 256, Scheme: Scaled16}.withDefaults()
+	enc, err := NewEncoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := frame.NewDepthImage(cfg.Width, cfg.Height)
+	for i := range im.Pix {
+		im.Pix[i] = uint16(i) // 0..65791 wraps: covers 0..65535
+	}
+	f, err := enc.toVideoFrame(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxMM := uint32(cfg.MaxMM)
+	for i, d := range im.Pix {
+		v := min(uint32(d), maxMM)
+		if want := int32((v*65535 + maxMM/2) / maxMM); f.Planes[0][i] != want {
+			t.Fatalf("toVideoFrame sample %d = %d, reference %d", i, f.Planes[0][i], want)
+		}
+	}
+	for i := range f.Planes[0] {
+		f.Planes[0][i] = int32(i*7) - 70000 // below 0, in range, above 65535
+	}
+	back := frame.NewDepthImage(cfg.Width, cfg.Height)
+	cfg.fromVideoFrameInto(f, back, nil)
+	for i, v := range f.Planes[0] {
+		want := uint16((uint32(min(max(v, 0), 65535))*maxMM + 32767) / 65535)
+		if want < cfg.MinValidMM {
+			want = 0
+		}
+		if back.Pix[i] != want {
+			t.Fatalf("fromVideoFrameInto sample %d = %d, reference %d", i, back.Pix[i], want)
+		}
+	}
+}

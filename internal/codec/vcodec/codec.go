@@ -229,11 +229,6 @@ func downsample2x(src []int32, w, h int, dst []int32, dw, dh int) {
 	}
 }
 
-// upsample2x nearest-neighbour expands a plane back to (w, h).
-func upsample2x(src []int32, sw, sh int, dst []int32, w, h int) {
-	upsample2xRows(src, sw, sh, dst, w, 0, h)
-}
-
 // upsample2xRows nearest-neighbour expands output rows [y0, y1) only.
 func upsample2xRows(src []int32, sw, sh int, dst []int32, w, y0, y1 int) {
 	for y := y0; y < y1; y++ {
@@ -241,12 +236,14 @@ func upsample2xRows(src []int32, sw, sh int, dst []int32, w, y0, y1 int) {
 		if sy >= sh {
 			sy = sh - 1
 		}
-		for x := 0; x < w; x++ {
+		srow := src[sy*sw : sy*sw+sw]
+		drow := dst[y*w : y*w+w]
+		for x := range drow {
 			sx := x / 2
 			if sx >= sw {
 				sx = sw - 1
 			}
-			dst[y*w+x] = src[sy*sw+sx]
+			drow[x] = srow[sx]
 		}
 	}
 }
@@ -541,15 +538,32 @@ func (e *Encoder) encode(f *Frame, qp int) (*Packet, error) {
 		e.modelA = a
 		e.hasModel = true
 	} else {
-		e.modelA = 0.7*e.modelA + 0.3*a
+		e.modelA = float64(0.7*e.modelA) + float64(0.3*a) // rounded: no FMA
 	}
 	e.lastQP = qp
 	return pkt, nil
 }
 
+// interior reports whether the block at (x0, y0) lies wholly inside a
+// w x h plane, so the block loops can copy whole 8-sample rows with no
+// edge handling. Edge blocks take the clamped loops.
+func interior(w, h, x0, y0 int) bool {
+	return x0 >= 0 && y0 >= 0 && x0+blockSize <= w && y0+blockSize <= h
+}
+
 // gather copies the block at (x0, y0) from plane into dst with edge
 // clamping for out-of-bounds samples.
 func gather(plane []int32, w, h, x0, y0 int, dst *[blockSize * blockSize]int32) {
+	if interior(w, h, x0, y0) {
+		for y := 0; y < blockSize; y++ {
+			d := (*[blockSize]int32)(dst[y*blockSize:])
+			s := (*[blockSize]int32)(plane[(y0+y)*w+x0:])
+			for x := range d {
+				d[x] = s[x]
+			}
+		}
+		return
+	}
 	for y := 0; y < blockSize; y++ {
 		sy := y0 + y
 		if sy < 0 {
@@ -572,9 +586,47 @@ func gather(plane []int32, w, h, x0, y0 int, dst *[blockSize * blockSize]int32) 
 	}
 }
 
+// reconBlock reconstructs the block at (x0, y0) into plane: the
+// prediction plus the inverse transform of coeffs (quantized levels in
+// zigzag order, dequantized by step), clamped to [0, maxVal]. It is the
+// one reconstruction path of encoder, decoder and transcoder. No
+// coefficients is the prediction alone; a DC-only block adds its
+// once-rounded constant (bit-identical to the transform plus per-pixel
+// rounding); anything else goes through idct2dBounded.
+func reconBlock(plane []int32, w, h, x0, y0 int, pred *[blockSize * blockSize]int32, coeffs []int64, step float64, maxVal int32) {
+	if len(coeffs) == 0 {
+		scatterPredDelta(plane, w, h, x0, y0, pred, 0, maxVal)
+		return
+	}
+	kr, kc := coeffBounds(coeffs)
+	if kr == 0 && kc == 0 {
+		scatterPredDelta(plane, w, h, x0, y0, pred, dcDelta(float64(coeffs[0])*step), maxVal)
+		return
+	}
+	var fblk [blockSize * blockSize]float64
+	for k, c := range coeffs {
+		if c != 0 {
+			fblk[zigzag[k]] = float64(c) * step
+		}
+	}
+	idct2dBounded(&fblk, kc)
+	scatter(plane, w, h, x0, y0, pred, &fblk, maxVal)
+}
+
 // scatter writes pred+residual (clamped) into the in-bounds part of the
 // block at (x0, y0).
 func scatter(plane []int32, w, h, x0, y0 int, pred *[blockSize * blockSize]int32, resid *[blockSize * blockSize]float64, maxVal int32) {
+	if interior(w, h, x0, y0) {
+		for y := 0; y < blockSize; y++ {
+			row := (*[blockSize]int32)(plane[(y0+y)*w+x0:])
+			p := (*[blockSize]int32)(pred[y*blockSize:])
+			r := (*[blockSize]float64)(resid[y*blockSize:])
+			for x := range row {
+				row[x] = clampI32(p[x]+int32(math.Round(r[x])), 0, maxVal)
+			}
+		}
+		return
+	}
 	for y := 0; y < blockSize; y++ {
 		sy := y0 + y
 		if sy >= h {
@@ -591,9 +643,21 @@ func scatter(plane []int32, w, h, x0, y0 int, pred *[blockSize * blockSize]int32
 	}
 }
 
-// scatterPredDelta writes pred plus a constant residual delta — the
-// DC-only fast path, bit-identical to scatter over a constant plane.
+// scatterPredDelta writes pred plus a constant residual delta, clamped,
+// into the in-bounds part of the block at (x0, y0): the DC-only fast path,
+// bit-identical to scatter over a constant plane, and with delta 0 the
+// zero-residual path.
 func scatterPredDelta(plane []int32, w, h, x0, y0 int, pred *[blockSize * blockSize]int32, delta, maxVal int32) {
+	if interior(w, h, x0, y0) {
+		for y := 0; y < blockSize; y++ {
+			row := (*[blockSize]int32)(plane[(y0+y)*w+x0:])
+			p := (*[blockSize]int32)(pred[y*blockSize:])
+			for x := range row {
+				row[x] = clampI32(p[x]+delta, 0, maxVal)
+			}
+		}
+		return
+	}
 	for y := 0; y < blockSize; y++ {
 		sy := y0 + y
 		if sy >= h {

@@ -355,7 +355,6 @@ func (t *transStripe) run() error {
 	ratio := t.step0 / t.step1
 
 	var predBlk [blockSize * blockSize]int32
-	var fblk [blockSize * blockSize]float64
 	var q [blockSize * blockSize]int64
 
 	for byi := t.src.row0; byi < t.src.row1; byi++ {
@@ -423,47 +422,14 @@ func (t *transStripe) run() error {
 			default:
 				return fmt.Errorf("vcodec: transcode unknown block mode %d", mode)
 			}
-			if lastNZ < 0 {
-				scatterPred(t.recon, w, h, x0, y0, &predBlk, pc.maxVal)
-				continue
-			}
-			kr, kc := 0, 0
-			for k := 1; k <= lastNZ; k++ {
-				if q[k] == 0 {
-					continue
-				}
-				zz := zigzag[k]
-				if r := zz / blockSize; r > kr {
-					kr = r
-				}
-				if c := zz % blockSize; c > kc {
-					kc = c
-				}
-			}
-			if kr == 0 && kc == 0 {
-				// DC-only (the dominant case after coarse requantization):
-				// the inverse transform is a constant plane, so add the
-				// once-rounded delta — bit-identical to the full path.
-				scatterPredDelta(t.recon, w, h, x0, y0, &predBlk, dcDelta(float64(q[0])*t.step1), pc.maxVal)
-				continue
-			}
-			for k := range fblk {
-				fblk[k] = 0
-			}
-			for k := 0; k <= lastNZ; k++ {
-				if q[k] != 0 {
-					fblk[zigzag[k]] = float64(q[k]) * t.step1
-				}
-			}
-			idct2dBounded(&fblk, kr, kc)
-			scatter(t.recon, w, h, x0, y0, &predBlk, &fblk, pc.maxVal)
+			reconBlock(t.recon, w, h, x0, y0, &predBlk, q[:lastNZ+1], t.step1, pc.maxVal)
 		}
 	}
 	return nil
 }
 
 // copyBlockRows copies the in-bounds rectangle of the block at (x0, y0)
-// from src to dst — byte-identical to gather+scatterPred for a co-located
+// from src to dst — byte-identical to gather+reconBlock for a co-located
 // zero-residual block (reference samples are already clamped in range).
 func copyBlockRows(dst, src []int32, w, h, x0, y0 int) {
 	x1 := x0 + blockSize

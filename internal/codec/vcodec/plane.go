@@ -70,17 +70,20 @@ func FromColor(im *frame.ColorImage) *Frame {
 // the same geometry without allocating (the sender's per-tick path).
 func FromColorInto(im *frame.ColorImage, f *Frame) {
 	n := im.W * im.H
-	for i := 0; i < n; i++ {
-		r := int32(im.Pix[3*i])
-		g := int32(im.Pix[3*i+1])
-		b := int32(im.Pix[3*i+2])
+	yp, cbp, crp := f.Planes[0][:n], f.Planes[1][:n], f.Planes[2][:n]
+	pix := im.Pix[:3*n]
+	for i := range yp {
+		px := (*[3]uint8)(pix[3*i:])
+		r := int32(px[0])
+		g := int32(px[1])
+		b := int32(px[2])
 		// Fixed-point (x256) BT.601 full-range conversion.
 		y := (77*r + 150*g + 29*b + 128) >> 8
 		cb := ((-43*r-85*g+128*b+128)>>8 + 128)
 		cr := ((128*r-107*g-21*b+128)>>8 + 128)
-		f.Planes[0][i] = clampI32(y, 0, 255)
-		f.Planes[1][i] = clampI32(cb, 0, 255)
-		f.Planes[2][i] = clampI32(cr, 0, 255)
+		yp[i] = clampI32(y, 0, 255)
+		cbp[i] = clampI32(cb, 0, 255)
+		crp[i] = clampI32(cr, 0, 255)
 	}
 }
 
@@ -96,16 +99,19 @@ func (f *Frame) ToColor() *frame.ColorImage {
 // conversion).
 func (f *Frame) ToColorInto(im *frame.ColorImage) {
 	n := f.W * f.H
-	for i := 0; i < n; i++ {
-		y := f.Planes[0][i]
-		cb := f.Planes[1][i] - 128
-		cr := f.Planes[2][i] - 128
+	yp, cbp, crp := f.Planes[0][:n], f.Planes[1][:n], f.Planes[2][:n]
+	pix := im.Pix[:3*n]
+	for i := range yp {
+		y := yp[i]
+		cb := cbp[i] - 128
+		cr := crp[i] - 128
 		r := y + (359*cr+128)>>8
 		g := y - (88*cb+183*cr+128)>>8
 		b := y + (454*cb+128)>>8
-		im.Pix[3*i] = uint8(clampI32(r, 0, 255))
-		im.Pix[3*i+1] = uint8(clampI32(g, 0, 255))
-		im.Pix[3*i+2] = uint8(clampI32(b, 0, 255))
+		px := (*[3]uint8)(pix[3*i:])
+		px[0] = uint8(clampI32(r, 0, 255))
+		px[1] = uint8(clampI32(g, 0, 255))
+		px[2] = uint8(clampI32(b, 0, 255))
 	}
 }
 
@@ -151,7 +157,7 @@ func ChunkedSquaredError(a, b []int32, partials []float64) []float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			d := float64(a[i] - b[i])
-			s += d * d
+			s += float64(d * d) // rounded: no FMA, the same sum on every GOARCH
 		}
 		partials[c] = s
 	})

@@ -138,42 +138,24 @@ func (s *encStripe) code() {
 				}
 				fblk[i] = float64(d)
 			}
-			if allZero {
-				coeffs.writeUvarint(0)
-				scatterPred(pc.recon, w, h, x0, y0, &predBlk, pc.maxVal)
-				continue
-			}
-
-			fdct2d(&fblk)
 			var q [blockSize * blockSize]int64
 			lastNZ := -1
-			for i, zi := range zigzag {
-				v := int64(math.Round(fblk[zi] / pc.step))
-				q[i] = v
-				if v != 0 {
-					lastNZ = i
+			if !allZero {
+				fdct2d(&fblk)
+				for i, zi := range zigzag {
+					v := int64(math.Round(fblk[zi] / pc.step))
+					q[i] = v
+					if v != 0 {
+						lastNZ = i
+					}
 				}
 			}
 			coeffs.writeUvarint(uint64(lastNZ + 1))
 			for i := 0; i <= lastNZ; i++ {
 				coeffs.writeVarint(q[i])
 			}
-			if lastNZ < 0 {
-				// Everything quantized away: reconstruction is the
-				// prediction (the inverse transform of zeros adds nothing).
-				scatterPred(pc.recon, w, h, x0, y0, &predBlk, pc.maxVal)
-				continue
-			}
-
 			// Reconstruct exactly as the decoder will.
-			for i := range fblk {
-				fblk[i] = 0
-			}
-			for i := 0; i <= lastNZ; i++ {
-				fblk[zigzag[i]] = float64(q[i]) * pc.step
-			}
-			idct2d(&fblk)
-			scatter(pc.recon, w, h, x0, y0, &predBlk, &fblk, pc.maxVal)
+			reconBlock(pc.recon, w, h, x0, y0, &predBlk, q[:lastNZ+1], pc.step, pc.maxVal)
 		}
 	}
 }
@@ -328,7 +310,6 @@ func (s *decStripe) decode() {
 	pp := pd.pp
 
 	var predBlk [blockSize * blockSize]int32
-	var fblk [blockSize * blockSize]float64
 
 	for byi := s.row0; byi < s.row1; byi++ {
 		for bxi := 0; bxi < bx; bxi++ {
@@ -343,62 +324,8 @@ func (s *decStripe) decode() {
 				gather(pd.prev, w, h, x0+int(pp.mvx[i]), y0+int(pp.mvy[i]), &predBlk)
 			}
 
-			count := int(pp.counts[i])
-			if count == 0 {
-				scatterPred(pd.recon, w, h, x0, y0, &predBlk, pd.maxVal)
-				continue
-			}
 			off := int(pp.offs[i])
-			kr, kc := 0, 0
-			for k := 1; k < count; k++ {
-				if pp.coeffs[off+k] == 0 {
-					continue
-				}
-				zz := zigzag[k]
-				if r := zz / blockSize; r > kr {
-					kr = r
-				}
-				if cc := zz % blockSize; cc > kc {
-					kc = cc
-				}
-			}
-			if kr == 0 && kc == 0 {
-				// DC-only block: the inverse transform is a constant plane,
-				// so add the once-rounded delta (bit-identical to the full
-				// transform + per-pixel rounding).
-				scatterPredDelta(pd.recon, w, h, x0, y0, &predBlk, dcDelta(float64(pp.coeffs[off])*pd.step), pd.maxVal)
-				continue
-			}
-			for k := range fblk {
-				fblk[k] = 0
-			}
-			for k := 0; k < count; k++ {
-				if c := pp.coeffs[off+k]; c != 0 {
-					fblk[zigzag[k]] = float64(c) * pd.step
-				}
-			}
-			idct2dBounded(&fblk, kr, kc)
-			scatter(pd.recon, w, h, x0, y0, &predBlk, &fblk, pd.maxVal)
-		}
-	}
-}
-
-// scatterPred writes the clamped prediction into the in-bounds part of the
-// block at (x0, y0) — the zero-residual fast path shared by encoder and
-// decoder.
-func scatterPred(plane []int32, w, h, x0, y0 int, pred *[blockSize * blockSize]int32, maxVal int32) {
-	for y := 0; y < blockSize; y++ {
-		sy := y0 + y
-		if sy >= h {
-			break
-		}
-		row := plane[sy*w:]
-		for x := 0; x < blockSize; x++ {
-			sx := x0 + x
-			if sx >= w {
-				break
-			}
-			row[sx] = clampI32(pred[y*blockSize+x], 0, maxVal)
+			reconBlock(pd.recon, w, h, x0, y0, &predBlk, pp.coeffs[off:off+int(pp.counts[i])], pd.step, pd.maxVal)
 		}
 	}
 }

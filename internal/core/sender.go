@@ -132,12 +132,11 @@ func (c SenderConfig) withDefaults() SenderConfig {
 // EncodedFrame is the sender's per-frame output: one color packet and one
 // depth packet plus bookkeeping the experiments record.
 type EncodedFrame struct {
-	Seq         uint32
-	Color       *vcodec.Packet
-	Depth       *vcodec.Packet
-	Split       float64    // split used for this frame
-	CullStats   cull.Stats // pixels kept/total (Total==0 when not culling)
-	TargetBytes int        // byte budget for the whole frame
+	Seq       uint32
+	Color     *vcodec.Packet
+	Depth     *vcodec.Packet
+	Split     float64    // split used for this frame
+	CullStats cull.Stats // pixels kept/total (Total==0 when not culling)
 	// DepthRMSEmm and ColorRMSE are the sender-side quality probes in
 	// millimeters and 8-bit levels; -1 unless probed this frame.
 	DepthRMSEmm float64
@@ -536,7 +535,6 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 		Depth:       depthPkt,
 		Split:       s.splitter.Split(),
 		CullStats:   st,
-		TargetBytes: targetBytes,
 		DepthRMSEmm: depthRMSE,
 		ColorRMSE:   colorRMSE,
 		ColorRungs:  colorPkts,
