@@ -68,7 +68,7 @@ func TestFeedbackTypesDistinct(t *testing.T) {
 		if seen[ty] {
 			t.Fatalf("duplicate feedback type %d", ty)
 		}
-		if ty == mediaMagic {
+		if ty == transport.MediaMagic {
 			t.Fatalf("feedback type %d collides with media magic", ty)
 		}
 		seen[ty] = true
@@ -81,7 +81,7 @@ func TestFeedbackTypesDistinct(t *testing.T) {
 // panic, and a datagram too short to be any complete message must leave
 // both sessions' counters exactly as they were.
 func FuzzHandleFeedback(f *testing.F) {
-	media := append([]byte{mediaMagic},
+	media := append([]byte{transport.MediaMagic},
 		transport.Packetize(transport.StreamColor, 3, true, 1000, []byte("frame"))[0].Marshal()...)
 	for _, seed := range [][]byte{
 		marshalPose(1.5, geom.Pose{Position: geom.V3(0, 1.5, 2), Rotation: geom.Quat{W: 1}}),

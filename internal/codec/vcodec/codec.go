@@ -87,8 +87,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors.
+// maxCodedQP is the largest QP a packet header may carry: the decoder
+// rejects anything above it as corrupt, so MaxQP may not exceed it.
+const maxCodedQP = 255
+
+// Validate reports configuration errors in c with its defaults applied.
 func (c Config) Validate() error {
+	c = c.withDefaults()
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("vcodec: invalid size %dx%d", c.Width, c.Height)
 	}
@@ -97,6 +102,9 @@ func (c Config) Validate() error {
 	}
 	if c.BitDepth != 8 && c.BitDepth != 16 {
 		return fmt.Errorf("vcodec: BitDepth must be 8 or 16, got %d", c.BitDepth)
+	}
+	if c.MinQP < 0 || c.MaxQP > maxCodedQP || c.MinQP > c.MaxQP {
+		return fmt.Errorf("vcodec: QP range %d..%d is not within 0..%d", c.MinQP, c.MaxQP, maxCodedQP)
 	}
 	return nil
 }
@@ -316,10 +324,10 @@ type Encoder struct {
 
 // NewEncoder creates an encoder; the config is validated and defaulted.
 func NewEncoder(cfg Config) (*Encoder, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	e := &Encoder{cfg: cfg, lastQP: 26}
 	e.pics[0] = newCodedPicture(cfg)
 	e.pics[1] = newCodedPicture(cfg)
@@ -737,10 +745,10 @@ type Decoder struct {
 
 // NewDecoder creates a decoder with the same configuration as the encoder.
 func NewDecoder(cfg Config) (*Decoder, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	d := &Decoder{cfg: cfg}
 	d.pics[0] = newCodedPicture(cfg)
 	d.pics[1] = newCodedPicture(cfg)
@@ -790,7 +798,7 @@ func (d *Decoder) decode(pkt *Packet) (*Frame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vcodec: truncated qp: %w", ErrCorrupt)
 	}
-	if qp64 > 255 {
+	if qp64 > maxCodedQP {
 		return nil, fmt.Errorf("vcodec: qp %d out of range: %w", qp64, ErrCorrupt)
 	}
 	// The encoder clamps QP into [MinQP, MaxQP] before writing it, so

@@ -80,20 +80,68 @@ func TestDepthConversionExact(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{Width: 0, Height: 8, NumPlanes: 1, BitDepth: 8}).Validate(); err == nil {
-		t.Error("zero width accepted")
+	gray := func(lo, hi int) Config {
+		return Config{Width: 8, Height: 8, NumPlanes: 1, BitDepth: 8, MinQP: lo, MaxQP: hi}
 	}
-	if err := (Config{Width: 8, Height: 8, NumPlanes: 2, BitDepth: 8}).Validate(); err == nil {
-		t.Error("2 planes accepted")
-	}
-	if err := (Config{Width: 8, Height: 8, NumPlanes: 1, BitDepth: 12}).Validate(); err == nil {
-		t.Error("12-bit accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"defaults", gray(0, 0), true},
+		{"zero width", Config{Width: 0, Height: 8, NumPlanes: 1, BitDepth: 8}, false},
+		{"2 planes", Config{Width: 8, Height: 8, NumPlanes: 2, BitDepth: 8}, false},
+		{"12-bit", Config{Width: 8, Height: 8, NumPlanes: 1, BitDepth: 12}, false},
+		{"MaxQP at the coded limit", gray(0, maxCodedQP), true},
+		{"MaxQP pinned at 0", gray(0, ExplicitZero), true},
+		{"MinQP at the default MaxQP", gray(51, 0), true},
+		{"negative MinQP", gray(-2, 0), false},
+		{"MaxQP past the coded limit", gray(0, maxCodedQP+1), false},
+		{"MaxQP 300", gray(0, 300), false},
+		{"MinQP above the default MaxQP", gray(52, 0), false},
+		{"MinQP above a pinned MaxQP", gray(1, ExplicitZero), false},
+		{"MinQP above MaxQP", gray(30, 20), false},
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok %v", tc.name, err, tc.ok)
+		}
+		if _, err := NewEncoder(tc.cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: NewEncoder error %v, want ok %v", tc.name, err, tc.ok)
+		}
+		if _, err := NewDecoder(tc.cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: NewDecoder error %v, want ok %v", tc.name, err, tc.ok)
+		}
 	}
 	if _, err := NewEncoder(Config{}); err == nil {
 		t.Error("empty config accepted by encoder")
 	}
 	if _, err := NewDecoder(Config{}); err == nil {
 		t.Error("empty config accepted by decoder")
+	}
+}
+
+// TestQPBeyondRangeDecodes: a QP asked for past the widest valid range is
+// clamped to it, and the packet decodes with the encoder's own decoder.
+func TestQPBeyondRangeDecodes(t *testing.T) {
+	cfg := ColorConfig(64, 48)
+	cfg.MaxQP = maxCodedQP
+	enc, err := NewEncoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt, err := enc.EncodeQP(FromColor(synthColor(64, 48, 0)), 290)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pkt.QP != maxCodedQP {
+		t.Errorf("coded QP %d, want %d", pkt.QP, maxCodedQP)
+	}
+	if _, err := dec.Decode(pkt); err != nil {
+		t.Fatalf("QP %d did not decode: %v", pkt.QP, err)
 	}
 }
 

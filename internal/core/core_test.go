@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"livo/internal/codec/vcodec"
 	"livo/internal/frame"
@@ -363,6 +365,73 @@ func TestForceKeyFrameBothStreams(t *testing.T) {
 	}
 	if !e3.Color.Key || !e3.Depth.Key {
 		t.Error("ForceKeyFrame did not affect both streams")
+	}
+}
+
+// TestRequestKeyFrameStorm: PLIs from a second goroutine while frames
+// encode — the feedback loop against SendViews — arm one refresh at a time,
+// and each armed refresh is exactly one IDR on both streams: never a key
+// frame on one stream alone, never an IDR nobody asked for, never a request
+// lost. The bursts come 0–39 ms apart, so some land mid-encode, where one
+// stream's rate-control retry would pick up a request the other stream's
+// encode had already passed. Run it under -race.
+func TestRequestKeyFrameStorm(t *testing.T) {
+	v := testVideo(t, "office1")
+	s, err := NewSender(SenderConfig{Variant: LiVoNoCull, Array: v.Array, ViewParams: geom.DefaultViewParams(), GOP: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ProcessFrame(v.Frame(0), 4e6); err != nil {
+		t.Fatal(err)
+	}
+	var plis, armed atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for k := 0; k < 3; k++ { // a receiver re-sends PLIs in bursts
+				plis.Add(1)
+				if s.RequestKeyFrame() {
+					armed.Add(1)
+				}
+			}
+			time.Sleep(time.Duration(plis.Load()*7919%40) * time.Millisecond)
+		}
+	}()
+	idrs := 0
+	encode := func(i int) {
+		enc, err := s.ProcessFrame(v.Frame(i), 1e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc.Color.Key != enc.Depth.Key {
+			t.Fatalf("frame %d: colour key %v, depth key %v: the refresh split across streams", enc.Seq, enc.Color.Key, enc.Depth.Key)
+		}
+		if enc.Color.Key {
+			idrs++
+		}
+	}
+	i := 1
+	for ; i < 24 || armed.Load() < 4; i++ {
+		if i > 600 {
+			t.Fatalf("vacuous: %d refreshes armed in %d frames", armed.Load(), i)
+		}
+		encode(i)
+	}
+	close(stop)
+	<-done
+	encode(i) // a refresh armed during the last frame goes out here
+	t.Logf("%d PLIs armed %d refreshes; %d IDRs", plis.Load(), armed.Load(), idrs)
+	if plis.Load() <= armed.Load() || armed.Load() < 2 {
+		t.Fatalf("vacuous: %d PLIs armed %d refreshes", plis.Load(), armed.Load())
+	}
+	if int64(idrs) != armed.Load() {
+		t.Fatalf("%d refreshes armed, %d IDRs encoded; want one each", armed.Load(), idrs)
 	}
 }
 

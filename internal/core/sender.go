@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"livo/internal/camera"
 	"livo/internal/codec/depth"
@@ -182,8 +183,11 @@ type Sender struct {
 	qDepth     *frame.DepthImage
 	qsrcColor  *vcodec.Frame
 	// refreshInFlight suppresses repeated PLI-triggered key frames until the
-	// forced IDR has actually been emitted (PLI-storm guard, §A.1).
-	refreshInFlight bool
+	// forced IDR has actually been emitted (PLI-storm guard, §A.1). forceKey
+	// asks the next frame for an IDR, handed to both encoders at once so a
+	// request landing mid-encode cannot split it across streams. Both are
+	// atomic: PLIs arrive on the feedback goroutine.
+	refreshInFlight, forceKey atomic.Bool
 	// srcColor is the reused YCbCr staging frame for the tiled color
 	// stream (one full-resolution conversion per tick, no allocation).
 	srcColor *vcodec.Frame
@@ -312,29 +316,19 @@ func (s *Sender) SetHorizon(h float64) { s.predictor.SetHorizon(h) }
 // Split returns the current bandwidth split.
 func (s *Sender) Split() float64 { return s.splitter.Split() }
 
-// ForceKeyFrame unconditionally makes the next frame an IDR on both
-// streams. Prefer RequestKeyFrame for PLI handling — this primitive has no
-// storm guard.
-func (s *Sender) ForceKeyFrame() {
-	if s.cfg.Ladder {
-		s.colorLad.ForceKeyFrame()
-		s.depthLad.ForceKeyFrame()
-		return
-	}
-	s.colorEnc.ForceKeyFrame()
-	s.depthEnc.ForceKeyFrame()
-}
+// ForceKeyFrame makes the next frame an IDR on both streams. Prefer
+// RequestKeyFrame for PLI handling — this primitive has no storm guard.
+func (s *Sender) ForceKeyFrame() { s.forceKey.Store(true) }
 
 // RequestKeyFrame reacts to a PLI from the receiver (§A.1): it forces an
 // IDR on both streams unless a forced refresh is already in flight, so a
 // burst of PLIs (one per undecodable frame at the receiver) produces one
 // recovery IDR instead of a key frame per PLI. It reports whether a new
-// refresh was armed.
+// refresh was armed, and may be called from any goroutine.
 func (s *Sender) RequestKeyFrame() bool {
-	if s.refreshInFlight {
+	if !s.refreshInFlight.CompareAndSwap(false, true) {
 		return false
 	}
-	s.refreshInFlight = true
 	s.ForceKeyFrame()
 	return true
 }
@@ -429,6 +423,15 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 	}
 	evaluate := s.adapts() && s.cfg.Variant != LiVoStaticSplit && s.splitter.Tick()
 
+	if s.forceKey.Swap(false) {
+		if s.cfg.Ladder {
+			s.colorLad.ForceKeyFrame()
+			s.depthLad.ForceKeyFrame()
+		} else {
+			s.colorEnc.ForceKeyFrame()
+			s.depthEnc.ForceKeyFrame()
+		}
+	}
 	srcColor := s.srcColor
 	vcodec.FromColorInto(tiledColor, srcColor)
 	var colorPkt, depthPkt *vcodec.Packet
@@ -504,7 +507,7 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 
 	if colorPkt.Key && depthPkt.Key {
 		// The refresh (forced or GOP-periodic) went out: accept new PLIs.
-		s.refreshInFlight = false
+		s.refreshInFlight.Store(false)
 		s.mKeyFrames.Inc()
 	}
 

@@ -108,8 +108,8 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 	budget := 0.85 * chaosLinkMbps * 1e6
 	tr := cc.Trace // nil-safe: every Stamp below is a no-op when disabled
 
-	tx := newTransmitter(netem.NewFixedLink(chaosLinkMbps), receiver, &transport.PlayoutEstimator{})
-	tx.faults, tx.fec, tx.rx.Trace = chaos.Apply, cc.FEC, tr
+	tx := newTransmitter(netem.NewFixedLink(chaosLinkMbps), receiver, &transport.PlayoutEstimator{}, cc.FEC)
+	tx.faults, tx.rx.Trace = chaos.Apply, tr
 	tx.onPair = func(pf *core.PairedFrame, at, _ float64) error {
 		// The pair instant stands in for reconstruction in the trace (the
 		// replay only reconstructs on the metric cadence).
@@ -150,7 +150,7 @@ func RunChaos(cc ChaosRunConfig) (*ChaosResult, error) {
 			frametrace.HopEncodeColor, frametrace.HopEncodeDepth, frametrace.HopPacketize} {
 			tr.Stamp(hop, 0, enc.Seq, frametrace.NoSub, simNs(now))
 		}
-		tx.send(now, enc.Seq, enc.Color, enc.Depth, budget)
+		tx.send(now, enc, budget)
 	}
 	// Drain: run the transport until every frame is delivered or given up.
 	if err := tx.advance(math.Inf(1)); err != nil {

@@ -340,7 +340,7 @@ func runLiVo(rc RunConfig) (*Result, error) {
 	rng := rand.New(rand.NewSource(rc.Seed + 7))
 
 	playout := &transport.PlayoutEstimator{Floor: transport.MaxPlayoutDelay}
-	tx := newTransmitter(link, receiver, playout)
+	tx := newTransmitter(link, receiver, playout, false)
 	tx.onPair = func(pf *core.PairedFrame, release, lastArrival float64) error {
 		i := int(pf.Seq)
 		capture := float64(i) * dt
@@ -419,7 +419,7 @@ func runLiVo(rc RunConfig) (*Result, error) {
 		}
 		splitSum += enc.Split
 		deliveredBytes += len(enc.Color.Data) + len(enc.Depth.Data)
-		tx.send(now+senderProc, enc.Seq, enc.Color, enc.Depth, rate)
+		tx.send(now+senderProc, enc, rate)
 	}
 	if err := tx.advance(math.Inf(1)); err != nil {
 		return nil, err

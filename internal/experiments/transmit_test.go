@@ -31,11 +31,11 @@ func TestTransmitRepairsScriptedLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := newTransmitter(netem.NewFixedLink(chaosLinkMbps), receiver, &transport.PlayoutEstimator{})
+	tx := newTransmitter(netem.NewFixedLink(chaosLinkMbps), receiver, &transport.PlayoutEstimator{}, false)
 	lost := transport.NackRequest{Stream: transport.StreamDepth, FrameSeq: 2, FragIndex: 1}
 	copies := 0 // times the lost fragment went on the wire
 	tx.faults = func(wire []byte) []netem.Delivery {
-		if p, err := transport.Unmarshal(wire); err == nil && !p.Parity &&
+		if p, err := transport.Unmarshal(wire[1:]); err == nil && !p.Parity &&
 			(transport.NackRequest{Stream: p.Stream, FrameSeq: p.FrameSeq, FragIndex: p.FragIndex}) == lost {
 			if copies++; copies == 1 {
 				return nil
@@ -61,7 +61,7 @@ func TestTransmitRepairsScriptedLoss(t *testing.T) {
 		if enc.Seq == lost.FrameSeq && len(enc.Depth.Data) <= transport.MTU {
 			t.Fatalf("vacuous: frame %d's depth is one fragment (%d bytes)", enc.Seq, len(enc.Depth.Data))
 		}
-		tx.send(now, enc.Seq, enc.Color, enc.Depth, budget)
+		tx.send(now, enc, budget)
 	}
 	if err := tx.advance(math.Inf(1)); err != nil {
 		t.Fatal(err)

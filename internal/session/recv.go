@@ -1,9 +1,9 @@
-// Package session holds the sans-I/O halves of a LiVo session: the receive
-// core that turns media datagrams into frames to show and feedback to send
-// (§A.1), and the sender's retransmission history. Neither owns a socket, a
-// goroutine or a lock, and the caller passes in the time, so the live
-// sessions (the root package) and the replay harness (internal/experiments)
-// run the same code, one on the wall clock and one in virtual time.
+// Package session holds the sans-I/O halves of a LiVo session: the send core
+// (encoded frames to paced datagrams, NACK answers) and the receive core
+// (datagrams to frames to show and feedback to send; §3.1, §A.1). Neither
+// owns a socket, a goroutine, a lock or a clock, so the live sessions (the
+// root package) and the replay harness (internal/experiments) run the same
+// code, one on the wall clock and one in virtual time.
 package session
 
 import (
@@ -85,10 +85,14 @@ func (r *Recv) stamp(hop frametrace.Hop, stream uint8, seq uint32) {
 	}
 }
 
-// Media ingests a media packet (wire bytes after any demultiplexing prefix)
-// that arrived at now, size bytes on the wire, and reports whether it parsed.
-func (r *Recv) Media(wire []byte, now float64, size int) bool {
-	p, err := transport.Unmarshal(wire)
+// Media ingests a datagram that arrived at now, size bytes on the wire, and
+// reports whether it was a media packet: the MediaMagic prefix that tells
+// media from feedback on a shared socket, then a packet that parses.
+func (r *Recv) Media(datagram []byte, now float64, size int) bool {
+	if len(datagram) == 0 || datagram[0] != transport.MediaMagic {
+		return false
+	}
+	p, err := transport.Unmarshal(datagram[1:])
 	if err != nil {
 		return false
 	}

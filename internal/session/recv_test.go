@@ -47,12 +47,15 @@ func openRig(t testing.TB, n int, ladder bool, forceKey ...int) (*scene.Video, [
 	return v, frames
 }
 
+// datagram is p as it goes on the wire: MediaMagic, then the packet.
+func datagram(p *transport.Packet) []byte { return p.AppendMarshal([]byte{transport.MediaMagic}) }
+
 // wires marshals both streams of one encoded frame, sent at ts seconds.
 func wires(enc *core.EncodedFrame, ts float64) [][]byte {
 	var out [][]byte
 	for si, pkt := range []*vcodec.Packet{enc.Color, enc.Depth} {
 		for _, p := range transport.Packetize(transport.StreamColor+uint8(si), enc.Seq, pkt.Key, uint64(ts*1e6), pkt.Data) {
-			out = append(out, p.Marshal())
+			out = append(out, datagram(&p))
 		}
 	}
 	return out
@@ -150,7 +153,7 @@ func TestRecvLossReport(t *testing.T) {
 	gcc, twin := newGCC(), newGCC()
 	r, log := newLogged(t, v, gcc, &now)
 	arrive := func(p transport.Packet, at float64) {
-		w := p.Marshal()
+		w := datagram(&p)
 		r.Media(w, at, len(w))
 		twin.OnArrival(float64(p.SendTimeUs)/1e6, at, len(w))
 	}
@@ -188,11 +191,31 @@ func TestRecvLossReport(t *testing.T) {
 	}
 }
 
+// TestRecvMediaNeedsMagic: a datagram is media only behind MediaMagic; the
+// same packet behind any other first byte — feedback, junk, a flipped
+// prefix — is not counted or buffered.
+func TestRecvMediaNeedsMagic(t *testing.T) {
+	v, _ := openRig(t, 0, false)
+	var now float64
+	r, _ := newLogged(t, v, newGCC(), &now)
+	p := transport.Packetize(transport.StreamColor, 0, true, 0, []byte("frame"))[0]
+	w := datagram(&p)
+	for _, first := range []byte{transport.FBNACK, transport.MediaMagic ^ 1, 0} {
+		bad := append([]byte{first}, w[1:]...)
+		if r.Media(bad, now, len(bad)) || r.Received.Load() != 0 || r.StreamStats(0).Pending != 0 {
+			t.Fatalf("a packet behind first byte %#x was taken as media", first)
+		}
+	}
+	if !r.Media(w, now, len(w)) || r.Received.Load() != 1 {
+		t.Fatal("the packet behind MediaMagic was not taken as media")
+	}
+}
+
 // FuzzRecv feeds arbitrary datagrams to a fresh receive core, draining after
 // each on a clock that advances 10 ms a datagram. An input is a sequence of
 // datagrams, each prefixed by its 2-byte big-endian length. The core must
-// not panic, and a datagram shorter than a media header must leave its
-// counters unchanged.
+// not panic, and a datagram that is not MediaMagic followed by a whole media
+// header must leave its counters unchanged.
 func FuzzRecv(f *testing.F) {
 	v, frames := openRig(f, 2, true)
 	join := func(ws ...[]byte) []byte {
@@ -212,14 +235,15 @@ func FuzzRecv(f *testing.F) {
 			for si, rungs := range [][]*vcodec.Packet{enc.ColorRungs, enc.DepthRungs} {
 				pkt := rungs[src]
 				for _, p := range transport.PacketizeRung(transport.StreamColor+uint8(si), enc.Seq, pkt.Key, uint8(rung), uint64(enc.Seq)*33000, pkt.Data) {
-					ws = append(ws, p.Marshal())
+					ws = append(ws, datagram(&p))
 				}
 			}
 		}
 		f.Add(join(ws...))
 		f.Add(join(ws[len(ws)/2:]...)) // the delta frame without its reference
 	}
-	f.Add(join(wires(frames[0], 0)[0][:transport.HeaderSize-1]))
+	f.Add(join(wires(frames[0], 0)[0][:transport.HeaderSize]))
+	f.Add(join(wires(frames[0], 0)[0][1:])) // no MediaMagic
 	f.Add(join([]byte{}, []byte{0xff}))
 	f.Add([]byte{0x00})
 
@@ -241,7 +265,8 @@ func FuzzRecv(f *testing.F) {
 			in = in[n:]
 			before := counters()
 			r.Media(w, now, len(w))
-			if after := counters(); len(w) < transport.HeaderSize && after != before {
+			notMedia := len(w) <= transport.HeaderSize || w[0] != transport.MediaMagic
+			if after := counters(); notMedia && after != before {
 				t.Fatalf("%d-byte datagram changed the counters: %v → %v", len(w), before, after)
 			}
 			r.Drain(now)

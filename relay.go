@@ -10,6 +10,7 @@ import (
 
 	"livo/internal/relaycore"
 	"livo/internal/telemetry"
+	"livo/internal/transport"
 	"livo/internal/udpio"
 )
 
@@ -218,7 +219,7 @@ func (r *Relay) runBatchIngest(i int, br udpio.BatchReader) {
 			}
 			from := ms[j].Addr
 			if r.router.FromSender(from) {
-				if ms[j].Buf[0] != mediaMagic {
+				if ms[j].Buf[0] != transport.MediaMagic {
 					continue // only media fans out; the slot is reused
 				}
 				pb := bufs[j]

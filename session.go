@@ -6,12 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"livo/internal/transport"
 )
-
-// mediaMagic distinguishes media packets from feedback on the same socket.
-const mediaMagic = transport.MediaMagic
 
 // endpoint is what a SendSession and a RecvSession share: the socket and
 // its peer, the session clock, and the goroutines that run until Close.

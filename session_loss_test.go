@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"livo/internal/scene"
+	"livo/internal/transport"
 )
 
 // lossyForwarder relays packets between two endpoints, injecting seeded
@@ -47,7 +48,7 @@ func (f *lossyForwarder) run() {
 			_, _ = f.conn.WriteTo(buf[:n], f.sender)
 			continue
 		}
-		media := n > 0 && buf[0] == mediaMagic
+		media := n > 0 && buf[0] == transport.MediaMagic
 		f.mu.Lock()
 		drop := media && f.rng.Float64() < f.rate
 		duplicate := media && !drop && f.dup > 0 && f.rng.Float64() < f.dup

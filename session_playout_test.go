@@ -339,7 +339,7 @@ func replayCall(t *testing.T, rec *recording, lossPct float64, oneWay time.Durat
 		}
 		linkMu.Unlock()
 		if !lost {
-			_, _ = sConn.WriteTo(append([]byte{mediaMagic}, p.Marshal()...), rConn.LocalAddr())
+			_, _ = sConn.WriteTo(append([]byte{transport.MediaMagic}, p.Marshal()...), rConn.LocalAddr())
 		}
 	}
 
@@ -639,11 +639,11 @@ func TestRelayPingAnsweredToPingerOnly(t *testing.T) {
 	_, _ = sender.WriteTo(marshalPing(1, transport.FBPing), relayConn.LocalAddr())
 	// Media sent after them arrives after them: once it is through, anything
 	// the probes caused would be too.
-	media := append([]byte{mediaMagic}, transport.Packetize(transport.StreamColor, 0, true, 0, []byte("frame"))[0].Marshal()...)
+	media := append([]byte{transport.MediaMagic}, transport.Packetize(transport.StreamColor, 0, true, 0, []byte("frame"))[0].Marshal()...)
 	_, _ = sender.WriteTo(media, relayConn.LocalAddr())
 	for i, s := range subs {
 		b, ok := s.recv(2 * time.Second)
-		if !ok || b[0] != mediaMagic {
+		if !ok || b[0] != transport.MediaMagic {
 			t.Fatalf("subscriber %d: first packet after the ping = %x (%v), want the media packet", i, b, ok)
 		}
 		if extra, ok := s.recv(20 * time.Millisecond); ok {

@@ -151,23 +151,17 @@ func (r *RecvSession) Run() {
 // handleDatagram ingests one wire datagram (loopMu held), reporting whether
 // it was a media packet worth a drain pass.
 func (r *RecvSession) handleDatagram(buf []byte, now float64) bool {
-	if len(buf) < 1 {
-		return false
+	if len(buf) == 0 || buf[0] != transport.FBPong {
+		return r.core.Media(buf, now, len(buf)) // other feedback types or junk: false
 	}
-	if buf[0] == transport.FBPong {
-		// Our own probe, echoed by the sender or the relay in front of it:
-		// the round trip a NACK and its retransmission will take.
-		if t0, err := unmarshalPing(buf); err == nil && t0 <= now {
-			r.core.Playout.ObserveRTT(now - t0)
-			rtt, _ := r.core.Playout.RTT()
-			r.rttUs.Store(int64(rtt * 1e6))
-		}
-		return false
+	// Our own probe, echoed by the sender or the relay in front of it: the
+	// round trip a NACK and its retransmission will take.
+	if t0, err := unmarshalPing(buf); err == nil && t0 <= now {
+		r.core.Playout.ObserveRTT(now - t0)
+		rtt, _ := r.core.Playout.RTT()
+		r.rttUs.Store(int64(rtt * 1e6))
 	}
-	if buf[0] != mediaMagic {
-		return false // other feedback types or junk: not ours
-	}
-	return r.core.Media(buf[1:], now, len(buf))
+	return false
 }
 
 // housekeeping owns the session's timed work until Close: feedback every

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"livo/internal/core"
-	"livo/internal/frametrace"
 	"livo/internal/relaycore"
 	"livo/internal/session"
 	"livo/internal/telemetry"
@@ -23,25 +22,15 @@ import (
 type SendSession struct {
 	endpoint
 	sender *core.Sender
-	fec    bool
-	trace  *frametrace.Ledger // cfg.Sender.Trace (nil disables stamps)
 
 	rateBps atomic.Uint64 // current send rate from receiver REMB
-	paceQ   chan [][]byte // one frame's wire packets per entry, in send order
-	// pliArmed guards against PLI storms: once a PLI forces a key frame,
-	// further PLIs are ignored until that IDR is actually encoded (§A.1).
-	pliArmed atomic.Bool
-
-	mu      sync.Mutex
-	history *session.History // recent packets for NACK retransmission
-
-	frames    atomic.Int64
-	pkts      atomic.Int64
-	bytesSent atomic.Int64
-	paceDrops atomic.Int64
-	retx      atomic.Int64
-	nacksRecv atomic.Int64
-	plisRecv  atomic.Int64
+	// mu serialises the send core between SendViews, the pacer and the
+	// feedback loop; its counters are read without it.
+	mu   sync.Mutex
+	core *session.Send
+	// kick wakes an idle pacer when SendViews queues a frame.
+	kick     chan struct{}
+	plisRecv atomic.Int64
 }
 
 // SendSessionConfig configures a SendSession.
@@ -70,25 +59,22 @@ func NewSendSession(conn net.PacketConn, remote net.Addr, cfg SendSessionConfig)
 	s := &SendSession{
 		endpoint: newEndpoint(conn, remote),
 		sender:   sender,
-		fec:      cfg.EnableFEC,
-		trace:    cfg.Sender.Trace,
-		history:  session.NewHistory(cfg.Sender.Ladder),
+		core:     session.NewSend(cfg.Sender.Ladder, cfg.EnableFEC),
+		kick:     make(chan struct{}, 1),
 	}
+	s.core.Trace = cfg.Sender.Trace
 	tel := cfg.Sender.Telemetry
 	if tel == nil {
 		tel = telemetry.Default
 	}
 	s.unregister = tel.Funcs(map[string]func() int64{
-		"livo_send_packets_total": s.pkts.Load,
-		"livo_send_bytes_total":   s.bytesSent.Load,
-		"livo_pace_drops_total":   s.paceDrops.Load,
-		"livo_retx_total":         s.retx.Load,
+		"livo_send_packets_total": s.core.Packets.Load,
+		"livo_send_bytes_total":   s.core.Bytes.Load,
+		"livo_pace_drops_total":   s.core.PaceDrops.Load,
+		"livo_retx_total":         s.core.Retransmits.Load,
 		"livo_pli_received_total": s.plisRecv.Load,
 	}, map[string]func() float64{"livo_send_rate_bps": s.Rate})
 	s.rateBps.Store(uint64(cfg.InitialRateBps))
-	// About a second of frames at 30 fps: a pacer that far behind is not
-	// catching up, and the frames after it are dropped whole.
-	s.paceQ = make(chan [][]byte, 32)
 	s.wg.Add(2)
 	go s.feedbackLoop()
 	go s.paceLoop()
@@ -96,10 +82,10 @@ func NewSendSession(conn net.PacketConn, remote net.Addr, cfg SendSessionConfig)
 }
 
 // paceLoop transmits queued frames at twice the current rate, WebRTC-style,
-// so queues (and the receiver's delay-gradient estimator) stay sane. It
-// keeps an absolute schedule rather than sleeping after each send, so a
-// timer that fires late shortens the next wait instead of adding to the
-// frame's wire time, and every packet due at a wake-up leaves in one
+// so queues (and the receiver's delay-gradient estimator) stay sane. The
+// core keeps an absolute schedule rather than the loop sleeping after each
+// send, so a timer that fires late shortens the next wait instead of adding
+// to the frame's wire time, and every packet due at a wake-up leaves in one
 // WriteBatch: one sendmmsg on a udpio socket.
 func (s *SendSession) paceLoop() {
 	defer s.wg.Done()
@@ -108,32 +94,29 @@ func (s *SendSession) paceLoop() {
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	<-timer.C
-	var next time.Time // the queue head's send time
+	var batch [][]byte
 	for {
-		var wires [][]byte
-		select {
-		case <-s.closed:
-			return
-		case wires = <-s.paceQ:
-		}
-		for len(wires) > 0 {
-			now := time.Now()
-			var n int
-			n, next = transport.PaceDue(next, now, s.Rate(), wires)
-			if n == 0 {
-				timer.Reset(next.Sub(now))
-				select {
-				case <-s.closed:
-					return
-				case <-timer.C:
-				}
-				continue
-			}
-			if _, err := relaycore.WriteBatch(s.conn, wires[:n], s.remote); err != nil {
+		now := time.Now()
+		s.mu.Lock()
+		wires, next, queued := s.core.Due(batch[:0], now, s.Rate())
+		s.mu.Unlock()
+		if batch = wires; len(wires) > 0 {
+			if _, err := relaycore.WriteBatch(s.conn, wires, s.remote); err != nil {
 				s.err.Store(fmt.Errorf("livo: send: %w", err))
 				return
 			}
-			wires = wires[n:]
+			continue
+		}
+		wake := s.kick
+		if queued {
+			timer.Reset(next.Sub(now))
+			wake = nil // the queue is in order: a new frame changes nothing
+		}
+		select {
+		case <-s.closed:
+			return
+		case <-timer.C:
+		case <-wake:
 		}
 	}
 }
@@ -151,45 +134,10 @@ func (s *SendSession) SendViews(views []RGBDFrame) (*EncodedFrame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if enc.Color.Key && enc.Depth.Key {
-		// The refresh went out; accept the next PLI again.
-		s.pliArmed.Store(false)
-	}
-	ts := uint64(s.now() * 1e6)
-	var pkts []transport.Packet
-	if enc.ColorRungs != nil {
-		// Ladder mode: every rung of both streams goes on the wire once; the
-		// relay filters per subscriber (DESIGN.md §8). FEC groups are built
-		// per rung so a parity packet never spans encodings.
-		for _, cp := range enc.ColorRungs {
-			rp := transport.PacketizeRung(transport.StreamColor, enc.Seq, cp.Key, cp.Rung, ts, cp.Data)
-			if s.fec {
-				rp = append(rp, transport.BuildParity(rp)...)
-			}
-			pkts = append(pkts, rp...)
-		}
-		for _, dp := range enc.DepthRungs {
-			rp := transport.PacketizeRung(transport.StreamDepth, enc.Seq, dp.Key, dp.Rung, ts, dp.Data)
-			if s.fec {
-				rp = append(rp, transport.BuildParity(rp)...)
-			}
-			pkts = append(pkts, rp...)
-		}
-	} else {
-		colorPkts := transport.Packetize(transport.StreamColor, enc.Seq, enc.Color.Key, ts, enc.Color.Data)
-		depthPkts := transport.Packetize(transport.StreamDepth, enc.Seq, enc.Depth.Key, ts, enc.Depth.Data)
-		pkts = append(colorPkts, depthPkts...)
-		if s.fec {
-			pkts = append(pkts, transport.BuildParity(colorPkts)...)
-			pkts = append(pkts, transport.BuildParity(depthPkts)...)
-		}
-	}
-	s.trace.StampNow(frametrace.HopPacketize, 0, enc.Seq, frametrace.NoSub)
 	// Handing the frame to the pacer is part of the trace's uplink stage.
-	if err := s.enqueue(pkts); err != nil {
+	if err := s.enqueue(s.core.Cut(enc, uint64(s.now()*1e6))); err != nil {
 		return nil, err
 	}
-	s.frames.Add(1)
 	return enc, nil
 }
 
@@ -207,40 +155,21 @@ func (s *SendSession) sendable() error {
 	return s.Err()
 }
 
-// enqueue marshals one frame's packets — every rung, parity included —
-// MediaMagic prefix in place, into a single frame-sized slab, hands them to
-// the pacer as one queue entry and records them in the retransmission
-// history, which keeps sub-slices of the slab.
+// enqueue hands one frame's packets to the send core, which queues them
+// for the pacer and keeps them for NACKs, and wakes the pacer.
 func (s *SendSession) enqueue(pkts []transport.Packet) error {
 	if err := s.sendable(); err != nil {
 		return err
 	}
-	size := 0
-	for i := range pkts {
-		size += 1 + transport.HeaderSize + len(pkts[i].Payload)
-	}
-	slab := make([]byte, 0, size)
-	wires := make([][]byte, len(pkts))
-	for i := range pkts {
-		start := len(slab)
-		slab = pkts[i].AppendMarshal(append(slab, mediaMagic))
-		wires[i] = slab[start:len(slab):len(slab)]
-	}
-	select {
-	case s.paceQ <- wires:
-		s.pkts.Add(int64(len(pkts)))
-		s.bytesSent.Add(int64(size))
-	default:
-		// The pacer is a second of frames behind. Part of a frame is of no
-		// use to the receiver, so the new frame is dropped whole; NACKs can
-		// still be answered from history if it mattered.
-		s.paceDrops.Add(int64(len(pkts)))
-	}
 	s.mu.Lock()
-	for i := range pkts {
-		s.history.Add(&pkts[i], wires[i])
-	}
+	wake := s.core.Queue(pkts)
 	s.mu.Unlock()
+	if wake {
+		select {
+		case s.kick <- struct{}{}:
+		default:
+		}
+	}
 	return nil
 }
 
@@ -254,9 +183,6 @@ func (s *SendSession) feedbackLoop() {
 			if s.readFailed(err, "feedback read") {
 				return
 			}
-			continue
-		}
-		if n == 0 {
 			continue
 		}
 		s.handleFeedback(buf[:n])
@@ -278,27 +204,18 @@ func (s *SendSession) handleFeedback(b []byte) {
 		}
 	case transport.FBNACK:
 		if stream, seq, frag, err := transport.UnmarshalNACK(b); err == nil {
-			s.nacksRecv.Add(1)
 			s.mu.Lock()
-			wires := s.history.Nack(transport.NackRequest{Stream: stream, FrameSeq: seq, FragIndex: frag})
+			wires := s.core.Nack(transport.NackRequest{Stream: stream, FrameSeq: seq, FragIndex: frag})
 			s.mu.Unlock()
 			for _, wire := range wires {
-				s.retx.Add(1)
 				_, _ = s.conn.WriteTo(wire, s.remote)
 			}
 		}
 	case transport.FBPLI:
 		s.plisRecv.Add(1)
-		// Refresh-in-flight guard: during an outage the receiver re-sends
-		// PLIs until the IDR lands; only the first arms a key frame.
-		if s.pliArmed.CompareAndSwap(false, true) {
-			s.sender.ForceKeyFrame()
-		}
-	case transport.FBPong:
-		// Dead: a SendSession sends no pings, so no pong ever answers one,
-		// and Sender.ObserveRTT (which widens the culling frustum's
-		// look-ahead) is never fed in a live session. Probing from this side
-		// changes what is culled and is its own change (ROADMAP).
+		// During an outage the receiver re-sends PLIs until the IDR lands;
+		// the sender's storm guard arms one refresh at a time (§A.1).
+		s.sender.RequestKeyFrame()
 	case transport.FBPing:
 		// Reflect the receiver's probe: its RTT sizes the repair deadline.
 		b[0] = transport.FBPong
@@ -331,12 +248,12 @@ type SendStats struct {
 // Stats snapshots the session's counters (safe from any goroutine).
 func (s *SendSession) Stats() SendStats {
 	return SendStats{
-		Frames:        s.frames.Load(),
-		Packets:       s.pkts.Load(),
-		Bytes:         s.bytesSent.Load(),
-		PaceDrops:     s.paceDrops.Load(),
-		Retransmits:   s.retx.Load(),
-		NACKsReceived: s.nacksRecv.Load(),
+		Frames:        s.core.Frames.Load(),
+		Packets:       s.core.Packets.Load(),
+		Bytes:         s.core.Bytes.Load(),
+		PaceDrops:     s.core.PaceDrops.Load(),
+		Retransmits:   s.core.Retransmits.Load(),
+		NACKsReceived: s.core.Nacks.Load(),
 		PLIsReceived:  s.plisRecv.Load(),
 		RateBps:       s.Rate(),
 		Err:           s.Err(),
