@@ -21,6 +21,7 @@ import (
 
 	"livo/internal/codec/vcodec"
 	"livo/internal/frame"
+	"livo/internal/pipeline"
 )
 
 // Scheme selects the depth-to-video mapping.
@@ -127,15 +128,7 @@ func (e *Encoder) toVideoFrame(im *frame.DepthImage) (*vcodec.Frame, error) {
 	f := e.vf
 	switch cfg.Scheme {
 	case Scaled16:
-		maxMM := uint32(cfg.MaxMM)
-		dst := f.Planes[0][:len(im.Pix)]
-		for i, d := range im.Pix {
-			v := uint32(d)
-			if v > maxMM {
-				v = maxMM
-			}
-			dst[i] = int32((v*65535 + maxMM/2) / maxMM)
-		}
+		scaleInto(f.Planes[0], im.Pix, cfg.MaxMM)
 		return f, nil
 	case Unscaled16:
 		vcodec.FromDepthInto(im, f)
@@ -157,50 +150,92 @@ func (e *Encoder) toVideoFrame(im *frame.DepthImage) (*vcodec.Frame, error) {
 	}
 }
 
-// fromVideoFrameInto maps a decoded video frame back into an existing
-// depth image of the same geometry. tmp points at reusable RGBPacked
-// staging scratch owned by the caller; it is allocated on first use and
-// untouched by the other schemes.
-func (cfg Config) fromVideoFrameInto(f *vcodec.Frame, im *frame.DepthImage, tmp **frame.ColorImage) {
+// spanSamples is the span, in samples, of the striped depth mappings.
+// Fixed (not derived from GOMAXPROCS) so the work decomposition is the same
+// at any worker count, and large enough that a conferencing-size frame
+// (192x96) maps as one inline span.
+const spanSamples = 1 << 15
+
+// scaleInto is Scaled16's forward mapping, striped: millimetres, clamped to
+// maxMM, scaled to the full 16-bit code range.
+func scaleInto(dst []int32, src []uint16, maxMM uint16) {
+	m, n := uint32(maxMM), len(src)
+	pipeline.ParFor((n+spanSamples-1)/spanSamples, func(s int) {
+		lo := s * spanSamples
+		hi := min(lo+spanSamples, n)
+		d := dst[lo:hi]
+		for i, mm := range src[lo:hi] {
+			v := min(uint32(mm), m)
+			d[i] = int32((v*65535 + m/2) / m)
+		}
+	})
+}
+
+// planeToDepth maps a decoded single plane back to millimetres in dst and
+// applies the validity threshold, striped like scaleInto.
+func (cfg Config) planeToDepth(src []int32, dst []uint16) {
+	n := len(dst)
+	pipeline.ParFor((n+spanSamples-1)/spanSamples, func(s int) {
+		lo := s * spanSamples
+		hi := min(lo+spanSamples, n)
+		cfg.planeSpanToDepth(src[lo:hi], dst[lo:hi])
+	})
+}
+
+// planeSpanToDepth is planeToDepth on one span. Scaled16 undoes the range
+// scaling, Unscaled16 copies; any other scheme yields invalid samples.
+func (cfg Config) planeSpanToDepth(src []int32, dst []uint16) {
+	m, minValid := uint32(cfg.MaxMM), cfg.MinValidMM
 	switch cfg.Scheme {
 	case Scaled16:
-		maxMM := uint32(cfg.MaxMM)
-		src := f.Planes[0]
-		dst := im.Pix[:len(src)]
 		for i, v := range src {
-			if v < 0 {
-				v = 0
+			mm := uint16((uint32(min(max(v, 0), 65535))*m + 32767) / 65535)
+			if mm < minValid {
+				mm = 0
 			}
-			if v > 65535 {
-				v = 65535
-			}
-			dst[i] = uint16((uint32(v)*maxMM + 32767) / 65535)
+			dst[i] = mm
 		}
 	case Unscaled16:
-		f.ToDepthInto(im)
-	case RGBPacked:
-		if *tmp == nil {
-			*tmp = frame.NewColorImage(f.W, f.H)
-		}
-		c := *tmp
-		f.ToColorInto(c)
-		for i := 0; i < f.W*f.H; i++ {
-			hi := (uint16(c.Pix[3*i]) + uint16(c.Pix[3*i+2])) / 2
-			lo := uint16(c.Pix[3*i+1])
-			im.Pix[i] = hi<<8 | lo
+		for i, v := range src {
+			mm := uint16(min(max(v, 0), 65535))
+			if mm < minValid {
+				mm = 0
+			}
+			dst[i] = mm
 		}
 	default:
-		for i := range im.Pix {
-			im.Pix[i] = 0
-		}
+		clear(dst)
 	}
-	// Apply the validity threshold.
-	pix := im.Pix
-	for i, d := range pix {
-		if d < cfg.MinValidMM {
-			pix[i] = 0
+}
+
+// unpackInto is RGBPacked's inverse: the high byte averaged from the two
+// channels that carry it, the low byte from the third, then the validity
+// threshold.
+func (cfg Config) unpackInto(c *frame.ColorImage, im *frame.DepthImage) {
+	for i := range im.Pix {
+		hi := (uint16(c.Pix[3*i]) + uint16(c.Pix[3*i+2])) / 2
+		mm := hi<<8 | uint16(c.Pix[3*i+1])
+		if mm < cfg.MinValidMM {
+			mm = 0
 		}
+		im.Pix[i] = mm
 	}
+}
+
+// fromVideoFrameInto maps a reconstructed video frame back into an
+// existing depth image of the same geometry. tmp points at reusable
+// RGBPacked staging scratch owned by the caller; it is allocated on first
+// use and untouched by the other schemes.
+func (cfg Config) fromVideoFrameInto(f *vcodec.Frame, im *frame.DepthImage, tmp **frame.ColorImage) {
+	if cfg.Scheme != RGBPacked {
+		cfg.planeToDepth(f.Planes[0], im.Pix)
+		return
+	}
+	if *tmp == nil {
+		*tmp = frame.NewColorImage(f.W, f.H)
+	}
+	f.ToColorInto(*tmp)
+	cfg.unpackInto(*tmp, im)
 }
 
 // Encode rate-controls the frame to targetBytes.
@@ -261,14 +296,28 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 }
 
 // Decode reconstructs a depth image from a packet. The returned image is
-// freshly allocated — unlike the underlying video frame it escapes into
-// the receiver's pairing maps, so its lifetime is the caller's.
+// freshly allocated: it escapes into the receiver's pairing maps, so its
+// lifetime is the caller's. The single-plane schemes read the decoder's
+// full-resolution reconstruction plane directly, RGBPacked decodes straight
+// to its RGB staging image.
 func (d *Decoder) Decode(pkt *vcodec.Packet) (*frame.DepthImage, error) {
-	f, err := d.dec.Decode(pkt)
+	cfg := d.cfg
+	if cfg.Scheme == RGBPacked {
+		if d.tmpColor == nil {
+			d.tmpColor = frame.NewColorImage(cfg.Width, cfg.Height)
+		}
+		if err := d.dec.DecodeColorInto(pkt, d.tmpColor); err != nil {
+			return nil, err
+		}
+		im := frame.NewDepthImage(cfg.Width, cfg.Height)
+		cfg.unpackInto(d.tmpColor, im)
+		return im, nil
+	}
+	plane, err := d.dec.DecodeLuma(pkt)
 	if err != nil {
 		return nil, err
 	}
-	im := frame.NewDepthImage(f.W, f.H)
-	d.cfg.fromVideoFrameInto(f, im, &d.tmpColor)
+	im := frame.NewDepthImage(cfg.Width, cfg.Height)
+	cfg.planeToDepth(plane, im.Pix)
 	return im, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"livo/internal/codec/vcodec"
 	"livo/internal/frame"
 )
 
@@ -322,6 +323,50 @@ func TestScaled16ConversionsMatchReference(t *testing.T) {
 		}
 		if back.Pix[i] != want {
 			t.Fatalf("fromVideoFrameInto sample %d = %d, reference %d", i, back.Pix[i], want)
+		}
+	}
+}
+
+// TestDecodeMatchesFramePath holds Decoder.Decode, which reads the
+// reconstruction plane directly (RGBPacked: decodes straight to RGB), to
+// the frame path it replaced: vcodec Decode, then fromVideoFrameInto on
+// the expanded frame. Odd sizes, every scheme, a full GOP of deltas.
+func TestDecodeMatchesFramePath(t *testing.T) {
+	for _, scheme := range []Scheme{Scaled16, Unscaled16, RGBPacked} {
+		cfg := Config{Scheme: scheme, Width: 45, Height: 27, GOP: 4}
+		enc, err := NewEncoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := NewDecoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := vcodec.NewDecoder(dec.cfg.videoConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := frame.NewDepthImage(cfg.Width, cfg.Height)
+		var tmp *frame.ColorImage
+		for i := 0; i < 6; i++ {
+			pkt, err := enc.EncodeQP(sceneDepth(cfg.Width, cfg.Height, i), 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dec.Decode(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := ref.Decode(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec.cfg.fromVideoFrameInto(f, want, &tmp)
+			for k := range want.Pix {
+				if got.Pix[k] != want.Pix[k] {
+					t.Fatalf("%v frame %d sample %d = %d, frame path %d", scheme, i, k, got.Pix[k], want.Pix[k])
+				}
+			}
 		}
 	}
 }

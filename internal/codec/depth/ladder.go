@@ -66,14 +66,7 @@ func (e *LadderEncoder) mapInto(im *frame.DepthImage, fp **vcodec.Frame) *vcodec
 	}
 	f := *fp
 	if e.cfg.Scheme == Scaled16 {
-		maxMM := uint32(e.cfg.MaxMM)
-		for i, d := range im.Pix {
-			v := uint32(d)
-			if v > maxMM {
-				v = maxMM
-			}
-			f.Planes[0][i] = int32((v*65535 + maxMM/2) / maxMM)
-		}
+		scaleInto(f.Planes[0], im.Pix, e.cfg.MaxMM)
 		return f
 	}
 	vcodec.FromDepthInto(im, f)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"livo/internal/frame"
 	"livo/internal/pipeline"
 )
 
@@ -741,6 +742,7 @@ type Decoder struct {
 	payload byteReader
 	streams [3]byteReader
 	exp     expander
+	rgb     rgbConverter
 }
 
 // NewDecoder creates a decoder with the same configuration as the encoder.
@@ -773,9 +775,10 @@ func (c Config) maxPayloadBytes() int {
 	return 64 + samples*12
 }
 
-// decode is the uninstrumented decode path; Decode (telemetry.go) wraps it
-// with the decode-error counter.
-func (d *Decoder) decode(pkt *Packet) (*Frame, error) {
+// decode is the uninstrumented decode core: it parses and reconstructs pkt
+// and returns the new reference picture at its coded resolutions.
+// decodePicture (telemetry.go) wraps it with the decode-error counter.
+func (d *Decoder) decode(pkt *Packet) (*codedPicture, error) {
 	r := &byteReader{buf: pkt.Data}
 	magic, err := r.readByte()
 	if err != nil || magic != 'V' {
@@ -898,9 +901,60 @@ func (d *Decoder) decode(pkt *Packet) (*Frame, error) {
 
 	d.prev = recon
 	d.refSeq = seq
-	if d.out == nil {
-		d.out = NewFrame(cfg.Width, cfg.Height, cfg.NumPlanes)
+	return recon, nil
+}
+
+// Decode reconstructs one frame from a packet. Malformed input returns an
+// error wrapping ErrCorrupt; a delta frame that does not extend the
+// decoder's current reference returns an error wrapping ErrStaleReference.
+// Decoder state is only advanced on success, so a failed packet can be
+// skipped and decoding resumed at the next key frame.
+//
+// The returned frame is owned by the decoder and overwritten by the next
+// successful Decode call; Clone it to retain it across decodes.
+func (d *Decoder) Decode(pkt *Packet) (*Frame, error) {
+	cp, err := d.decodePicture(pkt)
+	if err != nil {
+		return nil, err
 	}
-	d.exp.expand(cfg, recon, d.out)
+	if d.out == nil {
+		d.out = NewFrame(d.cfg.Width, d.cfg.Height, d.cfg.NumPlanes)
+	}
+	d.exp.expand(d.cfg, cp, d.out)
 	return d.out, nil
+}
+
+// DecodeColorInto decodes a 3-plane colour packet straight into im, which
+// must have the stream's geometry. It converts the coded reconstruction to
+// RGB in one row-striped pass, sampling 4:2:0 chroma nearest-neighbour as
+// Decode's upsampling does, so im equals Decode followed by ToColorInto
+// byte for byte, without the full-resolution planes in between. Errors and
+// decoder state are Decode's; a geometry mismatch is rejected before
+// decoding.
+func (d *Decoder) DecodeColorInto(pkt *Packet, im *frame.ColorImage) error {
+	if d.cfg.NumPlanes != 3 {
+		return fmt.Errorf("vcodec: DecodeColorInto on a %d-plane stream", d.cfg.NumPlanes)
+	}
+	if im.W != d.cfg.Width || im.H != d.cfg.Height || len(im.Pix) < 3*im.W*im.H {
+		return fmt.Errorf("vcodec: image %dx%d does not match stream %dx%d", im.W, im.H, d.cfg.Width, d.cfg.Height)
+	}
+	cp, err := d.decodePicture(pkt)
+	if err != nil {
+		return err
+	}
+	d.rgb.convert(d.cfg, cp, im)
+	return nil
+}
+
+// DecodeLuma decodes pkt and returns plane 0 of the reconstruction, which
+// is coded at full resolution: Width*Height samples in raster order. The
+// slice is the decoder's reference picture: read it, never write it, and
+// only until the next decode. Errors and decoder state are Decode's. The
+// depth stream's single plane is read from here without Decode's copy.
+func (d *Decoder) DecodeLuma(pkt *Packet) ([]int32, error) {
+	cp, err := d.decodePicture(pkt)
+	if err != nil {
+		return nil, err
+	}
+	return cp.planes[0], nil
 }

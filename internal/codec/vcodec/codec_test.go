@@ -2,6 +2,7 @@ package vcodec
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -53,7 +54,8 @@ func TestColorConversionRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	im := frame.NewColorImage(16, 16)
 	rng.Read(im.Pix)
-	back := FromColor(im).ToColor()
+	back := frame.NewColorImage(16, 16)
+	FromColor(im).ToColorInto(back)
 	for i := range im.Pix {
 		d := int(im.Pix[i]) - int(back.Pix[i])
 		if d < -3 || d > 3 {
@@ -70,10 +72,8 @@ func TestDepthConversionExact(t *testing.T) {
 	}
 	f := NewFrame(16, 16, 1)
 	FromDepthInto(im, f)
-	back := frame.NewDepthImage(16, 16)
-	f.ToDepthInto(back)
 	for i := range im.Pix {
-		if im.Pix[i] != back.Pix[i] {
+		if f.Planes[0][i] != int32(im.Pix[i]) {
 			t.Fatalf("depth conversion not exact at %d", i)
 		}
 	}
@@ -960,5 +960,99 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 12 {
 		t.Errorf("steady-state decode allocates %v objects per frame, want <= 12", allocs)
+	}
+	im := frame.NewColorImage(cfg.Width, cfg.Height)
+	allocs = testing.AllocsPerRun(30, func() {
+		if err := dec.DecodeColorInto(pkts[i%4], im); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 12 {
+		t.Errorf("steady-state DecodeColorInto allocates %v objects per frame, want <= 12", allocs)
+	}
+}
+
+// TestDecodeColorIntoMatchesDecode runs two decoders over one packet
+// stream, one through Decode+ToColorInto and one through DecodeColorInto,
+// at odd sizes in 4:2:0 and 4:4:4. The stream mixes in corrupt packets
+// (bit flips, truncations) and dropped ones (stale references), so the two
+// must also agree on every error and on the state each failure leaves.
+func TestDecodeColorIntoMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	c444 := Config{Width: 29, Height: 17, NumPlanes: 3, BitDepth: 8}
+	for _, cfg := range []Config{ColorConfig(37, 23), ColorConfig(65, 9), ColorConfig(1, 1), c444} {
+		cfg.GOP = 5
+		enc, err := NewEncoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := NewDecoder(cfg)
+		dec, _ := NewDecoder(cfg)
+		got := frame.NewColorImage(cfg.Width, cfg.Height)
+		want := frame.NewColorImage(cfg.Width, cfg.Height)
+		var failures int
+		for i := 0; i < 30; i++ {
+			src := frame.NewColorImage(cfg.Width, cfg.Height)
+			for k := range src.Pix { // a drifting ramp with noise
+				src.Pix[k] = uint8(k*7 + i*3 + rng.Intn(8))
+			}
+			pkt, err := enc.EncodeQP(FromColor(src), 10+rng.Intn(30))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var data []byte
+			switch rng.Intn(5) {
+			case 0: // flip a byte
+				data = append([]byte(nil), pkt.Data...)
+				data[rng.Intn(len(data))] ^= byte(1 + rng.Intn(255))
+			case 1: // truncate
+				data = pkt.Data[:rng.Intn(len(pkt.Data))]
+			case 2: // drop: the next delta frame decodes against a stale reference
+				continue
+			default:
+				data = pkt.Data
+			}
+			p := &Packet{Data: data}
+			f, refErr := ref.Decode(p)
+			gotErr := dec.DecodeColorInto(p, got)
+			if fmt.Sprint(refErr) != fmt.Sprint(gotErr) {
+				t.Fatalf("%dx%d frame %d: Decode error %v, DecodeColorInto error %v", cfg.Width, cfg.Height, i, refErr, gotErr)
+			}
+			if ref.HasReference() != dec.HasReference() || ref.refSeq != dec.refSeq {
+				t.Fatalf("%dx%d frame %d: decoder states differ", cfg.Width, cfg.Height, i)
+			}
+			if refErr != nil {
+				failures++
+				continue
+			}
+			f.ToColorInto(want)
+			if !bytes.Equal(got.Pix, want.Pix) {
+				t.Fatalf("%dx%d frame %d: DecodeColorInto pixels differ from Decode+ToColorInto", cfg.Width, cfg.Height, i)
+			}
+		}
+		if failures == 0 {
+			t.Fatalf("%dx%d: no packet failed; the stream must exercise the error paths", cfg.Width, cfg.Height)
+		}
+	}
+}
+
+func TestDecodeColorIntoErrors(t *testing.T) {
+	cfg := ColorConfig(16, 16)
+	enc, _ := NewEncoder(cfg)
+	dec, _ := NewDecoder(cfg)
+	pkt, err := enc.EncodeQP(FromColor(synthColor(16, 16, 0)), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.DecodeColorInto(pkt, frame.NewColorImage(16, 8)); err == nil {
+		t.Error("image of the wrong size accepted")
+	}
+	if dec.HasReference() {
+		t.Error("a rejected image advanced the decoder")
+	}
+	mono, _ := NewDecoder(DepthConfig(16, 16))
+	if err := mono.DecodeColorInto(pkt, frame.NewColorImage(16, 16)); err == nil {
+		t.Error("DecodeColorInto accepted a 1-plane stream")
 	}
 }

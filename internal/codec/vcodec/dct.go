@@ -156,13 +156,6 @@ func buildZigzag() [blockSize * blockSize]int {
 	return order
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // qpToStep maps a quantization parameter to a quantizer step size, doubling
 // every 6 QP like H.264/H.265 (QP 4 -> step 1.0 for 8-bit samples). As in
 // H.265, the step scales with bit depth — QP is defined relative to full

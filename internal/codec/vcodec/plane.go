@@ -66,12 +66,27 @@ func FromColor(im *frame.ColorImage) *Frame {
 	return f
 }
 
+// convSpan is the span, in pixels, of the striped colour conversions.
+// Fixed (not derived from GOMAXPROCS) so the work decomposition is the same
+// at any worker count, and large enough that a conferencing-size frame
+// (192x96) converts as one inline span.
+const convSpan = 1 << 15
+
 // FromColorInto converts an RGB image into an existing 3-plane frame of
-// the same geometry without allocating (the sender's per-tick path).
+// the same geometry without allocating a frame (the sender's per-tick
+// path). Spans of convSpan pixels convert in parallel.
 func FromColorInto(im *frame.ColorImage, f *Frame) {
 	n := im.W * im.H
-	yp, cbp, crp := f.Planes[0][:n], f.Planes[1][:n], f.Planes[2][:n]
-	pix := im.Pix[:3*n]
+	pipeline.ParFor((n+convSpan-1)/convSpan, func(s int) {
+		lo := s * convSpan
+		fromColorSpan(im.Pix, f, lo, min(lo+convSpan, n))
+	})
+}
+
+// fromColorSpan converts pixels [lo, hi).
+func fromColorSpan(pix []uint8, f *Frame, lo, hi int) {
+	yp, cbp, crp := f.Planes[0][lo:hi], f.Planes[1][lo:hi], f.Planes[2][lo:hi]
+	pix = pix[3*lo : 3*hi]
 	for i := range yp {
 		px := (*[3]uint8)(pix[3*i:])
 		r := int32(px[0])
@@ -87,31 +102,72 @@ func FromColorInto(im *frame.ColorImage, f *Frame) {
 	}
 }
 
-// ToColor converts a 3-plane YCbCr frame back to RGB.
-func (f *Frame) ToColor() *frame.ColorImage {
-	im := frame.NewColorImage(f.W, f.H)
-	f.ToColorInto(im)
-	return im
-}
-
 // ToColorInto converts a 3-plane YCbCr frame into an existing RGB image of
-// the same geometry without allocating (the receive path's per-frame
-// conversion).
+// the same geometry without allocating.
 func (f *Frame) ToColorInto(im *frame.ColorImage) {
 	n := f.W * f.H
 	yp, cbp, crp := f.Planes[0][:n], f.Planes[1][:n], f.Planes[2][:n]
 	pix := im.Pix[:3*n]
-	for i := range yp {
-		y := yp[i]
-		cb := cbp[i] - 128
-		cr := crp[i] - 128
-		r := y + (359*cr+128)>>8
-		g := y - (88*cb+183*cr+128)>>8
-		b := y + (454*cb+128)>>8
-		px := (*[3]uint8)(pix[3*i:])
-		px[0] = uint8(clampI32(r, 0, 255))
-		px[1] = uint8(clampI32(g, 0, 255))
-		px[2] = uint8(clampI32(b, 0, 255))
+	for i, y := range yp {
+		toRGB(y, cbp[i], crp[i], (*[3]uint8)(pix[3*i:]))
+	}
+}
+
+// toRGB is the one inverse colour transform: fixed-point BT.601 full range,
+// clamped to 8 bits.
+func toRGB(y, cb, cr int32, px *[3]uint8) {
+	cb -= 128
+	cr -= 128
+	px[0] = uint8(min(max(y+(359*cr+128)>>8, 0), int32(255)))
+	px[1] = uint8(min(max(y-(88*cb+183*cr+128)>>8, 0), int32(255)))
+	px[2] = uint8(min(max(y+(454*cb+128)>>8, 0), int32(255)))
+}
+
+// rgbConverter is DecodeColorInto's conversion from a coded picture to RGB
+// in fixed row spans of about convSpan pixels. Chroma planes coded at half
+// resolution are sampled nearest-neighbour (row y reads chroma row y/2,
+// column x chroma column x/2), exactly the samples upsample2xRows expands.
+// It lives on the decoder so the span count and the ParFor closure are
+// built once; spans write disjoint rows and only read the picture.
+type rgbConverter struct {
+	cfg     Config
+	rows, n int // rows per span, spans
+	cp      *codedPicture
+	im      *frame.ColorImage
+	fn      func(int)
+}
+
+func (c *rgbConverter) convert(cfg Config, cp *codedPicture, im *frame.ColorImage) {
+	if c.fn == nil {
+		c.cfg = cfg
+		c.rows = max(1, convSpan/cfg.Width)
+		c.n = (cfg.Height + c.rows - 1) / c.rows
+		c.fn = c.run
+	}
+	c.cp, c.im = cp, im
+	pipeline.ParFor(c.n, c.fn)
+	c.cp, c.im = nil, nil
+}
+
+// run converts the rows of span i.
+func (c *rgbConverter) run(i int) {
+	w := c.cfg.Width
+	cw, _ := c.cfg.planeDims(1)
+	shift := 0 // 4:2:0 chroma is ceil(w/2) x ceil(h/2): x>>1 and y>>1 stay inside it
+	if cw != w {
+		shift = 1
+	}
+	y0 := i * c.rows
+	y1 := min(y0+c.rows, c.cfg.Height)
+	yp, cbp, crp := c.cp.planes[0], c.cp.planes[1], c.cp.planes[2]
+	for y := y0; y < y1; y++ {
+		cy := y >> shift
+		cbr := cbp[cy*cw : cy*cw+cw]
+		crr := crp[cy*cw : cy*cw+cw]
+		pix := c.im.Pix[3*y*w : 3*(y+1)*w]
+		for x, lum := range yp[y*w : y*w+w] {
+			toRGB(lum, cbr[x>>shift], crr[x>>shift], (*[3]uint8)(pix[3*x:]))
+		}
 	}
 }
 
@@ -121,14 +177,6 @@ func (f *Frame) ToColorInto(im *frame.ColorImage) {
 func FromDepthInto(im *frame.DepthImage, f *Frame) {
 	for i, d := range im.Pix {
 		f.Planes[0][i] = int32(d)
-	}
-}
-
-// ToDepthInto converts a single-plane frame into an existing depth image
-// of the same geometry without allocating, clamping to the valid range.
-func (f *Frame) ToDepthInto(im *frame.DepthImage) {
-	for i, v := range f.Planes[0] {
-		im.Pix[i] = uint16(clampI32(v, 0, 65535))
 	}
 }
 

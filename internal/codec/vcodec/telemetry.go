@@ -7,19 +7,13 @@ import "livo/internal/telemetry"
 // stages, and encoded bytes are the sender's.
 var telDecodeErrors = telemetry.Default.Counter("livo_vcodec_decode_errors_total")
 
-// Decode reconstructs one frame from a packet. Malformed input returns an
-// error wrapping ErrCorrupt; a delta frame that does not extend the
-// decoder's current reference returns an error wrapping ErrStaleReference.
-// Decoder state is only advanced on success, so a failed packet can be
-// skipped and decoding resumed at the next key frame.
-//
-// The returned frame is owned by the decoder and overwritten by the next
-// successful Decode call; Clone it to retain it across decodes.
-func (d *Decoder) Decode(pkt *Packet) (*Frame, error) {
-	f, err := d.decode(pkt)
+// decodePicture runs the decode core and counts its failures; Decode,
+// DecodeColorInto and DecodeLuma all decode through it.
+func (d *Decoder) decodePicture(pkt *Packet) (*codedPicture, error) {
+	cp, err := d.decode(pkt)
 	if err != nil {
 		telDecodeErrors.Inc()
 		return nil, err
 	}
-	return f, nil
+	return cp, nil
 }

@@ -610,40 +610,12 @@ func TestDepthRMSENormMismatch(t *testing.T) {
 	}
 }
 
-// TestSenderBlankTileReuse checks fully-culled views tile the sender's
-// shared blank pair instead of allocating fresh images per frame, and that
-// the blanks stay zero across frames (Compose* copies, never writes).
-func TestSenderBlankTileReuse(t *testing.T) {
-	v := testVideo(t, "office1")
-	s, r := newPair(t, v, LiVoNoCull)
-	for fi := 0; fi < 2; fi++ {
-		views := append([]frame.RGBDFrame(nil), v.Frame(fi)...)
-		views[1] = frame.RGBDFrame{} // a fully-culled view
-		enc, err := s.ProcessFrame(views, 40e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.colorViews[1] != s.blankColor || s.depthViews[1] != s.blankDepth {
-			t.Fatal("culled view did not reuse the shared blank tile pair")
-		}
-		for _, p := range s.blankDepth.Pix {
-			if p != 0 {
-				t.Fatal("blank depth tile was written to")
-			}
-		}
-		if _, err := r.PushColor(enc.Color); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.PushDepth(enc.Depth); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // Frame-path allocation budgets, heap objects per frame at GOMAXPROCS=1
-// after warm-up. Measured today: ProcessFrame 18, PushColor+PushDepth 5,
-// Reconstruct 0. The limits leave room for a pooled buffer growing on
-// unseen content, not for a per-frame buffer that stopped being pooled.
+// after warm-up. Measured today: ProcessFrame 17 with or without culling
+// (the culling sender made 35 while it cloned every view, the non-culling
+// one 18), PushColor+PushDepth 6, Reconstruct 0. The limits leave room for
+// a pooled buffer growing on unseen content, not for a per-frame buffer
+// that stopped being pooled.
 const (
 	maxProcessFrameAllocs = 28
 	maxPushAllocs         = 10
@@ -652,23 +624,31 @@ const (
 
 // TestFramePathSteadyStateAllocs replays distinct frames through sender
 // encode, receiver decode/pair and reconstruction, and holds each stage to
-// its budget. Unlike TestReconstructSteadyStateAllocs (one paired frame,
-// reconstructed repeatedly) every run sees new content, so an arena that
-// is re-grown per frame shows up. GOMAXPROCS is 1 for the same reason as
-// there: ParFor's worker spawns allocate and are not part of the budget.
+// its budget, for a culling and a non-culling sender. Unlike
+// TestReconstructSteadyStateAllocs (one paired frame, reconstructed
+// repeatedly) every run sees new content, so an arena that is re-grown per
+// frame shows up. GOMAXPROCS is 1 for the same reason as there: ParFor's
+// worker spawns allocate and are not part of the budget.
 func TestFramePathSteadyStateAllocs(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	const warm, runs = 8, 16
 	v := testVideo(t, "dance5")
+	for _, variant := range []Variant{LiVoNoCull, LiVo} {
+		t.Run(variant.String(), func(t *testing.T) { framePathAllocs(t, v, variant) })
+	}
+}
+
+func framePathAllocs(t *testing.T, v *scene.Video, variant Variant) {
+	const warm, runs = 8, 16
 	views := make([][]frame.RGBDFrame, warm+runs+1) // AllocsPerRun adds one warm-up call
 	for i := range views {
 		views[i] = v.Frame(i)
 	}
-	s, err := NewSender(SenderConfig{Variant: LiVoNoCull, Array: v.Array, ViewParams: geom.DefaultViewParams()})
+	s, err := NewSender(SenderConfig{Variant: variant, Array: v.Array, ViewParams: geom.DefaultViewParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.ObservePose(0, viewerPose())
 	r, err := NewReceiver(ReceiverConfig{Array: v.Array, VoxelSize: 0.02})
 	if err != nil {
 		t.Fatal(err)
@@ -710,6 +690,9 @@ func TestFramePathSteadyStateAllocs(t *testing.T) {
 		process(i)
 	}
 	check("ProcessFrame", testing.AllocsPerRun(runs, func() { process(i); i++ }), maxProcessFrameAllocs)
+	if variant == LiVo && encs[i-1].CullStats.Kept == encs[i-1].CullStats.Total {
+		t.Fatalf("the culling sender kept every pixel (%+v); the row must cull", encs[i-1].CullStats)
+	}
 
 	for i = 0; i < warm; i++ {
 		push(i)

@@ -152,11 +152,10 @@ func (r *Receiver) decodeQuarterColor(pkt *vcodec.Packet) (*frame.ColorImage, ui
 		}
 		r.qColorDec = dec
 	}
-	f, err := r.qColorDec.Decode(pkt)
-	if err != nil {
+	qim := frame.NewColorImage(r.quarterDims())
+	if err := r.qColorDec.DecodeColorInto(pkt, qim); err != nil {
 		return nil, 0, err
 	}
-	qim := f.ToColor()
 	seq := pkt.Seq
 	if r.qMarkersOK {
 		if mseq, err := frame.DecodeColorMarker(qim); err == nil {
@@ -257,12 +256,11 @@ func (r *Receiver) PushColor(pkt *vcodec.Packet) (*PairedFrame, error) {
 			return nil, err
 		}
 	} else {
-		f, err := r.colorDec.Decode(pkt)
-		if err != nil {
+		im = frame.NewColorImage(r.tiler.FrameSize())
+		if err := r.colorDec.DecodeColorInto(pkt, im); err != nil {
 			r.mDecodeErrors.Inc()
 			return nil, err
 		}
-		im = f.ToColor()
 		seq = pkt.Seq
 		if r.markersOK {
 			if mseq, err := frame.DecodeColorMarker(im); err == nil {

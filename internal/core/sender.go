@@ -1,16 +1,16 @@
 // Package core assembles LiVo's sender and receiver pipelines (Fig 2).
 //
 // Sender, per frame: predict the receiver frustum (Kalman + guard band,
-// §3.4) → cull the N RGB-D views in pixel space → tile color and depth into
-// two large frames (§3.2) → stamp frame-sequence markers (§A.1) → encode
-// the color frame with the 8-bit codec and the depth frame with the scaled
-// 16-bit Y codec, splitting the bandwidth budget adaptively between the two
-// streams (§3.3).
+// §3.4) → cull the N RGB-D views in pixel space, straight into their tiles
+// of one large color and one large depth frame (§3.2) → stamp
+// frame-sequence markers (§A.1) → encode the color frame with the 8-bit
+// codec and the depth frame with the scaled 16-bit Y codec, splitting the
+// bandwidth budget adaptively between the two streams (§3.3).
 //
-// Receiver: pair decoded color/depth frames by their in-band sequence
-// markers, zero the marker strip, extract per-camera views, reconstruct the
-// point cloud in the global frame, voxelize, and cull to the current
-// (actual) frustum (§A.1).
+// Receiver: decode each stream straight into its image, pair the decoded
+// color/depth frames by their in-band sequence markers, zero the marker
+// strip, extract per-camera views, reconstruct the point cloud in the
+// global frame, voxelize, and cull to the current (actual) frustum (§A.1).
 package core
 
 import (
@@ -161,7 +161,6 @@ func (f *EncodedFrame) TotalBytes() int {
 // LiVo drives (§3.2) — and each encoder is itself stripe-parallel.
 type Sender struct {
 	cfg       SenderConfig
-	tiler     *frame.Tiler
 	colorEnc  *vcodec.Encoder
 	depthEnc  *depth.Encoder
 	splitter  *split.Controller
@@ -188,18 +187,11 @@ type Sender struct {
 	// request landing mid-encode cannot split it across streams. Both are
 	// atomic: PLIs arrive on the feedback goroutine.
 	refreshInFlight, forceKey atomic.Bool
-	// srcColor is the reused YCbCr staging frame for the tiled color
-	// stream (one full-resolution conversion per tick, no allocation).
+	// tiles culls the views straight into the two reused tiled images
+	// (cull.Tiles); srcColor is the reused YCbCr staging frame for the
+	// tiled color stream.
+	tiles    *cull.Tiles
 	srcColor *vcodec.Frame
-	// blankColor/blankDepth are the shared stand-ins for fully-culled
-	// views. Compose* copies tiles out of its inputs, so one zeroed pair
-	// serves every culled slot of every frame instead of allocating fresh
-	// blank images per slot. They must never be written to.
-	blankColor *frame.ColorImage
-	blankDepth *frame.DepthImage
-	// colorViews/depthViews are the per-tick composition scratch slices.
-	colorViews []*frame.ColorImage
-	depthViews []*frame.DepthImage
 
 	// Telemetry handles, resolved once in NewSender (DESIGN.md §6).
 	mFrames    *telemetry.Counter
@@ -219,12 +211,11 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 		return nil, fmt.Errorf("core: sender needs at least one camera")
 	}
 	in := cfg.Array.Cameras[0].Intrinsics
-	for i, cam := range cfg.Array.Cameras {
-		if cam.Intrinsics.W != in.W || cam.Intrinsics.H != in.H {
-			return nil, fmt.Errorf("core: camera %d resolution differs (tiling needs uniform views)", i)
-		}
-	}
 	tiler, err := frame.NewTiler(cfg.Array.N(), in.W, in.H)
+	if err != nil {
+		return nil, err
+	}
+	tiles, err := cull.NewTiles(cfg.Array, tiler) // tiling needs uniform views
 	if err != nil {
 		return nil, err
 	}
@@ -262,20 +253,16 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 		initial = cfg.StaticSplit
 	}
 	s := &Sender{
-		cfg:        cfg,
-		tiler:      tiler,
-		colorEnc:   colorEnc,
-		depthEnc:   depthEnc,
-		colorLad:   colorLad,
-		depthLad:   depthLad,
-		splitter:   split.New(initial),
-		predictor:  cull.NewFrustumPredictor(cfg.ViewParams),
-		markersOK:  tw >= frame.MarkerWidth && th >= frame.MarkerHeight,
-		srcColor:   vcodec.NewFrame(tw, th, 3),
-		blankColor: frame.NewColorImage(in.W, in.H),
-		blankDepth: frame.NewDepthImage(in.W, in.H),
-		colorViews: make([]*frame.ColorImage, cfg.Array.N()),
-		depthViews: make([]*frame.DepthImage, cfg.Array.N()),
+		cfg:       cfg,
+		colorEnc:  colorEnc,
+		depthEnc:  depthEnc,
+		colorLad:  colorLad,
+		depthLad:  depthLad,
+		splitter:  split.New(initial),
+		predictor: cull.NewFrustumPredictor(cfg.ViewParams),
+		markersOK: tw >= frame.MarkerWidth && th >= frame.MarkerHeight,
+		tiles:     tiles,
+		srcColor:  vcodec.NewFrame(tw, th, 3),
 	}
 	s.predictor.Guard = cfg.GuardBand
 	if cfg.Ladder {
@@ -349,46 +336,24 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 	}
 	s.cfg.Trace.StampNow(frametrace.HopCapture, 0, s.seq, frametrace.NoSub)
 
-	// 1. View culling in pixel space (§3.4).
-	var st cull.Stats
-	var err error
+	// 1. View culling in pixel space (§3.4), straight into the tiles of one
+	// color and one depth frame (§3.2). Non-culling variants copy the views.
+	var fr *geom.Frustum
 	if s.cullsViews() {
-		views, st, err = cull.Views(s.cfg.Array, views, s.predictor.PredictFrustum())
-		if err != nil {
-			return nil, err
-		}
-		if st.Total > 0 {
-			s.gCullKept.Set(float64(st.Kept) / float64(st.Total))
-		}
+		f := s.predictor.PredictFrustum()
+		fr = &f
 	}
+	st, err := s.tiles.Cull(views, fr)
+	if err != nil {
+		return nil, err
+	}
+	if st.Total > 0 {
+		s.gCullKept.Set(float64(st.Kept) / float64(st.Total))
+	}
+	tiledColor, tiledDepth := s.tiles.Color, s.tiles.Depth
 	s.cfg.Trace.StampNow(frametrace.HopCull, 0, s.seq, frametrace.NoSub)
 
-	// 2. Stream composition: tile N views into one color + one depth frame
-	// (§3.2).
-	colorViews := s.colorViews
-	depthViews := s.depthViews
-	for i, v := range views {
-		if v.Color == nil {
-			// Fully-culled view: tile the shared blank pair (Compose*
-			// copies, so reuse across slots and frames is safe).
-			colorViews[i] = s.blankColor
-			depthViews[i] = s.blankDepth
-			continue
-		}
-		colorViews[i] = v.Color
-		depthViews[i] = v.Depth
-	}
-	tiledColor, err := s.tiler.ComposeColor(colorViews)
-	if err != nil {
-		return nil, err
-	}
-	tiledDepth, err := s.tiler.ComposeDepth(depthViews)
-	if err != nil {
-		return nil, err
-	}
-	s.cfg.Trace.StampNow(frametrace.HopTile, 0, s.seq, frametrace.NoSub)
-
-	// 3. In-band sequence markers (§A.1). The quarter rung's staging images
+	// 2. In-band sequence markers (§A.1). The quarter rung's staging images
 	// are downsampled from the *unstamped* tiles first — downsampling a
 	// stamped image would shred the marker code — then each resolution is
 	// stamped with its own marker.
@@ -414,6 +379,11 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 		vcodec.FromColorInto(s.qColor, s.qsrcColor)
 	}
 
+	// 3. The color codec's YCbCr input (the depth encoder maps its own).
+	srcColor := s.srcColor
+	vcodec.FromColorInto(tiledColor, srcColor)
+	s.cfg.Trace.StampNow(frametrace.HopTile, 0, s.seq, frametrace.NoSub)
+
 	// 4. Bandwidth split + encoding (§3.3). The two streams go through
 	// independent encoders, so they encode concurrently (the split is
 	// decided before either starts); packet bytes are unaffected.
@@ -432,8 +402,6 @@ func (s *Sender) ProcessFrame(views []frame.RGBDFrame, bandwidthBps float64) (*E
 			s.depthEnc.ForceKeyFrame()
 		}
 	}
-	srcColor := s.srcColor
-	vcodec.FromColorInto(tiledColor, srcColor)
 	var colorPkt, depthPkt *vcodec.Packet
 	var colorPkts, depthPkts []*vcodec.Packet
 	var depthErr error

@@ -13,6 +13,7 @@ import (
 	"livo/internal/camera"
 	"livo/internal/frame"
 	"livo/internal/geom"
+	"livo/internal/pipeline"
 	"livo/internal/predict"
 )
 
@@ -32,49 +33,211 @@ func (s Stats) KeptFraction() float64 {
 
 // Views culls the per-camera RGB-D views against the frustum, returning new
 // frames with out-of-frustum pixels zeroed in both depth and color. The
-// input frames are not modified.
+// input frames are not modified; nil views stay nil in the output. It runs
+// the same per-camera kernel as Tiles, into per-view images.
 func Views(arr camera.Array, views []frame.RGBDFrame, f geom.Frustum) ([]frame.RGBDFrame, Stats, error) {
-	if len(views) != arr.N() {
-		return nil, Stats{}, fmt.Errorf("cull: %d views for %d cameras", len(views), arr.N())
+	if err := checkViews(arr, views); err != nil {
+		return nil, Stats{}, err
 	}
 	out := make([]frame.RGBDFrame, len(views))
-	var st Stats
+	stats := make([]Stats, len(views))
+	for ci, view := range views {
+		if view.Depth != nil {
+			out[ci] = frame.NewRGBDFrame(view.Depth.W, view.Depth.H)
+		}
+	}
+	pipeline.ParFor(len(views), func(ci int) {
+		if views[ci].Depth == nil {
+			return
+		}
+		cam := &arr.Cameras[ci]
+		local := f.Transform(cam.WorldToLocal())
+		dst := out[ci]
+		stats[ci] = cullView(views[ci], &cam.Intrinsics, columnFactors(cam.Intrinsics), &local,
+			dst.Color.Pix, dst.Depth.Pix, cam.Intrinsics.W)
+	})
+	return out, sum(stats), nil
+}
+
+// Tiles culls every camera's view straight into that camera's tile of two
+// tiled images (§3.2, §3.4), so no per-view copy is made. The images are
+// owned by Tiles and reused by every call: each call rewrites every tile,
+// and pixels outside all tiles are never written. The cameras are culled
+// in parallel on pipeline.ParFor, one task per camera. Not safe for
+// concurrent use.
+type Tiles struct {
+	arr   camera.Array
+	tiler *frame.Tiler
+	// Color and Depth hold the last call's tiled frames.
+	Color *frame.ColorImage
+	Depth *frame.DepthImage
+
+	kx    [][]float64 // per-camera column ray factors, see columnFactors
+	stats []Stats
+	// Per-call state read by fn: the views, and the frustum when culling.
+	views   []frame.RGBDFrame
+	frustum geom.Frustum
+	culling bool
+	fn      func(int)
+}
+
+// NewTiles builds the tiled images for a rig whose cameras share the
+// tiler's tile size.
+func NewTiles(arr camera.Array, t *frame.Tiler) (*Tiles, error) {
+	if arr.N() != t.N {
+		return nil, fmt.Errorf("cull: %d cameras for %d tiles", arr.N(), t.N)
+	}
+	w, h := t.FrameSize()
+	c := &Tiles{
+		arr:   arr,
+		tiler: t,
+		Color: frame.NewColorImage(w, h),
+		Depth: frame.NewDepthImage(w, h),
+		kx:    make([][]float64, t.N),
+		stats: make([]Stats, t.N),
+	}
+	for i, cam := range arr.Cameras {
+		if cam.Intrinsics.W != t.TileW || cam.Intrinsics.H != t.TileH {
+			return nil, fmt.Errorf("cull: camera %d is %dx%d, tiles are %dx%d",
+				i, cam.Intrinsics.W, cam.Intrinsics.H, t.TileW, t.TileH)
+		}
+		c.kx[i] = columnFactors(cam.Intrinsics)
+	}
+	c.fn = c.tile
+	return c, nil
+}
+
+// Cull culls views against f into the tiled images; a nil f copies every
+// view whole (the non-culling variants), and a nil view leaves its tile
+// black. The returned Stats are zero when f is nil.
+func (c *Tiles) Cull(views []frame.RGBDFrame, f *geom.Frustum) (Stats, error) {
+	if err := checkViews(c.arr, views); err != nil {
+		return Stats{}, err
+	}
+	c.views, c.culling = views, f != nil
+	if c.culling {
+		c.frustum = *f
+	}
+	pipeline.ParFor(len(views), c.fn)
+	c.views = nil
+	return sum(c.stats), nil
+}
+
+// tile culls camera i's view into its tile.
+func (c *Tiles) tile(i int) {
+	w, _ := c.tiler.FrameSize()
+	ox, oy := c.tiler.TileOrigin(i)
+	off := oy*w + ox
+	color, depth := c.Color.Pix[3*off:], c.Depth.Pix[off:]
+	cam := &c.arr.Cameras[i]
+	view := c.views[i]
+	switch {
+	case view.Depth == nil:
+		c.stats[i] = Stats{}
+		for y := 0; y < c.tiler.TileH; y++ {
+			clear(color[3*y*w : 3*(y*w+c.tiler.TileW)])
+			clear(depth[y*w : y*w+c.tiler.TileW])
+		}
+	case !c.culling:
+		c.stats[i] = cullView(view, &cam.Intrinsics, nil, nil, color, depth, w)
+	default:
+		local := c.frustum.Transform(cam.WorldToLocal())
+		c.stats[i] = cullView(view, &cam.Intrinsics, c.kx[i], &local, color, depth, w)
+	}
+}
+
+// checkViews validates a frame's views against the rig: one per camera,
+// and each non-nil view pixel-aligned at its camera's resolution.
+func checkViews(arr camera.Array, views []frame.RGBDFrame) error {
+	if len(views) != arr.N() {
+		return fmt.Errorf("cull: %d views for %d cameras", len(views), arr.N())
+	}
 	for ci, view := range views {
 		if view.Depth == nil {
 			continue
 		}
 		if err := view.Validate(); err != nil {
-			return nil, Stats{}, fmt.Errorf("cull: camera %d: %w", ci, err)
+			return fmt.Errorf("cull: camera %d: %w", ci, err)
 		}
-		cam := arr.Cameras[ci]
-		in := cam.Intrinsics
+		in := arr.Cameras[ci].Intrinsics
 		if view.Depth.W != in.W || view.Depth.H != in.H {
-			return nil, Stats{}, fmt.Errorf("cull: camera %d view %dx%d vs intrinsics %dx%d",
+			return fmt.Errorf("cull: camera %d view %dx%d vs intrinsics %dx%d",
 				ci, view.Depth.W, view.Depth.H, in.W, in.H)
 		}
-		// Transform the frustum once into this camera's local frame; then
-		// every pixel test is six dot products on the local point (§3.4).
-		local := f.Transform(cam.WorldToLocal())
-		culled := view.Clone()
-		for v := 0; v < in.H; v++ {
-			for u := 0; u < in.W; u++ {
-				mm := view.Depth.At(u, v)
-				if mm == 0 {
-					continue
-				}
-				st.Total++
-				p := in.Unproject(u, v, float64(mm)/1000)
-				if local.Contains(p) {
-					st.Kept++
-					continue
-				}
-				culled.Depth.Set(u, v, 0)
-				culled.Color.Set(u, v, 0, 0, 0)
-			}
-		}
-		out[ci] = culled
 	}
-	return out, st, nil
+	return nil
+}
+
+// columnFactors returns the per-column ray factor (u+0.5−cx)/fx of
+// Intrinsics.Unproject, computed with the same operations in the same
+// order, so factor*z is bit-identical to Unproject's X.
+func columnFactors(in camera.Intrinsics) []float64 {
+	kx := make([]float64, in.W)
+	for u := range kx {
+		kx[u] = (float64(u) + 0.5 - in.Cx) / in.Fx
+	}
+	return kx
+}
+
+// cullView is the one culling kernel. It copies view into color/depth,
+// whose rows are stride pixels apart, and zeroes the pixels whose
+// camera-local point falls outside local. With local nil it only copies.
+// Every pixel of the destination rectangle is written.
+//
+// Each pixel test is six dot products on the local point (§3.4): the
+// frustum was transformed into the camera's frame once, and the point is
+// Intrinsics.Unproject's, with the row and column ray factors hoisted.
+func cullView(view frame.RGBDFrame, in *camera.Intrinsics, kx []float64, local *geom.Frustum,
+	color []uint8, depth []uint16, stride int) Stats {
+	w := in.W
+	var st Stats
+	for v := 0; v < in.H; v++ {
+		src := view.Depth.Pix[v*w : (v+1)*w]
+		dd := depth[v*stride : v*stride+w]
+		dc := color[3*v*stride : 3*(v*stride+w)]
+		copy(dd, src)
+		copy(dc, view.Color.Pix[3*v*w:3*(v+1)*w])
+		if local == nil {
+			continue
+		}
+		ky := (float64(v) + 0.5 - in.Cy) / in.Fy
+		for u, mm := range src {
+			if mm == 0 {
+				continue
+			}
+			st.Total++
+			z := float64(mm) / 1000
+			if contains(local, geom.Vec3{X: kx[u] * z, Y: ky * z, Z: z}) {
+				st.Kept++
+				continue
+			}
+			dd[u] = 0
+			px := (*[3]uint8)(dc[3*u:])
+			px[0], px[1], px[2] = 0, 0, 0
+		}
+	}
+	return st
+}
+
+// contains is geom.Frustum.Contains on a pointer: the frustum is 192
+// bytes, and the kernel tests it once per valid pixel.
+func contains(f *geom.Frustum, p geom.Vec3) bool {
+	for i := range f.Planes {
+		if f.Planes[i].SignedDistance(p) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sum adds per-camera stats.
+func sum(stats []Stats) Stats {
+	var st Stats
+	for _, s := range stats {
+		st.Total += s.Total
+		st.Kept += s.Kept
+	}
+	return st
 }
 
 // FrustumPredictor combines the Kalman pose predictor with a smoothed

@@ -2,6 +2,7 @@ package cull
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"livo/internal/camera"
@@ -237,5 +238,138 @@ func TestMeasureAccuracyErrors(t *testing.T) {
 	f := geom.NewFrustum(geom.PoseIdentity, geom.DefaultViewParams())
 	if _, err := MeasureAccuracy(arr, nil, f, f); err == nil {
 		t.Error("wrong view count accepted")
+	}
+}
+
+// TestTilesMatchViewsCompose holds the fused cull-into-tiles pass to
+// Views followed by Tiler.Compose*, byte for byte, over random frusta and
+// view contents on a rig with an empty grid slot. Views come and go: a
+// view present on one frame is nil on the next, and a marker-like strip is
+// scribbled over the reused tiles between frames, so a tile that is not
+// fully rewritten shows as stale pixels. Every third frame copies without
+// culling (the non-culling variants).
+func TestTilesMatchViewsCompose(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	in := camera.NewIntrinsics(37, 21, math.Pi/2)
+	arr := camera.NewRing(5, 2.6, 1.5, 1.0, in, 6)
+	tiler, err := frame.NewTiler(arr.N(), in.W, in.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles, err := NewTiles(arr, tiler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blank := frame.NewRGBDFrame(in.W, in.H)
+	var culled, kept int
+	for fi := 0; fi < 24; fi++ {
+		views := make([]frame.RGBDFrame, arr.N())
+		for i := range views {
+			if rng.Intn(4) == 0 || (i == 2 && fi%2 == 1) { // camera 2 drops out every other frame
+				continue
+			}
+			views[i] = frame.NewRGBDFrame(in.W, in.H)
+			rng.Read(views[i].Color.Pix)
+			for p := range views[i].Depth.Pix {
+				if rng.Intn(5) > 0 {
+					views[i].Depth.Pix[p] = uint16(300 + rng.Intn(5700))
+				}
+			}
+		}
+		viewer := geom.LookAt(
+			geom.V3(rng.Float64()*4-2, 0.5+rng.Float64()*2, rng.Float64()*4-2),
+			geom.V3(rng.Float64()-0.5, 1, rng.Float64()-0.5), geom.V3(0, 1, 0))
+		f := geom.NewFrustum(viewer, geom.ViewParams{
+			FovY: 0.3 + rng.Float64()*1.2, Aspect: 0.8 + rng.Float64(), Near: 0.05, Far: 2 + rng.Float64()*6,
+		}).Expand(rng.Float64() * 0.3)
+		fr := &f
+		if fi%3 == 2 {
+			fr = nil
+		}
+
+		got, err := tiles.Cull(views, fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, want := views, Stats{}
+		if fr != nil {
+			if ref, want, err = Views(arr, views, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		colors := make([]*frame.ColorImage, arr.N())
+		depths := make([]*frame.DepthImage, arr.N())
+		for i, v := range ref {
+			if v.Depth == nil {
+				v = blank
+			}
+			colors[i], depths[i] = v.Color, v.Depth
+		}
+		wantColor, err := tiler.ComposeColor(colors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDepth, err := tiler.ComposeDepth(depths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("frame %d: stats %+v, Views says %+v", fi, got, want)
+		}
+		for i := range wantDepth.Pix {
+			if tiles.Depth.Pix[i] != wantDepth.Pix[i] {
+				t.Fatalf("frame %d: depth sample %d = %d, Views+Compose %d", fi, i, tiles.Depth.Pix[i], wantDepth.Pix[i])
+			}
+		}
+		for i := range wantColor.Pix {
+			if tiles.Color.Pix[i] != wantColor.Pix[i] {
+				t.Fatalf("frame %d: color byte %d = %d, Views+Compose %d", fi, i, tiles.Color.Pix[i], wantColor.Pix[i])
+			}
+		}
+		culled += want.Total - want.Kept
+		kept += want.Kept
+
+		// Scribble over the top rows, where the sender stamps its marker.
+		for y := 0; y < min(frame.MarkerHeight, in.H); y++ {
+			w := tiles.Color.W
+			rng.Read(tiles.Color.Pix[3*y*w : 3*(y+1)*w])
+			for x := 0; x < w; x++ {
+				tiles.Depth.Pix[y*w+x] = uint16(rng.Intn(65536))
+			}
+		}
+	}
+	if culled == 0 || kept == 0 {
+		t.Fatalf("the frusta culled %d and kept %d pixels; the test needs both", culled, kept)
+	}
+}
+
+func TestTilesErrors(t *testing.T) {
+	arr, views := oneCameraSetup()
+	in := arr.Cameras[0].Intrinsics
+	tiler, err := frame.NewTiler(1, in.W, in.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles, err := NewTiles(arr, tiler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := geom.NewFrustum(geom.PoseIdentity, geom.DefaultViewParams())
+	if _, err := tiles.Cull(nil, &f); err == nil {
+		t.Error("wrong view count accepted")
+	}
+	if _, err := tiles.Cull([]frame.RGBDFrame{frame.NewRGBDFrame(8, 8)}, &f); err == nil {
+		t.Error("mismatched view size accepted")
+	}
+	if _, err := tiles.Cull(views, &f); err != nil {
+		t.Error(err)
+	}
+	small, _ := frame.NewTiler(1, 8, 8)
+	if _, err := NewTiles(arr, small); err == nil {
+		t.Error("tiles smaller than the cameras accepted")
+	}
+	two, _ := frame.NewTiler(2, in.W, in.H)
+	if _, err := NewTiles(arr, two); err == nil {
+		t.Error("tile count differing from the camera count accepted")
 	}
 }

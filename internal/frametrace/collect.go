@@ -101,9 +101,9 @@ const (
 // any frame with a complete timeline the stage durations telescope to
 // exactly the end-to-end latency.
 var Stages = []stageDef{
-	{"cull", HopCapture, HopCull},
-	{"tile", HopCull, HopTile},
-	{"encode", HopTile, vEncode}, // marker stamp + color/depth encode
+	{"cull", HopCapture, HopCull}, // cull (or copy) the views into the tiles
+	{"tile", HopCull, HopTile},    // marker stamp + color conversion
+	{"encode", HopTile, vEncode},  // color/depth encode
 	{"packetize", vEncode, HopPacketize},
 	{"uplink", HopPacketize, HopRelayIngest},       // pacer hand-off, pacing + sender→relay wire
 	{"shard_route", HopRelayIngest, HopShardRoute}, // ingest ring wait

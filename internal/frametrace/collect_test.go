@@ -126,7 +126,7 @@ func TestMergeSubFilter(t *testing.T) {
 func TestIncompleteTimelines(t *testing.T) {
 	led := NewLedger(64)
 	led.Stamp(HopCapture, 0, 1, NoSub, 0)
-	led.Stamp(HopCull, 0, 1, NoSub, 0) // a non-culling variant: zero-width
+	led.Stamp(HopCull, 0, 1, NoSub, 0) // a zero-width stage
 	led.Stamp(HopTile, 0, 1, NoSub, 1e6)
 	led.Stamp(HopEncodeColor, 0, 1, NoSub, 2e6)
 	led.Stamp(HopEncodeDepth, 0, 1, NoSub, 3e6)

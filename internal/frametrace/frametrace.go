@@ -29,8 +29,8 @@ type Hop uint8
 
 const (
 	HopCapture Hop = iota
-	HopCull        // view culling done; stamped by non-culling variants too (zero-width)
-	HopTile        // views tiled into the color and depth frames
+	HopCull        // views culled straight into the tiled color and depth frames (non-culling variants copy them)
+	HopTile        // sequence markers stamped and the color frame converted to the codec's YCbCr
 	HopEncodeColor
 	HopEncodeDepth
 	HopPacketize

@@ -399,7 +399,12 @@ func (r *Router) storePartitionLocked(shardIdx int, snap *subSnapshot) {
 // forwarded minimum may rise), and — if it was the primary viewer — the
 // oldest remaining subscriber becomes primary. Reports whether the address
 // was subscribed.
-func (r *Router) Unsubscribe(addr net.Addr) bool {
+func (r *Router) Unsubscribe(addr net.Addr) bool { return r.remove(addr, false) }
+
+// remove is Unsubscribe. An eviction (evict) is counted in liveEvicted
+// under r.mu before the smaller snapshot is published, so whoever sees the
+// subscriber gone also sees it counted.
+func (r *Router) remove(addr net.Addr, evict bool) bool {
 	k := KeyOf(addr)
 	r.mu.Lock()
 	cur := r.snap.Load()
@@ -424,6 +429,9 @@ func (r *Router) Unsubscribe(addr net.Addr) bool {
 		if len(next.subs) > 0 {
 			next.primary = next.subs[0]
 		}
+	}
+	if evict {
+		r.liveEvicted.Add(1)
 	}
 	r.snap.Store(next)
 	r.storePartitionLocked(removed.shard, next)
@@ -780,9 +788,8 @@ func (r *Router) EvictStale() int {
 	}
 	n := 0
 	for _, s := range stale {
-		if r.Unsubscribe(s.addr) {
+		if r.remove(s.addr, true) {
 			n++
-			r.liveEvicted.Add(1)
 			r.cfg.Events.Add(frametrace.EvLivenessEvict, 0, 0, s.id, now-s.lastActive.Load())
 		}
 	}

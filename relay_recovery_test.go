@@ -405,10 +405,13 @@ func TestRelayLivenessEviction(t *testing.T) {
 	defer relay.Close()
 
 	conn.inject(transport.AppendREMB(nil, 5e6), silent.addr)
+	// Wait on the counter as well as the subscriber count: EvictStale
+	// counts an eviction before it publishes the removal, so once both
+	// read as expected the eviction is complete.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		conn.inject(transport.AppendREMB(nil, 5e6), live.addr)
-		if relay.Subscribers() == 2 {
+		if relay.Subscribers() == 2 && relay.Stats().LivenessEvicted == 1 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
